@@ -163,14 +163,12 @@ class ComparisonMatrix:
 
 
 def comparison_matrix(
-    vocabs: list[tuple[str, frozenset[bytes]]], metric: str = "jaccard", threads: int = 1
+    vocabs: list[tuple[str, frozenset[bytes]]], metric: str = "jaccard"
 ) -> ComparisonMatrix:
     """Pairwise overlap matrix over already-normalized vocabularies.
 
     The containment entry for a pair always uses the smaller vocabulary as
     the numerator base, so both metrics are symmetric; diagonals are 1.0.
-    Cells compute independently (optionally in parallel) and land in fixed
-    positions, so the thread count cannot change the result.
     """
     if metric not in ("jaccard", "containment"):
         raise ToolkitError(f"unknown metric {metric!r}")
@@ -186,7 +184,7 @@ def comparison_matrix(
         return containment(small, large)
 
     coords = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    cells = ordered_map(cell, coords, threads)
+    cells = ordered_map(cell, coords)
     values = [[1.0] * n for _ in range(n)]
     for (i, j), v in zip(coords, cells):
         values[i][j] = v

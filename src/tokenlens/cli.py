@@ -4,7 +4,8 @@ Every run builds a manifest (command, result-affecting flags, input file
 digests, Unicode version, normalization rules) and stamps its digest into
 each report, because the numbers are meaningless without the settings that
 produced them. Result-neutral flags (--threads, output paths) stay out of
-the manifest, so reruns and thread-count changes are byte-identical.
+the manifest, so reruns are byte-identical. --threads and TOKENLENS_THREADS
+are accepted and validated for compatibility; nothing depends on them.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -16,8 +17,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,25 +44,13 @@ class RunManifest:
     input_digests: dict
     unicode_version: str = UNICODE_VERSION
     normalization_rules: dict | None = None
-    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
-
-    def deterministic_fields(self) -> dict:
-        # The timestamp is informational only: it is excluded here so equal
-        # configurations digest (and serialize) identically.
-        return {
-            "command": self.command,
-            "flags": self.flags,
-            "input_digests": self.input_digests,
-            "unicode_version": self.unicode_version,
-            "normalization_rules": self.normalization_rules,
-        }
 
     def digest(self) -> str:
-        canon = json.dumps(self.deterministic_fields(), sort_keys=True, ensure_ascii=True)
+        canon = json.dumps(asdict(self), sort_keys=True, ensure_ascii=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def report_dict(self) -> dict:
-        out = self.deterministic_fields()
+        out = asdict(self)
         out["digest"] = self.digest()
         return out
 
@@ -211,23 +199,20 @@ def cmd_train(args: argparse.Namespace) -> int:
         else:
             if args.target_size is None:
                 raise ToolkitError("wordpiece requires --target-size")
-            if args.min_pair_freq is not None:
-                raise ToolkitError("wordpiece does not take --min-pair-freq")
             v, rules = training.wordpiece_train(corpus, args.target_size)
         vocab_mod.save_vocab(v, f"{prefix}.vocab.json")
         vocab_mod.save_merges(rules, v, f"{prefix}.merges.json")
     else:
         if args.target_size is None:
             raise ToolkitError("ulm requires --target-size")
-        if args.min_pair_freq is not None:
-            raise ToolkitError("ulm does not take --min-pair-freq")
         seed = training.ulm_seed(
             corpus, max_token_len=args.seed_max_token_len, seed_size=args.seed_size
         )
         pruned = training.ulm_prune(seed, corpus, args.target_size)
-        with open(f"{prefix}.vocab.json", "w", encoding="utf-8") as f:
-            json.dump({t: i for i, t in enumerate(pruned.tokens())}, f, ensure_ascii=True, indent=0)
-            f.write("\n")
+        vocab_mod.save_vocab(
+            vocab_mod.Vocabulary([vocab_mod.str_to_token(t) for t in pruned.tokens()]),
+            f"{prefix}.vocab.json",
+        )
         with open(f"{prefix}.probs.json", "w", encoding="utf-8") as f:
             json.dump({t: pruned.log_prob(t) for t in pruned.tokens()}, f, ensure_ascii=True, indent=0)
             f.write("\n")
@@ -239,7 +224,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    threads = resolve_threads(args.threads)
     if len(args.vocab) < 2:
         raise ToolkitError("need at least two --vocab NAME=PATH arguments")
     named = [_parse_named(v, "vocab") for v in args.vocab]
@@ -266,7 +250,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         result = analysis.normalize_vocab(raw, rules)
         normalized.append((name, result.vocab.token_set()))
         rows.append(analysis.vocab_breakdown(result.vocab, label=name))
-    matrix = analysis.comparison_matrix(normalized, metric=args.metric, threads=threads)
+    matrix = analysis.comparison_matrix(normalized, metric=args.metric)
     analysis.write_matrix_csv(matrix, args.out, manifest_digest=manifest.digest())
     if args.breakdown:
         analysis.write_breakdown_tsv(rows, args.breakdown, manifest_digest=manifest.digest())
@@ -275,7 +259,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_premium(args: argparse.Namespace) -> int:
-    threads = resolve_threads(args.threads)
     toks = []
     tok_inputs: list[str] = []
     for t in args.tokenizer:
@@ -298,7 +281,7 @@ def cmd_premium(args: argparse.Namespace) -> int:
         "aggregate": args.aggregate,
     }
     manifest = RunManifest("premium", flags, _digests(tok_inputs + pair_inputs))
-    matrix = premium_matrix(toks, corpora, threads=threads, aggregate=args.aggregate)
+    matrix = premium_matrix(toks, corpora, aggregate=args.aggregate)
     write_premium_csv(matrix, args.out, manifest_digest=manifest.digest())
     if args.json:
         write_premium_json(
@@ -309,7 +292,6 @@ def cmd_premium(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
-    threads = resolve_threads(args.threads)
     name, spec = _parse_named(args.tokenizer, "tokenizer")
     tok, tok_paths = _load_tokenizer(name, spec)
     v0, _ = embedding.read_matrix(args.embeddings)
@@ -334,7 +316,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     )
     outputs = []
     for strat in strategies:
-        plan = embedding.augment(tok, v0, enc, chars, strat, threads=threads, metric=args.metric)
+        plan = embedding.augment(tok, v0, enc, chars, strat, metric=args.metric)
         plan.stats = {
             "fraction_new_tokens": {args.corpus: embedding.fraction_new_tokens(corpus, tok, plan)}
         }
@@ -350,7 +332,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    threads = resolve_threads(args.threads)
     name, spec = _parse_named(args.tokenizer, "tokenizer")
     tok, tok_paths = _load_tokenizer(name, spec)
     v0, _ = embedding.read_matrix(args.embeddings)
@@ -386,10 +367,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             header += [f"{lbl}_new_fraction" for lbl in plan_labels]
         w.writerow(header)
         for label, _, corpus in corpora:
-            sims = [
-                embedding.corpus_similarity(enc, corpus, tok, pl, args.last_layer, threads=threads)
-                for _, pl in plans
-            ]
+            sims = [embedding.corpus_similarity(enc, corpus, tok, pl, args.last_layer) for _, pl in plans]
             row = [label] + [f"{s:.6f}" for s in sims]
             if args.report_new_fraction:
                 fracs = [embedding.fraction_new_tokens(corpus, tok, pl) for _, pl in plans]
@@ -401,6 +379,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # argument wiring
+
+
+_THREADS_HELP = "accepted and validated for compatibility; neither outputs nor run time depend on it"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -430,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space-marker", action="append", default=[], help="marker rewritten to a space")
     p.add_argument("--strip-prefix", action="append", default=[], help="continuation marker stripped from token fronts")
     p.add_argument("--breakdown", default=None, metavar="TSV_PATH")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_compare)
 
@@ -440,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", choices=["ratios", "totals"], default="ratios")
     p.add_argument("--json", default=None, help="also write a full-precision JSON report")
     p.add_argument("--verbose", action="store_true", help="include per-sentence ratios in JSON")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_premium)
 
@@ -453,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="source of candidate characters")
     p.add_argument("--chars", default=None, help="explicit characters instead of corpus scan")
     p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True, help="plan path (grid runs add a strategy tag)")
     p.set_defaults(fn=cmd_augment)
 
@@ -465,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--last-layer", type=int, required=True)
     p.add_argument("--corpus", action="append", default=[], metavar="LABEL=PATH")
     p.add_argument("--report-new-fraction", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
     return parser
@@ -483,14 +464,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "eval" and (not args.plan or not args.corpus):
         parser.error("eval needs at least one --plan and one --corpus")
     try:
+        if "threads" in vars(args):
+            resolve_threads(args.threads)  # validated only; no result depends on it
         return args.fn(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ToolkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

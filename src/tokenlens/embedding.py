@@ -22,7 +22,6 @@ import base64
 import json
 import math
 import struct
-import weakref
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -252,37 +251,12 @@ def derive_knn(
     return (weights[:, None] * rows).sum(axis=0) / weights.sum()
 
 
-class _AffineFit:
-    """Cached least-squares affine map from vl rows to v0 rows.
-
-    Keyed by the identity of the two array objects; weak references keep a
-    recycled id() from aliasing a dead array.
-    """
-
-    def __init__(self):
-        self._cache: dict[tuple[int, int], tuple[object, object, np.ndarray]] = {}
-
-    def theta(self, v0: np.ndarray, vl: np.ndarray, ridge: float) -> np.ndarray:
-        key = (id(v0), id(vl))
-        hit = self._cache.get(key)
-        if hit is not None:
-            ref0, refl, theta = hit
-            if ref0() is v0 and refl() is vl:
-                return theta
-        theta = _fit_affine(
-            np.asarray(vl, dtype=np.float64), np.asarray(v0, dtype=np.float64), None, ridge
-        )
-        try:
-            self._cache[key] = (weakref.ref(v0), weakref.ref(vl), theta)
-        except TypeError:
-            pass  # inputs that refuse weakrefs are simply not cached
-        return theta
-
-
 def _fit_affine(
     x: np.ndarray, y: np.ndarray, sample_weights: np.ndarray | None, ridge: float
 ) -> np.ndarray:
     """Solve (X'WX + ridge*I) theta = X'WY for X with a bias column."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     design = np.hstack([x, np.ones((len(x), 1))])
     if sample_weights is None:
         gram = design.T @ design
@@ -295,18 +269,19 @@ def _fit_affine(
     return np.linalg.solve(gram, moment)
 
 
-_FIT_CACHE = _AffineFit()
+def _apply_affine(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    hv = np.asarray(h, dtype=np.float64)
+    if not np.all(np.isfinite(hv)):
+        raise ToolkitError("query vector contains non-finite values")
+    return np.append(hv, 1.0) @ theta
 
 
 def derive_linreg(
     h: np.ndarray, v0: np.ndarray, vl: np.ndarray, ridge: float = RIDGE_EPS
 ) -> np.ndarray:
-    """Global affine map (fit once per (v0, vl) pair, cached) applied to h."""
-    hv = np.asarray(h, dtype=np.float64)
-    if not np.all(np.isfinite(hv)):
-        raise ToolkitError("query vector contains non-finite values")
-    theta = _FIT_CACHE.theta(v0, vl, ridge)
-    return np.append(hv, 1.0) @ theta
+    """Global affine map from vl rows to v0 rows, fitted on every call,
+    applied to h."""
+    return _apply_affine(h, _fit_affine(vl, v0, None, ridge))
 
 
 def derive_local_linreg(
@@ -332,9 +307,7 @@ def derive_local_linreg(
         weights = weights / mean_w
     else:
         weights = np.ones_like(weights)  # all weights underflowed
-    x = np.asarray(vl, dtype=np.float64)[idx]
-    y = np.asarray(v0, dtype=np.float64)[idx]
-    theta = _fit_affine(x, y, weights, ridge)
+    theta = _fit_affine(np.asarray(vl)[idx], np.asarray(v0)[idx], weights, ridge)
     return np.append(hv, 1.0) @ theta
 
 
@@ -415,14 +388,14 @@ def augment(
     enc: LayerEncoder,
     chars: set[str],
     strat: DerivationStrategy,
-    threads: int = 1,
     metric: str = "euclidean",
 ) -> AugmentationPlan:
     """Derive one input embedding per multi-token character.
 
     Per character: encode it, look up the constituent embeddings, pool their
     layer-l hidden states, and map the pooled vector back to input space with
-    the strategy. The layer-l reference matrix is built once per call.
+    the strategy. The layer-l reference matrix, and for linreg the affine
+    fit, are computed once per call.
     """
     v0 = np.asarray(v0)
     if v0.ndim != 2:
@@ -432,7 +405,7 @@ def augment(
     ordered_chars = sorted(set(chars))
     vl = build_reference(enc, v0, strat.layer)
     if strat.kind == "linreg":
-        _FIT_CACHE.theta(v0, vl, RIDGE_EPS)  # fit eagerly, threads then share it
+        theta = _fit_affine(vl, v0, None, RIDGE_EPS)
 
     def derive_one(ch: str) -> PlanEntry:
         ids = tok.encode(ch)
@@ -444,12 +417,12 @@ def augment(
         if strat.kind == "knn":
             vec = derive_knn(pooled, v0, vl, strat.k, metric)
         elif strat.kind == "linreg":
-            vec = derive_linreg(pooled, v0, vl)
+            vec = _apply_affine(pooled, theta)
         else:
             vec = derive_local_linreg(pooled, v0, vl, strat.k, metric=metric)
         return PlanEntry(token=ch, vector=np.asarray(vec, dtype=np.float64))
 
-    entries = ordered_map(derive_one, ordered_chars, threads)
+    entries = ordered_map(derive_one, ordered_chars)
     return AugmentationPlan(
         entries=entries,
         strategy=strat,
@@ -532,16 +505,11 @@ def corpus_similarity(
     tok: TokenizerHandle,
     plan: AugmentationPlan,
     last_layer: int,
-    threads: int = 1,
 ) -> float:
     """Mean per-sentence similarity over a corpus."""
     if len(corpus) == 0:
         raise ToolkitError("corpus is empty")
-    sims = ordered_map(
-        lambda doc: eval_similarity(enc, doc, tok, plan, last_layer),
-        list(corpus),
-        threads,
-    )
+    sims = ordered_map(lambda doc: eval_similarity(enc, doc, tok, plan, last_layer), list(corpus))
     return sum(sims) / len(sims)
 
 

@@ -1,24 +1,21 @@
-"""Order-preserving parallel map.
+"""Order-preserving map and thread-count resolution.
 
-Work items fan out to a thread pool but results always come back in input
-order and reductions happen on the ordered list, so the thread count can
-never change an output byte.
+Work items run one after another in input order: the encoders are pure
+Python, so threads would only contend for the GIL. --threads is still
+resolved and validated for compatibility, but nothing depends on it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
+# threads is ignored: perfbench/spans.py rebinds ordered_map and passes it a third positional argument.
 def ordered_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def resolve_threads(value: int | None, env: dict | None = None) -> int:

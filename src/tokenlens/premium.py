@@ -115,7 +115,7 @@ class PremiumReport:
         return self.mean_ratio if aggregate == "ratios" else self.totals_ratio
 
 
-def premium(tok: TokenizerHandle, pc: ParallelCorpus, threads: int = 1) -> PremiumReport:
+def premium(tok: TokenizerHandle, pc: ParallelCorpus) -> PremiumReport:
     """Mean per-sentence ratio over a parallel corpus.
 
     Pairs are skipped (and counted) when either side encodes to zero tokens
@@ -134,7 +134,7 @@ def premium(tok: TokenizerHandle, pc: ParallelCorpus, threads: int = 1) -> Premi
             return None
         return n_tgt, n_eng
 
-    results = ordered_map(counts, pc.pairs, threads)
+    results = ordered_map(counts, pc.pairs)
     ratios = []
     tgt_total = 0
     eng_total = 0
@@ -177,7 +177,6 @@ class PremiumMatrix:
 def premium_matrix(
     tokenizers: list[TokenizerHandle],
     corpora: list[ParallelCorpus],
-    threads: int = 1,
     aggregate: str = "ratios",
 ) -> PremiumMatrix:
     if not tokenizers:
@@ -191,7 +190,7 @@ def premium_matrix(
         row: list[PremiumReport | None] = []
         for tok in tokenizers:
             try:
-                row.append(premium(tok, pc, threads))
+                row.append(premium(tok, pc))
             except ToolkitError:
                 row.append(None)
         cells.append(row)

@@ -8,7 +8,7 @@ other separator-looking characters are ordinary characters.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._blocks import _NAMES, _STARTS, UNICODE_VERSION
 from .errors import CorpusDecodeError, LineCountMismatchError
@@ -27,15 +27,10 @@ __all__ = [
 
 @dataclass
 class Corpus:
-    """An ordered collection of text documents.
-
-    token_view is an optional cache slot for a segmentation of each document
-    (one token-id list per document); loaders leave it unset.
-    """
+    """An ordered collection of text documents."""
 
     documents: tuple[str, ...]
     source: str = ""
-    token_view: list[list[int]] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -173,8 +173,11 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
     """Read merges from JSON ([[left, right], ...]) or plaintext ("left right" lines).
 
     Plaintext follows the common merges.txt convention: one space-separated
-    pair per line, lines starting with "#" skipped. Every referenced token,
-    including each merged concatenation, must exist in vocab.
+    pair per line. A "#version" header line is skipped; any other line
+    starting with "#" is a comment unless it splits into exactly two tokens,
+    because "# #" and "#x y" are real merges in byte-level vocabularies.
+    Every referenced token, including each merged concatenation, must exist
+    in vocab.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         content = f.read()
@@ -190,9 +193,11 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
             pairs.append((entry[0], entry[1]))
     else:
         for lineno, ln in enumerate(content.split("\n"), 1):
-            if ln == "" or ln.startswith("#"):
+            if ln == "" or ln.startswith("#version"):
                 continue
             parts = ln.split(" ")
+            if ln.startswith("#") and len(parts) != 2:
+                continue
             if len(parts) != 2:
                 raise ToolkitError(f"{path}:{lineno}: expected 'left right'")
             pairs.append((parts[0], parts[1]))

@@ -464,8 +464,8 @@ def test_criterion_11_external_tokenizer_premiums():
     tok = bpe_tokenizer("gpt2", vocab, rules, byte_input=True)
     eng = os.environ["TOKENLENS_FLORES_ENG"]
     started = time.perf_counter()
-    hin = premium(tok, load_parallel_corpus(eng, os.environ["TOKENLENS_FLORES_HIN"], "hin", "Deva"), threads=8)
-    ben = premium(tok, load_parallel_corpus(eng, os.environ["TOKENLENS_FLORES_BEN"], "ben", "Beng"), threads=8)
+    hin = premium(tok, load_parallel_corpus(eng, os.environ["TOKENLENS_FLORES_HIN"], "hin", "Deva"))
+    ben = premium(tok, load_parallel_corpus(eng, os.environ["TOKENLENS_FLORES_BEN"], "ben", "Beng"))
     elapsed = time.perf_counter() - started
     ok = (
         abs(hin.mean_ratio - 7.51) <= 0.05

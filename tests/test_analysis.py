@@ -175,15 +175,6 @@ class TestComparisonMatrix:
         with pytest.raises(ToolkitError):
             comparison_matrix([("x", frozenset({b"a"}))])
 
-    def test_thread_count_does_not_change_values(self):
-        vocabs = [
-            (f"v{i}", frozenset({bytes([65 + i]), bytes([66 + i]), b"q"}))
-            for i in range(5)
-        ]
-        m1 = comparison_matrix(vocabs, metric="jaccard", threads=1)
-        m4 = comparison_matrix(vocabs, metric="jaccard", threads=4)
-        assert m1.values == m4.values
-
 
 class TestReportFiles:
     def test_matrix_csv_roundtrips_full_precision(self, tmp_path):

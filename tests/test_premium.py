@@ -97,12 +97,6 @@ class TestPremium:
         with pytest.raises(ToolkitError):
             premium(worked_tok, pc)
 
-    def test_thread_count_does_not_change_report(self, worked_tok):
-        pc = corpus([("shoes", "shakes"), ("sho", "shoe_shoe"), ("he", "ash")] * 4)
-        r1 = premium(worked_tok, pc, threads=1)
-        r8 = premium(worked_tok, pc, threads=8)
-        assert r1 == r8
-
     def test_report_value_selects_aggregate(self):
         rep = PremiumReport(
             target_lang="xx",

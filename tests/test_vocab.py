@@ -147,6 +147,15 @@ class TestMergeFiles:
             f.write("# version: whatever\na b\nab ab\n")
         assert load_merges(path, vocab) == rules
 
+    def test_plaintext_hash_merges_kept(self, tmp_path):
+        vocab = Vocabulary([b"#", b"##", b"a", b"b", b"ab", b"#a", b"#ab"])
+        path = str(tmp_path / "merges.txt")
+        with open(path, "w") as f:
+            f.write("#version: 0.2\n# #\na b\n#a b\n# a\n")
+        assert load_merges(path, vocab) == MergeRuleList(
+            [MergeRule(0, 0, 1), MergeRule(2, 3, 4), MergeRule(5, 3, 6), MergeRule(0, 2, 5)]
+        )
+
     def test_unknown_token_rejected(self, tmp_path):
         vocab = Vocabulary([b"a", b"b"])
         path = str(tmp_path / "merges.txt")
