@@ -69,13 +69,22 @@ def bpe_tokenizer(
     name: str, vocab: Vocabulary, rules: MergeRuleList, byte_input: bool = False
 ) -> TokenizerHandle:
     """Merge-replay tokenizer. With byte_input, text is first transcribed
-    byte by byte into the alias alphabet byte-level vocabularies use."""
+    byte by byte into the alias alphabet byte-level vocabularies use; an
+    OovCharacterError then names the character of text that holds the
+    missing byte, and its offset in text."""
 
     if byte_input:
 
         def encode(text: str) -> list[int]:
-            aliased = "".join(_BYTE_ALIASES[b] for b in text.encode("utf-8"))
-            return bpe_encode(aliased, vocab, rules)
+            # Decoding as latin-1 turns byte b into the character of code
+            # point b, so the alias table serves as a str.translate table.
+            aliased = text.encode("utf-8").decode("latin-1").translate(_BYTE_ALIASES)
+            try:
+                return bpe_encode(aliased, vocab, rules)
+            except OovCharacterError as exc:
+                prefix = text.encode("utf-8")[: exc.offset]
+                offset = len(prefix.decode("utf-8", errors="ignore"))
+                raise OovCharacterError(text[offset], offset) from None
 
     else:
 

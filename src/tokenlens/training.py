@@ -14,6 +14,7 @@ concatenated byte string, and all logarithms are natural.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -165,10 +166,20 @@ def wordpiece_train(
 
 
 def bpe_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
-    """Segment text by replaying merge rules over its character sequence.
+    """Segment text with merge rules, exactly as replaying them would.
 
-    Rules apply in rank order, each exhaustively left to right. Characters
-    missing from the vocabulary raise OovCharacterError.
+    Replay semantics: starting from the characters of text, each rule in rank
+    order merges every occurrence of its pair in one left-to-right pass
+    without overlap ("a a a" becomes "aa a"), and a rule never runs again
+    after its rank has passed. So duplicate pairs fire once at each of their
+    ranks, and a rule whose operand only a later rule produces never fires.
+    Characters missing from the vocabulary raise OovCharacterError.
+
+    Cost: rules whose pair does not occur in the current sequence change
+    nothing, so only the rules that do are applied. Each step scans the
+    adjacent pairs for the lowest rank not yet passed, through
+    MergeRuleList.rank_index, and applies that one rule. A text of n
+    characters costs O(n) per merge applied, whatever the number of rules.
     """
     if text == "":
         return []
@@ -178,8 +189,30 @@ def bpe_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
         if tid is None:
             raise OovCharacterError(ch, offset)
         seq.append(tid)
-    for rule in rules:
+    first, later = rules.rank_index()
+    no_rule = len(rules)
+    floor = 0  # ranks below this have been replayed
+    while len(seq) > 1:
+        best = no_rule
+        for a, b in zip(seq, seq[1:]):
+            key = a << 32 | b
+            rank = first.get(key)
+            if rank is None or rank >= best:
+                continue
+            if rank < floor:
+                ranks = later.get(key)
+                if ranks is None:
+                    continue
+                i = bisect_left(ranks, floor)
+                if i == len(ranks) or ranks[i] >= best:
+                    continue
+                rank = ranks[i]
+            best = rank
+        if best == no_rule:
+            break
+        rule = rules[best]
         seq = _merge_in_place(seq, rule.left_id, rule.right_id, rule.new_id)
+        floor = best + 1
     return seq
 
 

@@ -106,6 +106,7 @@ class MergeRuleList:
 
     def __init__(self, rules: list[MergeRule] | None = None):
         self._rules: list[MergeRule] = list(rules or [])
+        self._ranks: tuple[dict[int, int], dict[int, list[int]]] | None = None
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -121,6 +122,28 @@ class MergeRuleList:
 
     def append(self, rule: MergeRule) -> None:
         self._rules.append(rule)
+        self._ranks = None
+
+    def rank_index(self) -> tuple[dict[int, int], dict[int, list[int]]]:
+        """Ranks by pair, keyed by (left_id << 32) | right_id (ids < 2**32).
+
+        The first dict maps each pair to its lowest rank. The second holds,
+        in ascending order, the later ranks of pairs listed more than once;
+        it is empty for a list without duplicate pairs. Built on first use
+        and rebuilt after append, so building and loading a list pay nothing
+        for it.
+        """
+        if self._ranks is None:
+            first: dict[int, int] = {}
+            later: dict[int, list[int]] = {}
+            for rank, rule in enumerate(self._rules):
+                key = rule.left_id << 32 | rule.right_id
+                if key in first:
+                    later.setdefault(key, []).append(rank)
+                else:
+                    first[key] = rank
+            self._ranks = (first, later)
+        return self._ranks
 
     def as_pairs(self, vocab: Vocabulary) -> list[tuple[bytes, bytes]]:
         return [(vocab.token(r.left_id), vocab.token(r.right_id)) for r in self._rules]

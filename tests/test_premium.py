@@ -7,6 +7,7 @@ import pytest
 from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.premium import (
     PremiumReport,
+    _byte_aliases,
     bpe_tokenizer,
     premium,
     premium_matrix,
@@ -58,6 +59,36 @@ class TestTokenizerHandles:
         vocab = Vocabulary(["Ã".encode("utf-8"), "©".encode("utf-8")])
         tok = bpe_tokenizer("bytes", vocab, MergeRuleList(), byte_input=True)
         assert len(tok.encode("é")) == 2
+
+
+def byte_vocab(without: int | None = None) -> Vocabulary:
+    """Every byte's alias, id = byte value; one byte's alias can be left
+    out, which shifts the ids after it."""
+    aliases = _byte_aliases()
+    return Vocabulary([aliases[b].encode("utf-8") for b in range(256) if b != without])
+
+
+class TestByteInput:
+    def test_every_byte_class_aliases_to_its_token(self):
+        # ASCII controls, space, DEL, NBSP and soft hyphen are remapped;
+        # printable ASCII and latin-1 bytes alias to themselves.
+        tok = bpe_tokenizer("bytes", byte_vocab(), MergeRuleList(), byte_input=True)
+        text = "\x00\t a~\x7f\u00a0\u00ad\u00e9न"
+        assert tok.encode(text) == list(text.encode("utf-8"))
+
+    @pytest.mark.parametrize(
+        "missing, text, char, offset",
+        [
+            (ord("z"), "नमz", "z", 2),  # offsets count characters, not bytes
+            (0xE0, "abन", "न", 2),  # lead byte: name the character, not its alias
+            (0xA4, "aनb", "न", 1),  # continuation byte
+        ],
+    )
+    def test_oov_reports_text_character_and_offset(self, missing, text, char, offset):
+        tok = bpe_tokenizer("bytes", byte_vocab(without=missing), MergeRuleList(), byte_input=True)
+        with pytest.raises(OovCharacterError) as exc:
+            tok.encode(text)
+        assert (exc.value.char, exc.value.offset) == (char, offset)
 
 
 class TestSentenceRatio:

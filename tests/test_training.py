@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.training import (
@@ -19,7 +21,7 @@ from tokenlens.training import (
     wordpiece_merge_score,
     wordpiece_train,
 )
-from tokenlens.vocab import Vocabulary
+from tokenlens.vocab import MergeRule, MergeRuleList, Vocabulary
 
 
 def decode(vocab: Vocabulary, ids: list[int]) -> list[str]:
@@ -57,6 +59,24 @@ def oracle_apply_merge(doc: list[bytes], a: bytes, b: bytes) -> list[bytes]:
             out.append(doc[i])
             i += 1
     return out
+
+
+def oracle_replay_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
+    """The spec of bpe_encode: every rule in rank order, each one
+    left-to-right pass without overlap over the whole sequence."""
+    seq = [vocab.id_of(ch.encode("utf-8")) for ch in text]
+    for rule in rules:
+        out = []
+        i = 0
+        while i < len(seq):
+            if i + 1 < len(seq) and (seq[i], seq[i + 1]) == (rule.left_id, rule.right_id):
+                out.append(rule.new_id)
+                i += 2
+            else:
+                out.append(seq[i])
+                i += 1
+        seq = out
+    return seq
 
 
 def oracle_bpe_choice(docs: list[list[bytes]]) -> tuple[bytes, bytes]:
@@ -245,6 +265,71 @@ class TestBpeEncode:
         for text in ["she", "shoes_shoes", "kesh", "_", "ashes"]:
             ids = bpe_encode(text, vocab, rules)
             assert b"".join(vocab.token(i) for i in ids).decode() == text
+
+    def test_equal_run_merges_left_to_right(self):
+        vocab = Vocabulary([b"a", b"aa"])
+        rules = MergeRuleList([MergeRule(0, 0, 1)])
+        assert decode(vocab, bpe_encode("aaa", vocab, rules)) == ["aa", "a"]
+        assert decode(vocab, bpe_encode("aaaaa", vocab, rules)) == ["aa", "aa", "a"]
+
+    def test_rule_before_its_operand_exists_never_fires(self):
+        # (ab, c) ranks before the rule that makes ab, so replay has passed
+        # it by the time ab appears; lowest-rank-first would give abc.
+        vocab = Vocabulary([b"a", b"b", b"c", b"ab", b"abc"])
+        rules = MergeRuleList([MergeRule(3, 2, 4), MergeRule(0, 1, 3)])
+        assert decode(vocab, bpe_encode("abc", vocab, rules)) == ["ab", "c"]
+
+    def test_duplicate_pair_fires_again_at_its_later_rank(self):
+        # Rule 1 recreates (a, b) after rank 0 has passed; only the second
+        # listing of (a, b) can merge it.
+        vocab = Vocabulary([b"a", b"b", b"c", b"ab"])
+        once = [MergeRule(0, 1, 3), MergeRule(2, 2, 0)]
+        assert decode(vocab, bpe_encode("ccb", vocab, MergeRuleList(once))) == ["a", "b"]
+        twice = MergeRuleList(once + [MergeRule(0, 1, 3)])
+        assert decode(vocab, bpe_encode("ccb", vocab, twice)) == ["ab"]
+
+    def test_append_after_encode_takes_effect(self):
+        vocab = Vocabulary([b"a", b"b", b"ab"])
+        rules = MergeRuleList()
+        assert bpe_encode("ab", vocab, rules) == [0, 1]
+        rules.append(MergeRule(0, 1, 2))
+        assert bpe_encode("ab", vocab, rules) == [2]
+
+
+_CHARS = "abc"
+
+
+@st.composite
+def vocab_rules_text(draw):
+    """A vocab of the characters plus a few opaque tokens, and rules over
+    any ids: out-of-order operands, duplicate pairs, new_id equal to an
+    operand. Few ids, so pairs repeat and runs of equal tokens are common."""
+    n_extra = draw(st.integers(0, 4))
+    vocab = Vocabulary([c.encode() for c in _CHARS] + [b"#%d" % i for i in range(n_extra)])
+    ids = st.integers(0, len(vocab) - 1)
+    rules = draw(st.lists(st.builds(MergeRule, ids, ids, ids), max_size=30))
+    text = draw(st.text(alphabet=_CHARS, max_size=40))
+    return vocab, MergeRuleList(rules), text
+
+
+class TestBpeEncodeMatchesReplay:
+    @given(vocab_rules_text())
+    def test_random_rule_lists(self, case):
+        vocab, rules, text = case
+        assert bpe_encode(text, vocab, rules) == oracle_replay_encode(text, vocab, rules)
+
+    @given(
+        st.lists(st.text(alphabet="abcd", min_size=1, max_size=20), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+        st.text(alphabet="abcd", max_size=40),
+    )
+    def test_shuffled_trained_rules(self, docs, rng, text):
+        vocab, trained = bpe_train(docs, target_vocab_size=len(set("".join(docs))) + 8)
+        rule_list = list(trained)
+        rng.shuffle(rule_list)
+        rules = MergeRuleList(rule_list)
+        text = "".join(ch for ch in text if vocab.get(ch.encode()) is not None)
+        assert bpe_encode(text, vocab, rules) == oracle_replay_encode(text, vocab, rules)
 
 
 # ---------------------------------------------------------------------------
