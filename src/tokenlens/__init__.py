@@ -18,30 +18,6 @@ from .analysis import (
     normalize_vocab,
     vocab_breakdown,
 )
-from .embedding import (
-    AugmentationPlan,
-    DerivationStrategy,
-    LayerEncoder,
-    LookupEncoder,
-    PlanEntry,
-    ToyEncoder,
-    augment,
-    build_reference,
-    corpus_similarity,
-    derive_knn,
-    derive_linreg,
-    derive_local_linreg,
-    encode_augmented,
-    eval_similarity,
-    fraction_new_tokens,
-    load_plan,
-    pooled_hidden,
-    read_matrix,
-    save_plan,
-    select_oov_chars,
-    toy_encoder,
-    write_matrix,
-)
 from .errors import (
     CorpusDecodeError,
     LineCountMismatchError,
@@ -94,3 +70,43 @@ from .vocab import (
 )
 
 __version__ = "0.1.0"
+
+# embedding imports numpy, which takes longer than most commands that never
+# touch an embedding; its names load it on first use (PEP 562).
+_EMBEDDING_NAMES = (
+    "AugmentationPlan",
+    "DerivationStrategy",
+    "LayerEncoder",
+    "LookupEncoder",
+    "PlanEntry",
+    "ToyEncoder",
+    "augment",
+    "build_reference",
+    "corpus_similarity",
+    "derive_knn",
+    "derive_linreg",
+    "derive_local_linreg",
+    "encode_augmented",
+    "eval_similarity",
+    "fraction_new_tokens",
+    "load_plan",
+    "pooled_hidden",
+    "read_matrix",
+    "save_plan",
+    "select_oov_chars",
+    "toy_encoder",
+    "write_matrix",
+)
+
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += ["embedding", *_EMBEDDING_NAMES]
+
+
+def __getattr__(name: str):
+    if name == "embedding" or name in _EMBEDDING_NAMES:
+        import importlib  # "from . import embedding" would call back here
+
+        embedding = importlib.import_module(".embedding", __name__)
+        return embedding if name == "embedding" else getattr(embedding, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+

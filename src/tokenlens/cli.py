@@ -18,10 +18,9 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import analysis, embedding, training, vocab as vocab_mod
+from . import analysis, training, vocab as vocab_mod
 from .errors import ToolkitError
 from .premium import (
     TokenizerHandle,
@@ -33,6 +32,13 @@ from .premium import (
 )
 from .parallel import resolve_threads
 from .text import UNICODE_VERSION, load_corpus, load_parallel_corpus
+
+# embedding imports numpy, which only augment and eval need: they import it
+# themselves, so that train, compare and premium start without it.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import embedding
 
 __all__ = ["main", "RunManifest"]
 
@@ -103,6 +109,8 @@ def _load_tokenizer(name: str, spec: str) -> tuple[TokenizerHandle, list[str]]:
 
 def _load_encoder(spec: str, v0: np.ndarray) -> tuple[embedding.LayerEncoder, dict, list[str]]:
     """toy:SEED:DEPTH:DIM[:linear], or matrices:LAYER=PATH[,LAYER=PATH...]."""
+    from . import embedding
+
     parts = spec.split(":")
     if parts[0] == "toy":
         if len(parts) not in (4, 5):
@@ -141,6 +149,8 @@ def _load_encoder(spec: str, v0: np.ndarray) -> tuple[embedding.LayerEncoder, di
 
 def _parse_strategy(text: str) -> embedding.DerivationStrategy:
     """knn:K@LAYER, linreg@LAYER, local:K@LAYER (local_linreg also accepted)."""
+    from . import embedding
+
     if "@" not in text:
         raise ToolkitError(f"strategy must end with @LAYER, got {text!r}")
     head, layer_s = text.rsplit("@", 1)
@@ -292,6 +302,8 @@ def cmd_premium(args: argparse.Namespace) -> int:
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
+    from . import embedding
+
     name, spec = _parse_named(args.tokenizer, "tokenizer")
     tok, tok_paths = _load_tokenizer(name, spec)
     v0, _ = embedding.read_matrix(args.embeddings)
@@ -332,6 +344,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import embedding
+
     name, spec = _parse_named(args.tokenizer, "tokenizer")
     tok, tok_paths = _load_tokenizer(name, spec)
     v0, _ = embedding.read_matrix(args.embeddings)

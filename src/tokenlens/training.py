@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -80,28 +80,20 @@ def _merge_in_place(seq: list[int], left: int, right: int, new_id: int) -> list[
     return out
 
 
-def _best_pair(
-    scored: dict[tuple[int, int], float | int], vocab: Vocabulary
-) -> tuple[int, int]:
-    """Argmax over pairs; ties go to the smallest concatenated byte string."""
-    best = None
-    best_key = None
-    for pair, score in scored.items():
-        concat = vocab.token(pair[0]) + vocab.token(pair[1])
-        key = (-score, concat)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = pair
-    assert best is not None
-    return best
-
-
 def _train(
     corpus: Iterable[str],
     target_vocab_size: int | None,
     min_pair_freq: int | None,
     scorer: str,
 ) -> tuple[Vocabulary, MergeRuleList]:
+    """Shared merge loop of bpe_train and wordpiece_train.
+
+    The pair counts are kept incrementally: a merge re-merges and recounts
+    only the documents where its pair is adjacent, so a step costs the
+    length of those documents plus one scan of the distinct pairs for the
+    argmax, not a recount of the whole corpus. The counts, and so every
+    choice, are those of count_adjacent_pairs over the whole corpus.
+    """
     if (target_vocab_size is None) == (min_pair_freq is None):
         raise ToolkitError("exactly one of target_vocab_size and min_pair_freq is required")
     if min_pair_freq is not None and min_pair_freq < 1:
@@ -115,32 +107,91 @@ def _train(
             f"{len(vocab)} distinct characters in the corpus"
         )
 
+    counts = count_adjacent_pairs(segmented)
+    # pair -> documents where it is adjacent, counted or not: the sequential
+    # count of [a, a, b] skips (a, b), but merging (a, b) still changes it.
+    where: dict[tuple[int, int], set[int]] = defaultdict(set)
+    for d, seq in enumerate(segmented):
+        for pair in zip(seq, seq[1:]):
+            where[pair].add(d)
+    concat: dict[tuple[int, int], bytes] = {}  # tokens never change
+    if scorer == "likelihood":
+        token_counts = Counter(tid for seq in segmented for tid in seq)
+        corpus_len = sum(len(seq) for seq in segmented)
+
     rules = MergeRuleList()
     while target_vocab_size is None or len(vocab) < target_vocab_size:
-        counts = count_adjacent_pairs(segmented)
         if not counts:
             break
         if scorer == "count":
-            if min_pair_freq is not None and max(counts.values()) < min_pair_freq:
+            top = max(counts.values())
+            if min_pair_freq is not None and top < min_pair_freq:
                 break
-            chosen = _best_pair(counts, vocab)
+            tied = [pair for pair, cab in counts.items() if cab == top]
         else:
-            token_counts: Counter = Counter()
-            for seq in segmented:
-                token_counts.update(seq)
-            corpus_len = sum(token_counts.values())
-            scores = {
-                (a, b): wordpiece_merge_score(
-                    token_counts[a], token_counts[b], cab, corpus_len
-                )
-                for (a, b), cab in counts.items()
-            }
-            chosen = _best_pair(scores, vocab)
+            tied = _wordpiece_best(counts, token_counts, corpus_len)
+        # A string standing as two whole tokens at two places has been merged
+        # identically at both (merges cannot cross its ends there), so no two
+        # pairs spell the same bytes: the concatenation breaks every tie.
+        for pair in tied:
+            if pair not in concat:
+                concat[pair] = vocab.token(pair[0]) + vocab.token(pair[1])
+        chosen = min(tied, key=concat.__getitem__)
         left, right = chosen
-        new_id = vocab.get_or_add(vocab.token(left) + vocab.token(right))
+        new_id = vocab.get_or_add(concat[chosen])
         rules.append(MergeRule(left, right, new_id))
-        segmented = [_merge_in_place(seq, left, right, new_id) for seq in segmented]
+
+        # One left-to-right pass removes every adjacent (left, right).
+        touched = list(where.pop(chosen))
+        old = [segmented[d] for d in touched]
+        new = [_merge_in_place(seq, left, right, new_id) for seq in old]
+        for pair, cab in count_adjacent_pairs(old).items():
+            rest = counts[pair] - cab
+            if rest:
+                counts[pair] = rest
+            else:
+                del counts[pair]
+        counts.update(count_adjacent_pairs(new))
+        merged = 0
+        for d, before, after in zip(touched, old, new):
+            segmented[d] = after
+            merged += len(before) - len(after)
+            was = set(zip(before, before[1:]))
+            now = set(zip(after, after[1:]))
+            for pair in was - now:
+                doc_ids = where.get(pair)
+                if doc_ids is not None:
+                    doc_ids.discard(d)
+                    if not doc_ids:
+                        del where[pair]
+            for pair in now - was:
+                where[pair].add(d)
+        if scorer == "likelihood":
+            token_counts[left] -= merged
+            token_counts[right] -= merged
+            token_counts[new_id] += merged
+            corpus_len -= merged
     return vocab, rules
+
+
+def _wordpiece_best(
+    counts: Mapping[tuple[int, int], int], token_counts: Mapping[int, int], corpus_len: int
+) -> list[tuple[int, int]]:
+    """The pairs of highest wordpiece_merge_score, computed inline with the
+    same operations in the same order, so scores are bit-identical."""
+    log = math.log
+    # the second term depends on cab alone, so compute it once per value
+    rest_xlogx = {cab: _xlogx(corpus_len - cab) for cab in set(counts.values())}
+    best = -math.inf
+    tied: list[tuple[int, int]] = []
+    for (a, b), cab in counts.items():
+        score = cab * log(cab / (token_counts[a] * token_counts[b])) - rest_xlogx[cab]
+        if score > best:
+            best = score
+            tied = [(a, b)]
+        elif score == best:
+            tied.append((a, b))
+    return tied
 
 
 def bpe_train(
@@ -288,6 +339,7 @@ class UnigramVocab:
         self._tokens = list(self._log_probs)
         self._ids = {t: i for i, t in enumerate(self._tokens)}
         self._units = {t: _log_prob_units(lp) for t, lp in self._log_probs.items()}
+        self._max_len = max(len(t) for t in self._tokens)
         if check:
             total = math.fsum(math.exp(lp) for lp in self._log_probs.values())
             if abs(total - 1.0) > 1e-9:
@@ -335,7 +387,7 @@ class UnigramVocab:
         return self._ids[token]
 
     def max_token_len(self) -> int:
-        return max(len(t) for t in self._tokens)
+        return self._max_len
 
 
 def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
@@ -345,46 +397,72 @@ def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     smallest token sequence. A position no token can reach raises
     OovCharacterError for single characters, UnsegmentableError otherwise.
     """
+    return _viterbi(text, vocab._units, vocab.max_token_len(), None)
+
+
+def _viterbi(
+    text: str, units: Mapping[str, int | float], max_len: int, excluded: str | None
+) -> list[str]:
+    """ulm_viterbi_segment over the tokens of units, less excluded."""
     if text == "":
         return []
     n = len(text)
-    max_len = vocab.max_token_len()
-    units = vocab._units
-    # best[j]: (score, n_tokens, tokens) for text[:j], or None if unreachable.
-    # Scores are exact unit counts (see _log_prob_units), so a path's score
-    # depends only on its token multiset and reorderings tie exactly.
-    best: list[tuple[int | float, int, tuple[str, ...]] | None] = [None] * (n + 1)
-    best[0] = (0, 0, ())
+    # For each prefix text[:j]: its best score (None if unreachable), the
+    # token count of that path and where its last token starts. Scores are
+    # exact unit counts (see _log_prob_units), so a path's score depends only
+    # on its token multiset and reorderings tie exactly.
+    score: list[int | float | None] = [None] * (n + 1)
+    n_tokens = [0] * (n + 1)
+    back = [0] * (n + 1)
+    score[0] = 0
     for j in range(1, n + 1):
-        cand = None
-        for i in range(max(0, j - max_len), j):
-            prev = best[i]
+        best: int | float | None = None
+        best_n = 0
+        best_i = -1
+        for i in range(j - max_len if j > max_len else 0, j):
+            prev = score[i]
             if prev is None:
                 continue
             piece = text[i:j]
-            if piece not in vocab:
+            piece_units = units.get(piece)
+            if piece_units is None or piece == excluded:
                 continue
-            piece_units = units[piece]
-            if prev[0] == _NEG_INF or piece_units == _NEG_INF:
-                score: int | float = _NEG_INF
+            if prev == _NEG_INF or piece_units == _NEG_INF:
+                s: int | float = _NEG_INF
             else:
-                score = prev[0] + piece_units
-            entry = (score, prev[1] + 1, prev[2] + (piece,))
-            if (
-                cand is None
-                or entry[0] > cand[0]
-                or (entry[0] == cand[0] and (entry[1], entry[2]) < (cand[1], cand[2]))
-            ):
-                cand = entry
-        best[j] = cand
-        if cand is None:
+                s = prev + piece_units
+            k = n_tokens[i] + 1
+            if best_i >= 0:
+                if s < best or (s == best and k > best_n):
+                    continue
+                # Token sequences are rebuilt only on an exact tie.
+                if s == best and k == best_n:
+                    sequence = _path(text, back, i) + [piece]
+                    if sequence >= _path(text, back, best_i) + [text[best_i:j]]:
+                        continue
+            best = s
+            best_n = k
+            best_i = i
+        if best_i < 0:
             ch = text[j - 1]
-            if (j - 1 == 0 or best[j - 1] is not None) and ch not in vocab:
+            if (j - 1 == 0 or score[j - 1] is not None) and ch not in units:
                 raise OovCharacterError(ch, j - 1)
             raise UnsegmentableError(text, j - 1)
-    final = best[n]
-    assert final is not None
-    return list(final[2])
+        score[j] = best
+        n_tokens[j] = best_n
+        back[j] = best_i
+    return _path(text, back, n)
+
+
+def _path(text: str, back: list[int], j: int) -> list[str]:
+    """The tokens of the best path to text[:j], from its back-pointers."""
+    tokens = []
+    while j:
+        i = back[j]
+        tokens.append(text[i:j])
+        j = i
+    tokens.reverse()
+    return tokens
 
 
 def _segment_counts(docs: list[str], vocab: UnigramVocab) -> tuple[list[list[str]], Counter]:
@@ -404,7 +482,15 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
     only) and scoring the resulting counts with unigram_log_likelihood.
     After each removal the probabilities are re-estimated from the winning
     segmentation's relative frequencies. Single-character tokens are never
-    removed; ties remove the lexicographically smallest token.
+    removed; ties remove the lexicographically smallest token. A character
+    missing from vocab raises OovCharacterError for its first occurrence in
+    corpus order, with its offset in its document.
+
+    Cost: a step segments the corpus once, then, for each candidate, only
+    the documents whose current segmentation uses it (the others keep their
+    optimum), with the candidate excluded from the same vocabulary. This is
+    exact; Kudo's approximations (a likelihood-loss estimate from the current
+    segmentation, removing a fraction of tokens per step) are not used.
     """
     docs = _char_documents(corpus)
     tokens = vocab.tokens()
@@ -417,39 +503,31 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
         raise ToolkitError(
             f"target_size {target_size} is below the {n_required} single-character tokens"
         )
-    for ch in {c for doc in docs for c in doc}:
-        if ch not in vocab:
-            raise OovCharacterError(ch, -1)
+    for doc in docs:
+        for offset, ch in enumerate(doc):
+            if ch not in vocab:
+                raise OovCharacterError(ch, offset)
 
     current = vocab
     while len(current) > target_size:
-        segs, _ = _segment_counts(docs, current)
-        doc_counters = [Counter(seg) for seg in segs]
-        total_counts: Counter = Counter()
-        for dc in doc_counters:
-            total_counts.update(dc)
+        segs, total_counts = _segment_counts(docs, current)
+        users: dict[str, list[int]] = defaultdict(list)  # token -> docs using it
+        for d, seg in enumerate(segs):
+            for tok in set(seg):
+                users[tok].append(d)
+        units = current._units
+        max_len = current.max_token_len()
 
         best_token = None
         best_ll = None
-        best_state: tuple[list[list[str]], Counter] | None = None
+        best_counts: Counter | None = None
         for t in current.tokens():
             if len(t) == 1:
                 continue
-            reduced = UnigramVocab(
-                {tok: current.log_prob(tok) for tok in current.tokens() if tok != t},
-                check=False,
-            )
-            # Docs whose current optimum avoids t keep their segmentation.
-            new_segs = []
             new_counts = Counter(total_counts)
-            for doc, seg, dc in zip(docs, segs, doc_counters):
-                if dc[t] == 0:
-                    new_segs.append(seg)
-                    continue
-                reseg = ulm_viterbi_segment(doc, reduced)
-                new_segs.append(reseg)
-                new_counts.subtract(dc)
-                new_counts.update(reseg)
+            for d in users.get(t, ()):
+                new_counts.subtract(segs[d])
+                new_counts.update(_viterbi(docs[d], units, max_len, t))
             new_counts = +new_counts  # drop zero entries
             ll = unigram_log_likelihood(new_counts)
             if (
@@ -459,16 +537,15 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
             ):
                 best_token = t
                 best_ll = ll
-                best_state = (new_segs, new_counts)
+                best_counts = new_counts
         if best_token is None:
             raise ToolkitError(
                 f"only single-character tokens remain at size {len(current)}; "
                 f"target_size {target_size} is unreachable"
             )
-        assert best_state is not None
-        _, counts = best_state
+        assert best_counts is not None
         survivors = [t for t in current.tokens() if t != best_token]
-        current = UnigramVocab.from_frequencies(counts, tokens=survivors)
+        current = UnigramVocab.from_frequencies(best_counts, tokens=survivors)
     return current
 
 

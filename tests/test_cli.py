@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tokenlens
 from tokenlens.cli import main
 from tokenlens.embedding import read_matrix, write_matrix
 from tokenlens.training import bpe_train
@@ -568,3 +572,49 @@ class TestBadSpecs:
                        "--encoder", spec, "--strategy", "knn:1@0",
                        "--corpus", bf["corpus"], "--out", str(tmp_path / "p.json")])
             assert rc == 1, spec
+
+
+class TestStartup:
+    def test_train_compare_premium_never_import_numpy(self, tmp_path):
+        # Only augment and eval need numpy, whose import would take longer
+        # than many of these commands' own work.
+        p = str(tmp_path)
+        corpus = write_text(tmp_path / "c.txt", "she_shakes_shoes\nshe_sells\n")
+        eng = write_text(tmp_path / "eng.txt", "shoes\n")
+        tgt = write_text(tmp_path / "tgt.txt", "shakes\n")
+        runs = [
+            ["train", "--algorithm", "bpe", "--corpus", corpus, "--min-pair-freq", "2",
+             "--out-prefix", f"{p}/bpe"],
+            ["train", "--algorithm", "ulm", "--corpus", corpus, "--seed-size", "16",
+             "--target-size", "12", "--out-prefix", f"{p}/ulm"],
+            ["compare", "--vocab", f"bpe={p}/bpe.vocab.json", "--vocab", f"ulm={p}/ulm.vocab.json",
+             "--out", f"{p}/m.csv"],
+            ["premium", "--tokenizer", f"bpe=bpe:{p}/bpe.vocab.json:{p}/bpe.merges.json",
+             "--tokenizer", f"ulm=ulm:{p}/ulm.probs.json", "--pair", f"xx:Latn:{eng}:{tgt}",
+             "--out", f"{p}/p.csv"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from tokenlens.cli import main\n"
+            "after_import = 'numpy' in sys.modules\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([after_import, codes, 'numpy' in sys.modules]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tokenlens.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        ).stdout
+        assert json.loads(out.splitlines()[-1]) == [False, [0, 0, 0, 0], False]
+
+    def test_package_loads_embedding_names_on_first_use(self):
+        import tokenlens.embedding
+
+        assert tokenlens.read_matrix is tokenlens.embedding.read_matrix
+        assert tokenlens.toy_encoder is tokenlens.embedding.toy_encoder
+        namespace: dict = {}
+        exec("from tokenlens import *", namespace)
+        assert namespace["read_matrix"] is tokenlens.embedding.read_matrix
+        assert namespace["bpe_train"] is tokenlens.bpe_train
+        with pytest.raises(AttributeError):
+            tokenlens.no_such_name

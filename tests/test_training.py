@@ -1,14 +1,19 @@
 """Segmenter training: frozen hand values first, then brute-force oracles."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokenlens.errors import OovCharacterError, ToolkitError
+import tokenlens
+from tokenlens.errors import OovCharacterError, ToolkitError, UnsegmentableError
 from tokenlens.training import (
     UnigramVocab,
     bpe_encode,
@@ -61,22 +66,65 @@ def oracle_apply_merge(doc: list[bytes], a: bytes, b: bytes) -> list[bytes]:
     return out
 
 
+def oracle_merge_ids(seq: list[int], left: int, right: int, new_id: int) -> list[int]:
+    out = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and (seq[i], seq[i + 1]) == (left, right):
+            out.append(new_id)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
+
+
 def oracle_replay_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
     """The spec of bpe_encode: every rule in rank order, each one
     left-to-right pass without overlap over the whole sequence."""
     seq = [vocab.id_of(ch.encode("utf-8")) for ch in text]
     for rule in rules:
-        out = []
-        i = 0
-        while i < len(seq):
-            if i + 1 < len(seq) and (seq[i], seq[i + 1]) == (rule.left_id, rule.right_id):
-                out.append(rule.new_id)
-                i += 2
-            else:
-                out.append(seq[i])
-                i += 1
-        seq = out
+        seq = oracle_merge_ids(seq, rule.left_id, rule.right_id, rule.new_id)
     return seq
+
+
+def oracle_train(
+    corpus: list[str], target_vocab_size: int | None, min_pair_freq: int | None, scorer: str
+) -> tuple[Vocabulary, MergeRuleList]:
+    """The spec of bpe_train ("count") and wordpiece_train ("likelihood"):
+    every step recounts every pair of the whole corpus, scores them all, and
+    re-merges every document. Ties go to the smallest concatenated bytes,
+    then to the pair count_adjacent_pairs meets first."""
+    docs = [doc for doc in corpus if doc != ""]
+    chars = sorted({ch for doc in docs for ch in doc}, key=lambda c: c.encode("utf-8"))
+    vocab = Vocabulary([c.encode("utf-8") for c in chars])
+    segmented = [[vocab.id_of(ch.encode("utf-8")) for ch in doc] for doc in docs]
+    rules = MergeRuleList()
+    while target_vocab_size is None or len(vocab) < target_vocab_size:
+        counts = count_adjacent_pairs(segmented)
+        if not counts:
+            break
+        if scorer == "count":
+            if min_pair_freq is not None and max(counts.values()) < min_pair_freq:
+                break
+            scored = dict(counts)
+        else:
+            token_counts = Counter(t for seq in segmented for t in seq)
+            corpus_len = sum(token_counts.values())
+            scored = {
+                (a, b): wordpiece_merge_score(token_counts[a], token_counts[b], cab, corpus_len)
+                for (a, b), cab in counts.items()
+            }
+        best_key = None
+        for pair, score in scored.items():
+            key = (-score, vocab.token(pair[0]) + vocab.token(pair[1]))
+            if best_key is None or key < best_key:
+                best_key = key
+                left, right = pair
+        new_id = vocab.get_or_add(vocab.token(left) + vocab.token(right))
+        rules.append(MergeRule(left, right, new_id))
+        segmented = [oracle_merge_ids(seq, left, right, new_id) for seq in segmented]
+    return vocab, rules
 
 
 def oracle_bpe_choice(docs: list[list[bytes]]) -> tuple[bytes, bytes]:
@@ -156,6 +204,69 @@ def oracle_prune_choice(table: dict[str, float], corpus: list[str]) -> str:
             best = (key, t)
     assert best is not None
     return best[1]
+
+
+def oracle_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
+    """The spec of ulm_viterbi_segment: a DP whose cells carry their whole
+    (score, n_tokens, tokens) key and compare it in full."""
+    if text == "":
+        return []
+    units = vocab._units
+    neg_inf = float("-inf")
+    best: list = [None] * (len(text) + 1)
+    best[0] = (0, 0, ())
+    for j in range(1, len(text) + 1):
+        cand = None
+        for i in range(max(0, j - vocab.max_token_len()), j):
+            prev = best[i]
+            piece = text[i:j]
+            if prev is None or piece not in vocab:
+                continue
+            if prev[0] == neg_inf or units[piece] == neg_inf:
+                score = neg_inf
+            else:
+                score = prev[0] + units[piece]
+            entry = (score, prev[1] + 1, prev[2] + (piece,))
+            if (
+                cand is None
+                or entry[0] > cand[0]
+                or (entry[0] == cand[0] and entry[1:] < cand[1:])
+            ):
+                cand = entry
+        best[j] = cand
+        if cand is None:
+            ch = text[j - 1]
+            if (j == 1 or best[j - 1] is not None) and ch not in vocab:
+                raise OovCharacterError(ch, j - 1)
+            raise UnsegmentableError(text, j - 1)
+    return list(best[-1][2])
+
+
+def oracle_prune(vocab: UnigramVocab, corpus: list[str], target_size: int) -> UnigramVocab:
+    """The spec of ulm_prune: each step builds a new vocabulary for every
+    candidate and re-segments the whole corpus with it."""
+    docs = [doc for doc in corpus if doc != ""]
+    current = vocab
+    while len(current) > target_size:
+        best = None
+        for t in current.tokens():
+            if len(t) == 1:
+                continue
+            reduced = UnigramVocab(
+                {tok: current.log_prob(tok) for tok in current.tokens() if tok != t},
+                check=False,
+            )
+            counts: Counter = Counter()
+            for doc in docs:
+                counts.update(oracle_viterbi_segment(doc, reduced))
+            key = (-unigram_log_likelihood(counts), t.encode("utf-8"))
+            if best is None or key < best[0]:
+                best = (key, t, counts)
+        assert best is not None
+        _, removed, counts = best
+        survivors = [t for t in current.tokens() if t != removed]
+        current = UnigramVocab.from_frequencies(counts, tokens=survivors)
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +443,77 @@ class TestBpeEncodeMatchesReplay:
         assert bpe_encode(text, vocab, rules) == oracle_replay_encode(text, vocab, rules)
 
 
+def rule_triples(rules: MergeRuleList) -> list[tuple[int, int, int]]:
+    return [(r.left_id, r.right_id, r.new_id) for r in rules]
+
+
+def assert_same_training(got, expected):
+    (vocab, rules), (oracle_vocab, oracle_rules) = got, expected
+    assert list(vocab) == list(oracle_vocab)
+    assert rule_triples(rules) == rule_triples(oracle_rules)
+
+
+@st.composite
+def merge_corpora(draw):
+    """Documents built from runs of one character over tiny alphabets, so
+    equal-token runs, pairs that occur only uncounted ((a, b) in [a, a, b]),
+    one-character and empty documents are all common."""
+    alphabet = draw(st.sampled_from(["a", "ab", "abc"]))
+    run = st.tuples(st.sampled_from(alphabet), st.integers(1, 5)).map(lambda r: r[0] * r[1])
+    doc = st.lists(run, max_size=6).map("".join)
+    return draw(st.lists(doc, min_size=1, max_size=6).filter(any))
+
+
+class TestMergeTrainersMatchFullRecount:
+    """The incremental merge loop against oracle_train, step for step."""
+
+    @given(merge_corpora(), st.integers(0, 12))
+    def test_bpe_to_target_size(self, docs, extra):
+        target = len(set("".join(docs))) + extra
+        assert_same_training(
+            bpe_train(docs, target_vocab_size=target), oracle_train(docs, target, None, "count")
+        )
+
+    @given(merge_corpora(), st.integers(1, 4))
+    def test_bpe_min_pair_freq_stop(self, docs, freq):
+        assert_same_training(
+            bpe_train(docs, min_pair_freq=freq), oracle_train(docs, None, freq, "count")
+        )
+
+    @given(merge_corpora(), st.integers(0, 12))
+    def test_wordpiece(self, docs, extra):
+        target = len(set("".join(docs))) + extra
+        assert_same_training(
+            wordpiece_train(docs, target), oracle_train(docs, target, None, "likelihood")
+        )
+
+    @given(merge_corpora(), st.integers(0, 12), st.sampled_from([bpe_train, wordpiece_train]))
+    def test_every_merge_adds_a_new_token(self, docs, extra, train):
+        # So get_or_add never reuses a token, and no two pairs spell the same
+        # bytes, which lets the trainers break ties on the bytes alone.
+        vocab, rules = train(docs, target_vocab_size=len(set("".join(docs))) + extra)
+        assert len(vocab) == len(set("".join(docs))) + len(rules)
+
+    def test_uncounted_occurrence_is_still_merged(self):
+        # The sequential count of "aab" takes (a, a) and skips (a, b), but
+        # (a, b) wins on the other documents and merges "aab" into a, ab.
+        vocab, rules = bpe_train(["aab", "ab", "ab"], target_vocab_size=4)
+        assert rules.as_pairs(vocab) == [(b"a", b"b"), (b"a", b"ab")]
+        assert_same_training((vocab, rules), oracle_train(["aab", "ab", "ab"], 4, None, "count"))
+
+    def test_one_character_documents_have_no_pairs(self):
+        vocab, rules = bpe_train(["a", "b", "a"], min_pair_freq=1)
+        assert list(vocab) == [b"a", b"b"]
+        assert len(rules) == 0
+
+    def test_corpus_of_repeated_words(self):
+        rng = random.Random(3)
+        words = ["".join(rng.choice("abcde") for _ in range(rng.randrange(1, 6))) for _ in range(40)]
+        docs = [" ".join(rng.choice(words) for _ in range(rng.randrange(1, 12))) for _ in range(60)]
+        for scorer, train in (("count", bpe_train), ("likelihood", wordpiece_train)):
+            assert_same_training(train(docs, target_vocab_size=150), oracle_train(docs, 150, None, scorer))
+
+
 # ---------------------------------------------------------------------------
 # likelihood pieces
 
@@ -489,6 +671,62 @@ class TestUlmViterbi:
             assert ulm_viterbi_segment(text, uv) == list(oracle_best_segmentation(text, table))
 
 
+@st.composite
+def unigram_tables(draw, with_chars: bool = False):
+    """Token log-probs from a few values, so exact score ties (ln values
+    that add up to each other) and -inf tokens are common."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    tokens = draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=4), max_size=10, unique=True))
+    if with_chars:
+        tokens = list(alphabet) + [t for t in tokens if len(t) > 1]
+    elif not tokens:
+        tokens = ["a"]
+    lps = st.sampled_from([-0.5, -1.0, -1.5, -2.0, -3.0, float("-inf")])
+    return alphabet, {t: draw(lps) for t in tokens}
+
+
+def outcome(fn, *args):
+    """fn's result, or its error type and location."""
+    try:
+        return fn(*args)
+    except OovCharacterError as exc:
+        return ("oov", exc.char, exc.offset)
+    except UnsegmentableError as exc:
+        return ("unsegmentable", exc.offset)
+
+
+class TestUlmMatchesOracles:
+    @given(unigram_tables(), st.data())
+    def test_viterbi(self, case, data):
+        alphabet, table = case
+        text = data.draw(st.text(alphabet=alphabet, max_size=14))
+        uv = UnigramVocab(table, check=False)
+        assert outcome(ulm_viterbi_segment, text, uv) == outcome(oracle_viterbi_segment, text, uv)
+
+    @given(unigram_tables(with_chars=True), st.data())
+    def test_prune_random_tables(self, case, data):
+        alphabet, table = case
+        docs = data.draw(st.lists(st.text(alphabet=alphabet, max_size=8), min_size=1, max_size=3).filter(any))
+        uv = UnigramVocab(table, check=False)
+        target = data.draw(st.integers(len(alphabet), len(uv)))
+        got = ulm_prune(uv, docs, target)
+        expected = oracle_prune(uv, docs, target)
+        assert [(t, got.log_prob(t)) for t in got] == [(t, expected.log_prob(t)) for t in expected]
+
+    @given(
+        st.lists(st.text(alphabet="ab", min_size=1, max_size=10), min_size=1, max_size=3),
+        st.integers(2, 4),
+        st.integers(0, 4),
+    )
+    def test_prune_seeded_multi_step(self, docs, max_len, steps):
+        seed = ulm_seed(docs, max_token_len=max_len, seed_size=None)
+        n_chars = len(set("".join(docs)))
+        target = max(n_chars, len(seed) - steps)
+        got = ulm_prune(seed, docs, target)
+        expected = oracle_prune(seed, docs, target)
+        assert [(t, got.log_prob(t)) for t in got] == [(t, expected.log_prob(t)) for t in expected]
+
+
 class TestUlmPrune:
     def test_sole_removable_token_removed(self):
         uv = UnigramVocab.from_probs({"a": 0.25, "b": 0.25, "ab": 0.5})
@@ -561,6 +799,32 @@ class TestUlmPrune:
         assert set(pruned.tokens()) == set(table)
         for t in pruned.tokens():
             assert pruned.log_prob(t) == pytest.approx(table[t], abs=1e-12)
+
+
+    def test_oov_reports_first_character_in_corpus_order(self):
+        uv = UnigramVocab.from_probs({"a": 0.25, "b": 0.25, "ab": 0.5})
+        with pytest.raises(OovCharacterError) as exc:
+            ulm_prune(uv, ["ab", "abxyz"], 2)
+        assert (exc.value.char, exc.value.offset) == ("x", 2)
+
+    def test_oov_report_does_not_depend_on_hash_seed(self):
+        # Set iteration order depends on PYTHONHASHSEED; the report must not.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tokenlens.__file__)))
+        script = (
+            "from tokenlens.errors import OovCharacterError\n"
+            "from tokenlens.training import UnigramVocab, ulm_prune\n"
+            "uv = UnigramVocab.from_probs({'a': 0.25, 'b': 0.25, 'ab': 0.5})\n"
+            "try:\n"
+            "    ulm_prune(uv, ['abxyz'], 2)\n"
+            "except OovCharacterError as exc:\n"
+            "    print(exc.char, exc.offset)\n"
+        )
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            ).stdout
+            assert out == "x 2\n"
 
 
 class TestUlmSeed:
