@@ -304,6 +304,12 @@ def cmd_premium(args: argparse.Namespace) -> int:
 def cmd_augment(args: argparse.Namespace) -> int:
     from . import embedding
 
+    specs = [args.strategy] if args.grid is None else args.grid.split(",")
+    strategies = [_parse_strategy(s) for s in specs]
+    labels = [s.label() for s in strategies]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1})
+    if duplicates:
+        raise ToolkitError(f"grid repeats strategy {', '.join(duplicates)}")
     name, spec = _parse_named(args.tokenizer, "tokenizer")
     tok, tok_paths = _load_tokenizer(name, spec)
     v0, _ = embedding.read_matrix(args.embeddings)
@@ -313,12 +319,9 @@ def cmd_augment(args: argparse.Namespace) -> int:
         chars = set(args.chars)
     else:
         chars = embedding.select_oov_chars(corpus, tok)
-    strategies = [_parse_strategy(s) for s in (args.grid.split(",") if args.grid else [args.strategy])]
-    if not strategies:
-        raise ToolkitError("no strategy given")
     flags = {
         "tokenizer": args.tokenizer,
-        "strategies": [s.label() for s in strategies],
+        "strategies": labels,
         "metric": args.metric,
         "chars": sorted(chars),
         **enc_flags,
@@ -326,9 +329,17 @@ def cmd_augment(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         "augment", flags, _digests([args.corpus, args.embeddings] + tok_paths + enc_paths)
     )
+    # One reference per distinct layer, all built before any plan is written,
+    # so a layer the encoder lacks fails before a file exists.
+    references = {
+        layer: embedding.build_reference(enc, v0, layer)
+        for layer in sorted({s.layer for s in strategies})
+    }
     outputs = []
     for strat in strategies:
-        plan = embedding.augment(tok, v0, enc, chars, strat, metric=args.metric)
+        plan = embedding.augment(
+            tok, v0, enc, chars, strat, metric=args.metric, reference=references[strat.layer]
+        )
         plan.stats = {
             "fraction_new_tokens": {args.corpus: embedding.fraction_new_tokens(corpus, tok, plan)}
         }

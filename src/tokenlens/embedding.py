@@ -100,7 +100,12 @@ def read_matrix(path: str) -> tuple[np.ndarray, dict | None]:
 
 class LayerEncoder(Protocol):
     """Deterministic, length-preserving map from an embedding sequence to
-    hidden states at a layer; layer 0 is the identity."""
+    hidden states at a layer; layer 0 is the identity.
+
+    states is one sequence, (n, dim), or a stack of independent sequences,
+    (batch, n, dim); a stack gives exactly, bit for bit, what encoding each
+    sequence on its own gives.
+    """
 
     depth: int
 
@@ -137,14 +142,27 @@ class ToyEncoder:
         if not 0 <= layer <= self.depth:
             raise ToolkitError(f"layer {layer} outside 0..{self.depth}")
         h = np.array(states, dtype=np.float64, copy=True)
-        if h.ndim != 2 or h.shape[1] != self.dim:
-            raise ToolkitError(f"expected (n, {self.dim}) states, got {h.shape}")
+        if h.ndim not in (2, 3) or h.shape[-1] != self.dim:
+            raise ToolkitError(
+                f"expected (n, {self.dim}) or (batch, n, {self.dim}) states, got {h.shape}"
+            )
+        # h = tanh((0.5*h + 0.5*prefix_mean) @ W.T + b), in place so a stack
+        # of 50k sequences holds no extra temporaries. matmul runs a stack as
+        # the same per-sequence product a single sequence gets, so batching
+        # changes no bit; one 2-D product over all rows would round
+        # differently.
         for w, b in self.layers[:layer]:
-            if self.linear:
-                h = h @ w.T + b
-            else:
-                prefix_mean = np.cumsum(h, axis=0) / np.arange(1, len(h) + 1)[:, None]
-                h = np.tanh((0.5 * h + 0.5 * prefix_mean) @ w.T + b)
+            if not self.linear:
+                prefix_mean = np.cumsum(h, axis=-2)
+                prefix_mean /= np.arange(1, h.shape[-2] + 1)[:, None]
+                prefix_mean *= 0.5
+                h *= 0.5
+                h += prefix_mean
+                del prefix_mean
+            h = h @ w.T
+            h += b
+            if not self.linear:
+                np.tanh(h, out=h)
         return h
 
 
@@ -179,8 +197,9 @@ class LookupEncoder:
         arr = np.asarray(states)
         if layer == 0:
             return np.array(arr, copy=True)
-        out = np.empty((len(arr), self._v0.shape[1]), dtype=self._layers[layer].dtype)
-        for i, row in enumerate(arr):
+        rows = arr.reshape(-1, arr.shape[-1])
+        out = np.empty((len(rows), self._v0.shape[1]), dtype=self._layers[layer].dtype)
+        for i, row in enumerate(rows):
             idx = self._by_row.get(np.asarray(row, dtype=self._v0.dtype).tobytes())
             if idx is None:
                 raise ToolkitError(
@@ -188,7 +207,7 @@ class LookupEncoder:
                     "evaluation needs a runnable encoder"
                 )
             out[i] = self._layers[layer][idx]
-        return out
+        return out.reshape(arr.shape[:-1] + (self._v0.shape[1],))
 
 
 def pooled_hidden(enc: LayerEncoder, embeddings: np.ndarray, layer: int) -> np.ndarray:
@@ -202,12 +221,14 @@ def pooled_hidden(enc: LayerEncoder, embeddings: np.ndarray, layer: int) -> np.n
 
 
 def build_reference(enc: LayerEncoder, v0: np.ndarray, layer: int) -> np.ndarray:
-    """V_l: run each token's embedding through the encoder on its own."""
+    """V_l: run each token's embedding through the encoder on its own.
+
+    One encoder call over the stack of length-1 sequences (n_tokens, 1, dim);
+    the encoder contract makes this bitwise equal to one call per token."""
     arr = np.asarray(v0)
     if layer == 0:
         return np.array(arr, copy=True)
-    rows = [enc.encode_to_layer(arr[t : t + 1], layer)[0] for t in range(len(arr))]
-    return np.stack(rows)
+    return enc.encode_to_layer(arr[:, None, :], layer)[:, 0, :]
 
 
 def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
@@ -224,8 +245,13 @@ def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
 def _nearest(h: np.ndarray, vl: np.ndarray, k: int, metric: str) -> tuple[np.ndarray, np.ndarray]:
     d = _distances(np.asarray(h, dtype=np.float64), np.asarray(vl, dtype=np.float64), metric)
     # Exact brute force; ties resolved by row index so results never depend
-    # on sort internals.
-    order = np.lexsort((np.arange(len(d)), d))[:k]
+    # on sort internals. Only rows no farther than the k-th distance can be
+    # among the first k of the full (distance, index) order, so only they are
+    # sorted; NaN sorts last in both partition and lexsort, and a NaN k-th
+    # distance keeps every row.
+    kth = np.partition(d, k - 1)[k - 1]
+    cand = np.flatnonzero(~(d > kth))
+    order = cand[np.lexsort((cand, d[cand]))][:k]
     return order, d[order]
 
 
@@ -247,7 +273,7 @@ def derive_knn(
     if len(zero) > 1:
         return np.asarray(v0)[zero].mean(axis=0)
     weights = 1.0 / dists
-    rows = np.asarray(v0, dtype=np.float64)[idx]
+    rows = np.asarray(np.asarray(v0)[idx], dtype=np.float64)
     return (weights[:, None] * rows).sum(axis=0) / weights.sum()
 
 
@@ -389,13 +415,16 @@ def augment(
     chars: set[str],
     strat: DerivationStrategy,
     metric: str = "euclidean",
+    reference: np.ndarray | None = None,
 ) -> AugmentationPlan:
     """Derive one input embedding per multi-token character.
 
     Per character: encode it, look up the constituent embeddings, pool their
     layer-l hidden states, and map the pooled vector back to input space with
-    the strategy. The layer-l reference matrix, and for linreg the affine
-    fit, are computed once per call.
+    the strategy. The layer-l reference matrix,
+    build_reference(enc, v0, strat.layer), is built here unless passed as
+    reference (a grid shares one per layer). For linreg the affine fit is
+    computed once per call.
     """
     v0 = np.asarray(v0)
     if v0.ndim != 2:
@@ -403,7 +432,9 @@ def augment(
     if not np.all(np.isfinite(v0)):
         raise ToolkitError("v0 contains non-finite values")
     ordered_chars = sorted(set(chars))
-    vl = build_reference(enc, v0, strat.layer)
+    vl = build_reference(enc, v0, strat.layer) if reference is None else reference
+    if vl.shape != v0.shape:
+        raise ToolkitError(f"reference shape {vl.shape} does not match v0 {v0.shape}")
     if strat.kind == "linreg":
         theta = _fit_affine(vl, v0, None, RIDGE_EPS)
 

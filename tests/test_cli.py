@@ -386,6 +386,50 @@ class TestAugmentCommand:
             with open(tagged, encoding="utf-8") as f:
                 json.load(f)
 
+    def test_grid_bad_layer_writes_no_plan(self, tmp_path, byte_level_files):
+        bf = byte_level_files
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", "knn:1@0,linreg@9",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    @pytest.mark.parametrize("grid", ["knn:1@0,knn:1@0", "local:3@1,linreg@0,local_linreg:3@1", ""])
+    def test_duplicate_or_empty_grid_cells_exit_one(self, tmp_path, byte_level_files, grid):
+        bf = byte_level_files
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", grid,
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    def test_one_reference_per_grid_layer(self, tmp_path, byte_level_files, monkeypatch):
+        from tokenlens import embedding
+
+        bf = byte_level_files
+        layers = []
+        build = embedding.build_reference
+
+        def counting(enc, v0, layer):
+            layers.append(layer)
+            return build(enc, v0, layer)
+
+        monkeypatch.setattr(embedding, "build_reference", counting)
+        grid = ["knn:1@1", "linreg@1", "local:3@1", "knn:2@0"]
+        out = str(tmp_path / "grid.json")
+        assert main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                     "--encoder", "toy:0:1:3", "--grid", ",".join(grid),
+                     "--corpus", bf["corpus"], "--out", out]) == 0
+        assert layers == [0, 1]
+        for cell, tag in zip(grid, ("knn1-l1", "linreg-l1", "local3-l1", "knn2-l0")):
+            single = str(tmp_path / f"{tag}.json")
+            assert main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                         "--encoder", "toy:0:1:3", "--strategy", cell,
+                         "--corpus", bf["corpus"], "--out", single]) == 0
+            with open(str(tmp_path / f"grid.{tag}.json.mat"), "rb") as f1:
+                with open(single + ".mat", "rb") as f2:
+                    assert f1.read() == f2.read()
+
     def test_strategy_and_grid_is_usage_error(self, byte_level_files):
         bf = byte_level_files
         with pytest.raises(SystemExit) as exc:

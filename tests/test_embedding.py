@@ -6,6 +6,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tokenlens.embedding import (
     AugmentationPlan,
@@ -30,10 +33,42 @@ from tokenlens.embedding import (
     toy_encoder,
     write_matrix,
 )
+from tokenlens.embedding import _distances, _nearest
 from tokenlens.errors import ToolkitError
 from tokenlens.premium import bpe_tokenizer
 from tokenlens.text import Corpus
 from tokenlens.vocab import MergeRuleList, Vocabulary
+
+
+def oracle_build_reference(enc, v0, layer):
+    """V_l one token at a time: each row encoded as its own length-1 sequence."""
+    arr = np.asarray(v0)
+    if layer == 0:
+        return np.array(arr, copy=True)
+    return np.stack([enc.encode_to_layer(arr[t : t + 1], layer)[0] for t in range(len(arr))])
+
+
+def oracle_nearest(h, vl, k, metric):
+    """The k first rows of the full (distance, row index) order."""
+    d = _distances(np.asarray(h, dtype=np.float64), np.asarray(vl, dtype=np.float64), metric)
+    order = np.lexsort((np.arange(len(d)), d))[:k]
+    return order, d[order]
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+# Ordinary values plus zeros, subnormals and values large enough to overflow
+# a layer's affine map.
+_EDGE_FLOATS = st.one_of(
+    st.floats(-4.0, 4.0, width=64),
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.7e308, -1.7e308, 3e38]
+    ),
+)
 
 
 @pytest.fixture()
@@ -94,6 +129,32 @@ class TestMatrixIO:
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ToolkitError):
             write_matrix(str(tmp_path / "bad.mat"), np.zeros(4))
+
+
+def oracle_toy_encode(enc, states, layer):
+    """The toy layer map on one (n, dim) sequence, written out of place."""
+    h = np.array(states, dtype=np.float64, copy=True)
+    for w, b in enc.layers[:layer]:
+        if enc.linear:
+            h = h @ w.T + b
+        else:
+            prefix_mean = np.cumsum(h, axis=0) / np.arange(1, len(h) + 1)[:, None]
+            h = np.tanh((0.5 * h + 0.5 * prefix_mean) @ w.T + b)
+    return h
+
+
+@st.composite
+def toy_stacks(draw):
+    """(encoder, (batch, n, dim) stack, layer), dims across BLAS kernel sizes."""
+    depth = draw(st.integers(1, 4))
+    dim = draw(st.integers(1, 70))
+    enc = toy_encoder(draw(st.integers(0, 2**32 - 1)), depth, dim, linear=draw(st.booleans()))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), dim)
+    stack = draw(hnp.arrays(np.float64, shape, elements=_EDGE_FLOATS))
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):
+            stack = stack.astype(np.float32)  # as read_matrix gives it
+    return enc, stack, draw(st.integers(0, depth))
 
 
 class TestToyEncoder:
@@ -167,6 +228,29 @@ class TestToyEncoder:
             enc.encode_to_layer(np.zeros((1, 2)), 2)
         with pytest.raises(ToolkitError):
             enc.encode_to_layer(np.zeros((1, 3)), 1)
+        with pytest.raises(ToolkitError):
+            enc.encode_to_layer(np.zeros((1, 1, 3)), 1)
+        with pytest.raises(ToolkitError):
+            enc.encode_to_layer(np.zeros(2), 1)
+        with pytest.raises(ToolkitError):
+            enc.encode_to_layer(np.zeros((1, 1, 1, 2)), 1)
+
+    def test_stack_input_is_not_modified(self):
+        enc = toy_encoder(seed=4, depth=2, dim=3)
+        x = np.random.default_rng(2).normal(size=(2, 3, 3))
+        before = x.copy()
+        enc.encode_to_layer(x, 2)
+        assert_bitwise(x, before)
+
+    @given(toy_stacks())
+    def test_stack_matches_one_sequence_at_a_time(self, case):
+        enc, stack, layer = case
+        with np.errstate(all="ignore"):
+            batched = enc.encode_to_layer(stack, layer)
+            single = [enc.encode_to_layer(seq, layer) for seq in stack]
+            formula = [oracle_toy_encode(enc, seq, layer) for seq in stack]
+        assert_bitwise(batched, np.stack(single))
+        assert_bitwise(batched, np.stack(formula))
 
 
 class TestLookupEncoder:
@@ -187,10 +271,17 @@ class TestLookupEncoder:
         out = enc.encode_to_layer(v0[[3, 1]], 1)
         assert np.array_equal(out, m1[[3, 1]])
 
+    def test_stack_maps_row_by_row(self, exported):
+        v0, m1, enc = exported
+        out = enc.encode_to_layer(np.stack([v0[[3, 1]], v0[[0, 0]]]), 1)
+        assert_bitwise(out, np.stack([m1[[3, 1]], m1[[0, 0]]]))
+
     def test_unknown_vector_is_error(self, exported):
         _, _, enc = exported
         with pytest.raises(ToolkitError):
             enc.encode_to_layer(np.zeros((1, 3)), 1)
+        with pytest.raises(ToolkitError):
+            enc.encode_to_layer(np.zeros((2, 1, 3)), 1)
 
     def test_missing_layer_is_error(self, exported):
         v0, _, enc = exported
@@ -239,11 +330,81 @@ class TestBuildReference:
         rng = np.random.default_rng(0)
         v0 = rng.normal(size=(4, 3))
         ref = build_reference(enc, v0, 1)
+        assert_bitwise(ref, oracle_build_reference(enc, v0, 1))
         # length-1 sequences: prefix mean is the row itself, so one layer is
         # tanh(affine(row))
         w, b = enc.layers[0]
         expected = np.tanh(v0 @ w.T + b)
         assert np.allclose(ref, expected, rtol=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 70),
+        st.booleans(),
+        st.sampled_from([np.float32, np.float64]),
+        st.data(),
+    )
+    def test_toy_matches_per_row_oracle(self, seed, depth, dim, linear, dtype, data):
+        enc = toy_encoder(seed, depth, dim, linear=linear)
+        shape = (data.draw(st.integers(1, 40)), dim)
+        v0 = data.draw(hnp.arrays(dtype, shape, elements=st.floats(-4, 4, width=32)))
+        layer = data.draw(st.integers(0, depth))
+        assert_bitwise(build_reference(enc, v0, layer), oracle_build_reference(enc, v0, layer))
+
+    @given(st.sampled_from([np.float32, np.float64]), st.data())
+    def test_lookup_matches_per_row_oracle(self, dtype, data):
+        shape = (data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5)))
+        matrix = hnp.arrays(dtype, shape, elements=st.floats(-4, 4, width=32))
+        v0 = data.draw(matrix)
+        enc = LookupEncoder(v0, {1: data.draw(matrix), 2: data.draw(matrix)})
+        layer = data.draw(st.integers(0, 2))
+        assert_bitwise(build_reference(enc, v0, layer), oracle_build_reference(enc, v0, layer))
+
+
+class TestNearest:
+    def test_boundary_ties_and_nan_by_row_index(self):
+        vl = np.array([[3.0], [1.0], [2.0], [1.0], [np.nan], [1.0]])
+        idx, d = _nearest(np.zeros(1), vl, 2, "euclidean")
+        assert idx.tolist() == [1, 3]
+        idx, d = _nearest(np.zeros(1), vl, 6, "euclidean")
+        assert idx.tolist() == [1, 3, 5, 2, 0, 4]
+        assert np.isnan(d[-1])
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 3.0, np.inf, np.nan]), min_size=1, max_size=40
+        ),
+        st.data(),
+    )
+    def test_matches_full_lexsort(self, values, data):
+        # One dimension and h = 0 make each distance |value|: many exact
+        # ties, at the k boundary too, plus infinite and NaN distances.
+        vl = np.array(values)[:, None]
+        k = data.draw(st.integers(1, len(values)))
+        got = _nearest(np.zeros(1), vl, k, "euclidean")
+        want = oracle_nearest(np.zeros(1), vl, k, "euclidean")
+        assert_bitwise(got[0], want[0])
+        assert_bitwise(got[1], want[1])
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 30), st.integers(1, 4)),
+            elements=st.sampled_from([0.0, 1.0, -1.0, 2.0, np.nan]),
+        ),
+        st.sampled_from(["euclidean", "cosine"]),
+        st.data(),
+    )
+    def test_matches_full_lexsort_any_metric(self, vl, metric, data):
+        unit = st.sampled_from([0.0, 1.0, -1.0])
+        h = data.draw(hnp.arrays(np.float64, vl.shape[1], elements=unit))
+        k = data.draw(st.integers(1, len(vl)))
+        with np.errstate(all="ignore"):
+            got = _nearest(h, vl, k, metric)
+            want = oracle_nearest(h, vl, k, metric)
+        assert_bitwise(got[0], want[0])
+        assert_bitwise(got[1], want[1])
 
 
 class TestDeriveKnn:
@@ -461,6 +622,29 @@ class TestAugment:
         pooled = (m1[2] + m1[3]) / 2
         expected = derive_knn(pooled, v0, m1, 2)
         assert np.allclose(plan.entries[0].vector, expected, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "strat",
+        [
+            DerivationStrategy("knn", 1, 2),
+            DerivationStrategy("linreg", 1),
+            DerivationStrategy("local_linreg", 1, 3),
+        ],
+    )
+    def test_passed_reference_gives_the_same_plan(self, setting, strat):
+        tok, v0 = setting
+        enc = toy_encoder(0, 1, 3)
+        chars = {"é", "è"}
+        built = augment(tok, v0, enc, chars, strat)
+        passed = augment(tok, v0, enc, chars, strat, reference=build_reference(enc, v0, 1))
+        for a, b in zip(built.entries, passed.entries, strict=True):
+            assert_bitwise(a.vector, b.vector)
+
+    def test_reference_shape_mismatch_rejected(self, setting):
+        tok, v0 = setting
+        with pytest.raises(ToolkitError):
+            augment(tok, v0, toy_encoder(0, 1, 3), {"é"}, DerivationStrategy("knn", 1, 1),
+                    reference=v0[:-1])
 
     def test_bad_v0_rejected(self, setting):
         tok, _ = setting
