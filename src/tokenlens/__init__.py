@@ -39,7 +39,6 @@ from .premium import (
 )
 from .text import (
     UNICODE_VERSION,
-    Corpus,
     ParallelCorpus,
     char_byte_len,
     load_corpus,

@@ -80,18 +80,15 @@ def normalize_vocab(vocab: Vocabulary, rules: NormalizationRules = DEFAULT_RULES
     """Apply rules to every token; tokens that collide afterwards collapse to
     one (set semantics), tokens that normalize to empty are dropped. Both
     events are counted. Applying the result to the same rules is a no-op."""
-    out = Vocabulary()
-    collapsed = 0
-    dropped = 0
-    for token in vocab:
-        norm = rules.apply(token)
-        if norm == b"":
-            dropped += 1
-        elif norm in out:
-            collapsed += 1
-        else:
-            out.add(norm)
-    return NormalizeResult(vocab=out, n_collapsed=collapsed, n_dropped=dropped)
+    normalized = [rules.apply(token) for token in vocab]
+    unique = dict.fromkeys(normalized)  # first-occurrence order
+    unique.pop(b"", None)
+    dropped = normalized.count(b"")
+    return NormalizeResult(
+        vocab=Vocabulary(unique),
+        n_collapsed=len(normalized) - dropped - len(unique),
+        n_dropped=dropped,
+    )
 
 
 def jaccard(a: frozenset[bytes], b: frozenset[bytes]) -> float:

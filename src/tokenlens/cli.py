@@ -102,7 +102,14 @@ def _load_tokenizer(name: str, spec: str) -> tuple[TokenizerHandle, list[str]]:
             raise ToolkitError(f"ulm spec needs a log-prob JSON path, got {spec!r}")
         with open(parts[1], "r", encoding="utf-8") as f:
             probs = json.load(f)
-        uv = training.UnigramVocab({t: float(lp) for t, lp in probs.items()}, check=False)
+        # type(), not isinstance(): JSON true and false load as ints
+        numbers = isinstance(probs, dict) and all(type(lp) in (int, float) for lp in probs.values())
+        if not numbers:
+            raise ToolkitError(f"{parts[1]}: probs JSON must map each token to a number")
+        try:
+            uv = training.UnigramVocab({t: float(lp) for t, lp in probs.items()}, check=False)
+        except (ToolkitError, OverflowError) as exc:  # OverflowError: int beyond float range
+            raise ToolkitError(f"{parts[1]}: {exc}") from None
         return ulm_tokenizer(name, uv), [parts[1]]
     raise ToolkitError(f"unknown tokenizer kind {kind!r}")
 

@@ -23,14 +23,13 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from .errors import ToolkitError
 from .parallel import ordered_map
 from .premium import TokenizerHandle
-from .text import Corpus
 
 __all__ = [
     "write_matrix",
@@ -266,7 +265,7 @@ def derive_knn(
     n = len(vl)
     if not 1 <= k <= n:
         raise ToolkitError(f"k must be in 1..{n}, got {k}")
-    idx, dists = _nearest(h, vl, k, metric)
+    idx, dists = _nearest(_finite_query(h), vl, k, metric)
     zero = idx[dists == 0.0]
     if len(zero) == 1:
         return np.array(v0[zero[0]], copy=True)
@@ -295,11 +294,15 @@ def _fit_affine(
     return np.linalg.solve(gram, moment)
 
 
-def _apply_affine(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _finite_query(h: np.ndarray) -> np.ndarray:
     hv = np.asarray(h, dtype=np.float64)
     if not np.all(np.isfinite(hv)):
         raise ToolkitError("query vector contains non-finite values")
-    return np.append(hv, 1.0) @ theta
+    return hv
+
+
+def _apply_affine(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return np.append(_finite_query(h), 1.0) @ theta
 
 
 def derive_linreg(
@@ -323,8 +326,7 @@ def derive_local_linreg(
     n = len(vl)
     if not 2 <= k <= n:
         raise ToolkitError(f"k must be in 2..{n}, got {k}")
-    hv = np.asarray(h, dtype=np.float64)
-    idx, dists = _nearest(hv, vl, k, metric)
+    idx, dists = _nearest(h, vl, k, metric)
     weights = np.exp(-dists)
     mean_w = weights.mean()
     if mean_w > 0:
@@ -334,7 +336,7 @@ def derive_local_linreg(
     else:
         weights = np.ones_like(weights)  # all weights underflowed
     theta = _fit_affine(np.asarray(vl)[idx], np.asarray(v0)[idx], weights, ridge)
-    return np.append(hv, 1.0) @ theta
+    return _apply_affine(h, theta)
 
 
 @dataclass(frozen=True)
@@ -384,14 +386,11 @@ class AugmentationPlan:
     stats: dict = field(default_factory=dict)
     v0: np.ndarray | None = field(default=None, repr=False)
 
-    def chars(self) -> set[str]:
-        return {e.token for e in self.entries}
-
     def entry_index(self) -> dict[str, int]:
         return {e.token: i for i, e in enumerate(self.entries)}
 
 
-def select_oov_chars(corpus: Corpus, tok: TokenizerHandle) -> set[str]:
+def select_oov_chars(corpus: Sequence[str], tok: TokenizerHandle) -> set[str]:
     """Characters of the corpus whose own encoding is 2 tokens or longer.
 
     Characters the tokenizer cannot encode at all are not included: with no
@@ -532,7 +531,7 @@ def eval_similarity(
 
 def corpus_similarity(
     enc: LayerEncoder,
-    corpus: Corpus,
+    corpus: Sequence[str],
     tok: TokenizerHandle,
     plan: AugmentationPlan,
     last_layer: int,
@@ -544,7 +543,7 @@ def corpus_similarity(
     return sum(sims) / len(sims)
 
 
-def fraction_new_tokens(corpus: Corpus, tok: TokenizerHandle, plan: AugmentationPlan) -> float:
+def fraction_new_tokens(corpus: Sequence[str], tok: TokenizerHandle, plan: AugmentationPlan) -> float:
     """Share of plan tokens in the augmented encoding of a corpus."""
     if len(corpus) == 0:
         raise ToolkitError("corpus is empty")
@@ -590,19 +589,35 @@ def save_plan(plan: AugmentationPlan, path: str, manifest: dict | None = None) -
     )
 
 
+def _plan_field(obj: object, key: str, types: type | tuple[type, ...], path: str):
+    """obj[key], which a plan file must hold with one of types (never a bool)."""
+    if not (isinstance(obj, dict) and key in obj):
+        raise ToolkitError(f"{path}: plan field {key!r} is missing")
+    if isinstance(obj[key], bool) or not isinstance(obj[key], types):
+        raise ToolkitError(f"{path}: plan field {key!r} has the wrong type")
+    return obj[key]
+
+
 def load_plan(path: str, v0: np.ndarray | None = None) -> AugmentationPlan:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
+    strategy = _plan_field(doc, "strategy", dict, path)
     strat = DerivationStrategy(
-        kind=doc["strategy"]["kind"], layer=doc["strategy"]["layer"], k=doc["strategy"]["k"]
+        kind=_plan_field(strategy, "kind", str, path),
+        layer=_plan_field(strategy, "layer", int, path),
+        k=_plan_field(strategy, "k", (int, type(None)), path),
     )
-    dim = doc["dim"]
+    dim = _plan_field(doc, "dim", int, path)
     entries = []
-    for e in doc["entries"]:
-        vec = np.frombuffer(base64.b64decode(e["vector_b64"]), dtype="<f4").astype(np.float64)
+    for e in _plan_field(doc, "entries", list, path):
+        token = _plan_field(e, "token", str, path)
+        if len(token) != 1:  # encode_augmented substitutes single characters
+            raise ToolkitError(f"{path}: plan token {token!r} is not one character")
+        b64 = _plan_field(e, "vector_b64", str, path)
+        vec = np.frombuffer(base64.b64decode(b64), dtype="<f4").astype(np.float64)
         if len(vec) != dim:
-            raise ToolkitError(f"{path}: entry {e['token']!r} has dim {len(vec)}, expected {dim}")
-        entries.append(PlanEntry(token=e["token"], vector=vec))
+            raise ToolkitError(f"{path}: entry {token!r} has dim {len(vec)}, expected {dim}")
+        entries.append(PlanEntry(token=token, vector=vec))
     return AugmentationPlan(
         entries=entries,
         strategy=strat,

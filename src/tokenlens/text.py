@@ -15,7 +15,6 @@ from .errors import CorpusDecodeError, LineCountMismatchError
 
 __all__ = [
     "UNICODE_VERSION",
-    "Corpus",
     "ParallelCorpus",
     "load_corpus",
     "load_parallel_corpus",
@@ -23,20 +22,6 @@ __all__ = [
     "char_byte_len",
     "recover_utf8_chars",
 ]
-
-
-@dataclass
-class Corpus:
-    """An ordered collection of text documents."""
-
-    documents: tuple[str, ...]
-    source: str = ""
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
 
 
 @dataclass
@@ -68,12 +53,9 @@ def _decode_lines(path: str) -> list[str]:
     return [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
 
 
-def load_corpus(path: str, fmt: str = "plain-lines") -> Corpus:
+def load_corpus(path: str) -> tuple[str, ...]:
     """Read one document per line; empty lines are dropped, order is kept."""
-    if fmt != "plain-lines":
-        raise ValueError(f"unknown corpus format {fmt!r}")
-    docs = tuple(ln for ln in _decode_lines(path) if ln != "")
-    return Corpus(documents=docs, source=path)
+    return tuple(ln for ln in _decode_lines(path) if ln != "")
 
 
 def load_parallel_corpus(

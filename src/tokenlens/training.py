@@ -57,13 +57,12 @@ def _char_documents(corpus: Iterable[str]) -> list[str]:
     return docs
 
 
-def _initial_segmentation(docs: list[str]) -> tuple[Vocabulary, list[list[int]]]:
-    # Initial vocabulary: every distinct character, id order = byte order.
+def _initial_segmentation(docs: list[str]) -> tuple[list[bytes], list[list[int]]]:
+    # Initial tokens: every distinct character, id order = byte order.
     chars = sorted({ch for doc in docs for ch in doc}, key=lambda c: c.encode("utf-8"))
-    vocab = Vocabulary([c.encode("utf-8") for c in chars])
     lookup = {c: i for i, c in enumerate(chars)}
     segmented = [[lookup[ch] for ch in doc] for doc in docs]
-    return vocab, segmented
+    return [c.encode("utf-8") for c in chars], segmented
 
 
 def _merge_in_place(seq: list[int], left: int, right: int, new_id: int) -> list[int]:
@@ -100,11 +99,11 @@ def _train(
         raise ToolkitError("min_pair_freq must be at least 1")
 
     docs = _char_documents(corpus)
-    vocab, segmented = _initial_segmentation(docs)
-    if target_vocab_size is not None and target_vocab_size < len(vocab):
+    tokens, segmented = _initial_segmentation(docs)
+    if target_vocab_size is not None and target_vocab_size < len(tokens):
         raise ToolkitError(
             f"target_vocab_size {target_vocab_size} is below the "
-            f"{len(vocab)} distinct characters in the corpus"
+            f"{len(tokens)} distinct characters in the corpus"
         )
 
     counts = count_adjacent_pairs(segmented)
@@ -119,8 +118,8 @@ def _train(
         token_counts = Counter(tid for seq in segmented for tid in seq)
         corpus_len = sum(len(seq) for seq in segmented)
 
-    rules = MergeRuleList()
-    while target_vocab_size is None or len(vocab) < target_vocab_size:
+    rules: list[MergeRule] = []
+    while target_vocab_size is None or len(tokens) < target_vocab_size:
         if not counts:
             break
         if scorer == "count":
@@ -132,13 +131,15 @@ def _train(
             tied = _wordpiece_best(counts, token_counts, corpus_len)
         # A string standing as two whole tokens at two places has been merged
         # identically at both (merges cannot cross its ends there), so no two
-        # pairs spell the same bytes: the concatenation breaks every tie.
+        # pairs spell the same bytes: the concatenation breaks every tie, and
+        # every merge adds a new token (Vocabulary rejects a repeat).
         for pair in tied:
             if pair not in concat:
-                concat[pair] = vocab.token(pair[0]) + vocab.token(pair[1])
+                concat[pair] = tokens[pair[0]] + tokens[pair[1]]
         chosen = min(tied, key=concat.__getitem__)
         left, right = chosen
-        new_id = vocab.get_or_add(concat[chosen])
+        new_id = len(tokens)
+        tokens.append(concat[chosen])
         rules.append(MergeRule(left, right, new_id))
 
         # One left-to-right pass removes every adjacent (left, right).
@@ -171,7 +172,7 @@ def _train(
             token_counts[right] -= merged
             token_counts[new_id] += merged
             corpus_len -= merged
-    return vocab, rules
+    return Vocabulary(tokens), MergeRuleList(rules)
 
 
 def _wordpiece_best(
@@ -324,17 +325,19 @@ def _log_prob_units(lp: float) -> int | float:
 class UnigramVocab:
     """Unigram-LM vocabulary: token strings with log-probabilities.
 
-    Ids follow token insertion order. Tokens estimated to zero frequency
-    carry log-probability -inf; probabilities of a freshly estimated vocab
-    sum to 1 within 1e-9.
+    Ids follow token insertion order. Log-probabilities are finite, or -inf
+    for tokens estimated to zero frequency; probabilities of a freshly
+    estimated vocab sum to 1 within 1e-9.
     """
 
     def __init__(self, log_probs: dict[str, float], check: bool = True):
         if not log_probs:
             raise ToolkitError("unigram vocabulary is empty")
-        for tok in log_probs:
+        for tok, lp in log_probs.items():
             if tok == "":
                 raise ToolkitError("empty tokens are not allowed")
+            if lp != _NEG_INF and not math.isfinite(lp):
+                raise ToolkitError(f"log-prob of {tok!r} is {lp!r}, not finite or -inf")
         self._log_probs = dict(log_probs)
         self._tokens = list(self._log_probs)
         self._ids = {t: i for i, t in enumerate(self._tokens)}

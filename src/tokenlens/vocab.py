@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ToolkitError
 
@@ -35,13 +36,19 @@ def str_to_token(s: str) -> bytes:
 
 
 class Vocabulary:
-    """Dense token <-> id bijection. Ids are 0..n-1 in insertion order."""
+    """Dense token <-> id bijection, built once. Ids are 0..n-1 in list order.
 
-    def __init__(self, tokens: list[bytes] | None = None):
-        self._tokens: list[bytes] = []
-        self._ids: dict[bytes, int] = {}
-        for t in tokens or []:
-            self.add(t)
+    Tokens must be distinct, nonempty bytes; a bad list raises for its first
+    bad token."""
+
+    def __init__(self, tokens: Iterable[bytes] = ()):
+        self._tokens: list[bytes] = list(tokens)
+        # bytes first: an unhashable item must not reach the dict
+        if not all(isinstance(t, bytes) for t in self._tokens):
+            _reject_first_bad(self._tokens)
+        self._ids: dict[bytes, int] = dict(zip(self._tokens, range(len(self._tokens))))
+        if b"" in self._ids or len(self._ids) != len(self._tokens):
+            _reject_first_bad(self._tokens)
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -54,26 +61,6 @@ class Vocabulary:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self._tokens == other._tokens
-
-    def add(self, token: bytes) -> int:
-        """Append a new token; duplicate or empty tokens are errors."""
-        if not isinstance(token, bytes):
-            raise TypeError(f"token must be bytes, got {type(token).__name__}")
-        if token == b"":
-            raise ToolkitError("empty tokens are not allowed")
-        if token in self._ids:
-            raise ToolkitError(f"duplicate token {token_to_str(token)!r}")
-        tid = len(self._tokens)
-        self._tokens.append(token)
-        self._ids[token] = tid
-        return tid
-
-    def get_or_add(self, token: bytes) -> int:
-        """Like add, but reuses the id when the token already exists."""
-        existing = self._ids.get(token)
-        if existing is not None:
-            return existing
-        return self.add(token)
 
     def id_of(self, token: bytes) -> int:
         try:
@@ -94,6 +81,19 @@ class Vocabulary:
         return frozenset(self._ids)
 
 
+def _reject_first_bad(tokens: list[bytes]) -> None:
+    """Raise for the first token that is not bytes, empty or a repeat."""
+    seen: set[bytes] = set()
+    for token in tokens:
+        if not isinstance(token, bytes):
+            raise TypeError(f"token must be bytes, got {type(token).__name__}")
+        if token == b"":
+            raise ToolkitError("empty tokens are not allowed")
+        if token in seen:
+            raise ToolkitError(f"duplicate token {token_to_str(token)!r}")
+        seen.add(token)
+
+
 @dataclass(frozen=True)
 class MergeRule:
     left_id: int
@@ -102,10 +102,10 @@ class MergeRule:
 
 
 class MergeRuleList:
-    """Ordered merge rules; position in the list is the rule's rank."""
+    """Ordered merge rules, built once; position in the list is the rule's rank."""
 
-    def __init__(self, rules: list[MergeRule] | None = None):
-        self._rules: list[MergeRule] = list(rules or [])
+    def __init__(self, rules: Iterable[MergeRule] = ()):
+        self._rules: list[MergeRule] = list(rules)
         self._ranks: tuple[dict[int, int], dict[int, list[int]]] | None = None
 
     def __len__(self) -> int:
@@ -120,18 +120,14 @@ class MergeRuleList:
     def __eq__(self, other) -> bool:
         return isinstance(other, MergeRuleList) and self._rules == other._rules
 
-    def append(self, rule: MergeRule) -> None:
-        self._rules.append(rule)
-        self._ranks = None
-
     def rank_index(self) -> tuple[dict[int, int], dict[int, list[int]]]:
         """Ranks by pair, keyed by (left_id << 32) | right_id (ids < 2**32).
 
         The first dict maps each pair to its lowest rank. The second holds,
         in ascending order, the later ranks of pairs listed more than once;
-        it is empty for a list without duplicate pairs. Built on first use
-        and rebuilt after append, so building and loading a list pay nothing
-        for it.
+        it is empty for a list without duplicate pairs. Built on first use,
+        so building and loading a list pay nothing for it; the list never
+        changes, so the index cannot go stale.
         """
         if self._ranks is None:
             first: dict[int, int] = {}
@@ -172,7 +168,7 @@ def load_vocab(path: str) -> Vocabulary:
             raise ToolkitError(f"{path}: vocabulary JSON must be an object")
         by_id: dict[int, bytes] = {}
         for tok_s, tid in obj.items():
-            if not isinstance(tid, int):
+            if type(tid) is not int:  # JSON true and false are bools
                 raise ToolkitError(f"{path}: id for {tok_s!r} is not an integer")
             if tid in by_id:
                 raise ToolkitError(f"{path}: duplicate id {tid}")
@@ -211,8 +207,8 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
         if not isinstance(arr, list):
             raise ToolkitError(f"{path}: merges JSON must be an array")
         for entry in arr:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ToolkitError(f"{path}: each merge must be a [left, right] pair")
+            if not isinstance(entry, list) or [type(s) for s in entry] != [str, str]:
+                raise ToolkitError(f"{path}: each merge must be a [left, right] pair of strings")
             pairs.append((entry[0], entry[1]))
     else:
         for lineno, ln in enumerate(content.split("\n"), 1):
@@ -224,7 +220,7 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
             if len(parts) != 2:
                 raise ToolkitError(f"{path}:{lineno}: expected 'left right'")
             pairs.append((parts[0], parts[1]))
-    rules = MergeRuleList()
+    rules = []
     for left_s, right_s in pairs:
         left = str_to_token(left_s)
         right = str_to_token(right_s)
@@ -236,4 +232,4 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
             missing = token_to_str(left if lid is None else right if rid is None else merged)
             raise ToolkitError(f"{path}: merge references unknown token {missing!r}")
         rules.append(MergeRule(lid, rid, nid))
-    return rules
+    return MergeRuleList(rules)

@@ -31,7 +31,7 @@ from tokenlens.embedding import (
     write_matrix,
 )
 from tokenlens.premium import bpe_tokenizer, premium, ulm_tokenizer
-from tokenlens.text import Corpus, ParallelCorpus, load_parallel_corpus
+from tokenlens.text import ParallelCorpus, load_parallel_corpus
 from tokenlens.training import (
     UnigramVocab,
     bpe_encode,
@@ -417,7 +417,6 @@ def test_criterion_10_toy_encoder_end_to_end():
         "".join(rng.choice(oov_chars) for _ in range(rng.integers(1, 11)))
         for _ in range(200)
     )
-    corpus = Corpus(documents=sentences)
 
     linear = toy_encoder(seed=5, depth=1, dim=8, linear=True)
     plan = augment(tok, v0, linear, set(oov_chars), DerivationStrategy("linreg", 0))
@@ -437,8 +436,8 @@ def test_criterion_10_toy_encoder_end_to_end():
         dim=8,
         v0=v0,
     )
-    derived_mean = corpus_similarity(nonlinear, corpus, tok, derived_plan, 2)
-    baseline_mean = corpus_similarity(nonlinear, corpus, tok, baseline, 2)
+    derived_mean = corpus_similarity(nonlinear, sentences, tok, derived_plan, 2)
+    baseline_mean = corpus_similarity(nonlinear, sentences, tok, baseline, 2)
     nonlinear_ok = derived_mean > baseline_mean
     report(10, "linear-encoder similarity 1.0 and derived beats random baseline",
            linear_ok and nonlinear_ok,

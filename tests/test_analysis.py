@@ -3,6 +3,8 @@
 import csv
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tokenlens.analysis import (
     DEFAULT_RULES,
@@ -48,6 +50,51 @@ class TestNormalizationRules:
     def test_empty_rules_are_identity(self):
         rules = NormalizationRules()
         assert rules.apply(GDOT + b"##x") == GDOT + b"##x"
+
+
+def oracle_normalize(
+    vocab: Vocabulary, rules: NormalizationRules
+) -> tuple[list[bytes], int, int]:
+    """The spec of normalize_vocab, token by token: drop a token that
+    normalizes to empty, collapse one already kept, keep the rest in order.
+    Returns the kept tokens, n_collapsed and n_dropped."""
+    kept: list[bytes] = []
+    seen: set[bytes] = set()
+    collapsed = 0
+    dropped = 0
+    for token in vocab:
+        norm = rules.apply(token)
+        if norm == b"":
+            dropped += 1
+        elif norm in seen:
+            collapsed += 1
+        else:
+            kept.append(norm)
+            seen.add(norm)
+    return kept, collapsed, dropped
+
+
+# Tokens are joined from pieces that include every marker, so collisions,
+# markers in the middle, repeated "##" fronts and empty results all occur.
+_PIECES = st.sampled_from([b"a", b"b", b" ", b"#", b"##", GDOT, LOWLINE, b"\xc4"])
+_MARKED_TOKENS = st.lists(
+    st.lists(_PIECES, min_size=1, max_size=4).map(b"".join), unique=True, max_size=25
+)
+_RULE_SETS = st.sampled_from(
+    [
+        DEFAULT_RULES,
+        NormalizationRules(),
+        NormalizationRules(prefix_markers=((b"#", b""),), strip_continuation=(b"a", b"b")),
+    ]
+)
+
+
+class TestNormalizeVocabMatchesOracle:
+    @given(_MARKED_TOKENS, _RULE_SETS)
+    def test_marked_vocabularies(self, tokens, rules):
+        res = normalize_vocab(Vocabulary(tokens), rules)
+        expected = oracle_normalize(Vocabulary(tokens), rules)
+        assert (res.vocab.tokens(), res.n_collapsed, res.n_dropped) == expected
 
 
 class TestNormalizeVocab:

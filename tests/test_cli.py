@@ -599,6 +599,66 @@ class TestEvalCommand:
         assert outs[0] == outs[1]
 
 
+class TestMalformedFiles:
+    """A malformed input file exits 1 with a one-line error, never a traceback."""
+
+    def assert_one_line_error(self, capsys, rc, *needles):
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for needle in needles:
+            assert needle in err
+
+    def premium(self, tmp_path, spec):
+        text = write_text(tmp_path / "a.txt", "a\n")
+        return main(["premium", "--tokenizer", f"t={spec}", "--pair", f"xx:Latn:{text}:{text}",
+                     "--out", str(tmp_path / "p.csv")])
+
+    @pytest.mark.parametrize(
+        "vocab,merges,needle",
+        [
+            ('{"a": 0}', "[[1, 2]]", "pair of strings"),
+            ('{"a": true, "b": false}', "[]", "is not an integer"),
+        ],
+        ids=["merge-of-ints", "boolean-ids"],
+    )
+    def test_bpe_files(self, tmp_path, capsys, vocab, merges, needle):
+        vpath = write_text(tmp_path / "v.json", vocab)
+        mpath = write_text(tmp_path / "m.json", merges)
+        self.assert_one_line_error(capsys, self.premium(tmp_path, f"bpe:{vpath}:{mpath}"), needle)
+
+    @pytest.mark.parametrize(
+        "probs,needle",
+        [
+            ("[1, 2]", "must map each token to a number"),
+            ('{"a": null}', "must map each token to a number"),
+            ('{"a": true}', "must map each token to a number"),
+            ('{"a": "0"}', "must map each token to a number"),
+            ('{"a": Infinity}', "not finite or -inf"),
+            ('{"a": NaN}', "not finite or -inf"),
+            ('{"a": 1e999}', "not finite or -inf"),
+            ('{"a": 1' + "0" * 400 + "}", "too large"),
+        ],
+        ids=["array", "null", "bool", "string", "infinity", "nan", "overflow", "huge-int"],
+    )
+    def test_ulm_probs(self, tmp_path, capsys, probs, needle):
+        path = write_text(tmp_path / "probs.json", probs)
+        self.assert_one_line_error(capsys, self.premium(tmp_path, f"ulm:{path}"), path, needle)
+
+    def test_ulm_probs_accept_minus_infinity(self, tmp_path):
+        path = write_text(tmp_path / "probs.json", '{"a": 0, "b": -Infinity}')
+        assert self.premium(tmp_path, f"ulm:{path}") == 0
+
+    def test_plan_without_strategy_fields(self, tmp_path, capsys, byte_level_files):
+        bf = byte_level_files
+        plan = write_text(tmp_path / "plan.json", '{"strategy": {}}')
+        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"],
+                   "--embeddings", bf["embeddings"], "--encoder", "toy:2:1:3:linear",
+                   "--last-layer", "1", "--corpus", f"c={bf['corpus']}",
+                   "--out", str(tmp_path / "sim.csv")])
+        self.assert_one_line_error(capsys, rc, "'kind' is missing")
+
+
 class TestBadSpecs:
     def test_bad_tokenizer_specs(self, tmp_path, byte_level_files):
         bf = byte_level_files

@@ -36,7 +36,6 @@ from tokenlens.embedding import (
 from tokenlens.embedding import _distances, _nearest
 from tokenlens.errors import ToolkitError
 from tokenlens.premium import bpe_tokenizer
-from tokenlens.text import Corpus
 from tokenlens.vocab import MergeRuleList, Vocabulary
 
 
@@ -462,6 +461,13 @@ class TestDeriveKnn:
         b = derive_knn(h, v0[perm], vl[perm], 4)
         assert np.allclose(a, b, rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_nonfinite_query_rejected(self, space, bad, metric):
+        v0, vl = space
+        with pytest.raises(ToolkitError, match="non-finite"):
+            derive_knn(np.array([bad, 0.0, 0.0]), v0, vl, 3, metric=metric)
+
 
 class TestDeriveLinreg:
     def test_recovers_exact_affine_map(self):
@@ -540,6 +546,14 @@ class TestDeriveLocalLinreg:
         glob = derive_linreg(h, v0, vl)
         assert np.allclose(local, glob, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_nonfinite_query_rejected(self, bad, metric):
+        v0 = np.random.default_rng(2).normal(size=(5, 2))
+        vl = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(ToolkitError, match="non-finite"):
+            derive_local_linreg(np.array([0.0, bad]), v0, vl, 3, metric=metric)
+
     def test_weight_underflow_falls_back_to_uniform(self):
         vl = 20000.0 * np.eye(4)  # exp(-20000) underflows to zero
         v0 = np.random.default_rng(2).normal(size=(4, 4))
@@ -574,13 +588,13 @@ class TestDerivationStrategy:
 class TestSelectOovChars:
     def test_multibyte_chars_selected_ascii_not(self, byte_tok):
         _, tok = byte_tok
-        corpus = Corpus(documents=("aé", "bè"))
+        corpus = ("aé", "bè")
         assert select_oov_chars(corpus, tok) == {"é", "è"}
 
     def test_unencodable_chars_excluded(self, byte_tok):
         _, tok = byte_tok
         # で has an aliased byte outside the vocabulary
-        corpus = Corpus(documents=("でé",))
+        corpus = ("でé",)
         assert select_oov_chars(corpus, tok) == {"é"}
 
 
@@ -750,23 +764,23 @@ class TestCorpusLevelMetrics:
 
     def test_corpus_similarity_is_mean(self, setting):
         tok, enc, plan = setting
-        corpus = Corpus(documents=("aéb", "ab"))
+        corpus = ("aéb", "ab")
         per = [eval_similarity(enc, doc, tok, plan, 1) for doc in corpus]
         assert corpus_similarity(enc, corpus, tok, plan, 1) == sum(per) / 2
 
     def test_empty_corpus_is_error(self, setting):
         tok, enc, plan = setting
         with pytest.raises(ToolkitError):
-            corpus_similarity(enc, Corpus(documents=()), tok, plan, 1)
+            corpus_similarity(enc, (), tok, plan, 1)
 
     def test_fraction_new_tokens_hand_value(self, setting):
         tok, _, plan = setting
-        corpus = Corpus(documents=("aé", "é"))
+        corpus = ("aé", "é")
         assert fraction_new_tokens(corpus, tok, plan) == 2 / 3
 
     def test_fraction_zero_when_untouched(self, setting):
         tok, _, plan = setting
-        assert fraction_new_tokens(Corpus(documents=("ab",)), tok, plan) == 0.0
+        assert fraction_new_tokens(("ab",), tok, plan) == 0.0
 
 
 class TestPlanFiles:
@@ -814,6 +828,42 @@ class TestPlanFiles:
         enc = toy_encoder(5, 1, 3)
         sim = eval_similarity(enc, "éè", tok, loaded, 1)
         assert -1.0 <= sim <= 1.0
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda doc: doc.update(strategy={}), "'kind' is missing"),
+            (lambda doc: doc.update(strategy=[]), "'strategy' has the wrong type"),
+            (lambda doc: doc["strategy"].pop("k"), "'k' is missing"),
+            (lambda doc: doc["strategy"].update(layer=True), "'layer' has the wrong type"),
+            (lambda doc: doc["strategy"].update(k="3"), "'k' has the wrong type"),
+            (lambda doc: doc.pop("dim"), "'dim' is missing"),
+            (lambda doc: doc.update(entries={}), "'entries' has the wrong type"),
+            (lambda doc: doc["entries"].append(7), "'token' is missing"),
+            (lambda doc: doc["entries"][0].update(vector_b64=None), "'vector_b64' has the wrong type"),
+            (lambda doc: doc["entries"][0].update(token="ab"), "'ab' is not one character"),
+            (lambda doc: doc["entries"][0].update(token=""), "'' is not one character"),
+        ],
+        ids=["empty-strategy", "list-strategy", "no-k", "bool-layer", "str-k", "no-dim",
+             "dict-entries", "int-entry", "null-vector", "two-char-token", "empty-token"],
+    )
+    def test_malformed_plan_rejected(self, plan, tmp_path, edit, field):
+        path = str(tmp_path / "plan.json")
+        save_plan(plan, path)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        edit(doc)
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        with pytest.raises(ToolkitError, match=field):
+            load_plan(path)
+
+    def test_plan_that_is_not_an_object_rejected(self, tmp_path):
+        path = str(tmp_path / "plan.json")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("[]")
+        with pytest.raises(ToolkitError, match="'strategy' is missing"):
+            load_plan(path)
 
     def test_dim_mismatch_rejected(self, plan, tmp_path):
         path = str(tmp_path / "plan.json")

@@ -38,12 +38,6 @@ class TestLoadCorpus:
             load_corpus(str(p))
         assert exc.value.byte_offset == 3
 
-    def test_unknown_format_rejected(self, tmp_path):
-        p = tmp_path / "c.txt"
-        p.write_text("x\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_corpus(str(p), fmt="parquet")
-
 
 class TestLoadParallelCorpus:
     def test_pairs_align(self, tmp_path):

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tokenlens.errors import ToolkitError
 from tokenlens.vocab import (
@@ -40,6 +42,65 @@ class TestStrBridge:
         assert str_to_token(next(iter(loaded))) == raw
 
 
+def oracle_vocabulary(tokens: list) -> tuple[list[bytes], dict[bytes, int]]:
+    """The spec of Vocabulary(tokens): add each token in order, checking its
+    type, then that it is nonempty, then that it is new."""
+    out: list[bytes] = []
+    ids: dict[bytes, int] = {}
+    for token in tokens:
+        if not isinstance(token, bytes):
+            raise TypeError(f"token must be bytes, got {type(token).__name__}")
+        if token == b"":
+            raise ToolkitError("empty tokens are not allowed")
+        if token in ids:
+            raise ToolkitError(f"duplicate token {token_to_str(token)!r}")
+        ids[token] = len(out)
+        out.append(token)
+    return out, ids
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (TypeError, ToolkitError) as exc:
+        return type(exc), str(exc)
+
+
+def built(tokens: list) -> tuple[list[bytes], dict[bytes, int]]:
+    v = Vocabulary(tokens)
+    return v.tokens(), {t: v.id_of(t) for t in v}
+
+
+# few distinct byte strings (so duplicates are common), the empty token,
+# a hashable and an unhashable non-bytes item
+_VOCAB_ITEMS = st.sampled_from([b"a", b"b", b"ab", b"\xff", b"", "a", ["a"]])
+
+
+class TestVocabularyMatchesOracle:
+    @given(st.lists(_VOCAB_ITEMS, max_size=8))
+    def test_any_token_list(self, tokens):
+        assert outcome(built, tokens) == outcome(oracle_vocabulary, tokens)
+
+    @given(st.lists(st.binary(min_size=1, max_size=3), unique=True, max_size=30))
+    def test_valid_token_lists(self, tokens):
+        assert built(tokens) == oracle_vocabulary(tokens)
+
+    @pytest.mark.parametrize(
+        "tokens,error",
+        [
+            ([b"a", b"", b"a"], "empty tokens are not allowed"),
+            ([b"a", b"a", b""], "duplicate token 'a'"),
+            ([b"\xff", b"b", b"\xff"], "duplicate token '\\udcff'"),
+            ([b"", ["x"]], "empty tokens are not allowed"),
+            ([b"a", ["x"], b""], "token must be bytes, got list"),
+        ],
+    )
+    def test_first_bad_token_is_reported(self, tokens, error):
+        assert outcome(built, tokens) == outcome(oracle_vocabulary, tokens)
+        assert outcome(built, tokens)[1] == error
+
+
 class TestVocabulary:
     def test_insertion_order_ids(self):
         v = Vocabulary([b"a", b"b"])
@@ -49,9 +110,8 @@ class TestVocabulary:
         assert list(v) == [b"a", b"b"]
 
     def test_duplicate_add_is_error(self):
-        v = Vocabulary([b"a"])
-        with pytest.raises(ToolkitError):
-            v.add(b"a")
+        with pytest.raises(ToolkitError, match="duplicate token 'a'"):
+            Vocabulary([b"a", b"b", b"a"])
 
     def test_empty_token_is_error(self):
         with pytest.raises(ToolkitError):
@@ -60,12 +120,6 @@ class TestVocabulary:
     def test_non_bytes_rejected(self):
         with pytest.raises(TypeError):
             Vocabulary(["a"])  # type: ignore[list-item]
-
-    def test_get_or_add_reuses_id(self):
-        v = Vocabulary([b"a"])
-        assert v.get_or_add(b"a") == 0
-        assert v.get_or_add(b"b") == 1
-        assert len(v) == 2
 
     def test_id_of_missing_is_error(self):
         v = Vocabulary([b"a"])
@@ -119,6 +173,13 @@ class TestVocabFiles:
         with pytest.raises(ToolkitError):
             load_vocab(path)
 
+    def test_json_boolean_ids_rejected(self, tmp_path):
+        path = str(tmp_path / "vocab.json")
+        with open(path, "w") as f:
+            f.write('{"a": true, "b": false}')
+        with pytest.raises(ToolkitError, match="'a' is not an integer"):
+            load_vocab(path)
+
     def test_plaintext_one_token_per_line(self, tmp_path):
         path = str(tmp_path / "vocab.txt")
         with open(path, "w") as f:
@@ -162,6 +223,15 @@ class TestMergeFiles:
         with open(path, "w") as f:
             f.write("a b\n")  # merged token "ab" missing from vocab
         with pytest.raises(ToolkitError):
+            load_merges(path, vocab)
+
+    @pytest.mark.parametrize("text", ["[[1, 2]]", '[["a", null]]', '[["a", "b", "c"]]', '["ab"]'])
+    def test_json_entry_must_be_two_strings(self, tmp_path, trained, text):
+        vocab, _ = trained
+        path = str(tmp_path / "merges.json")
+        with open(path, "w") as f:
+            f.write(text)
+        with pytest.raises(ToolkitError, match=r"\[left, right\] pair of strings"):
             load_merges(path, vocab)
 
     def test_malformed_line_rejected(self, tmp_path, trained):
