@@ -8,12 +8,11 @@ tokenizer families become comparable.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 from .errors import ToolkitError
 from .parallel import ordered_map
-from .text import char_byte_len, recover_utf8_chars, unicode_block
+from .text import char_byte_len, recover_utf8_chars, unicode_block, write_table
 from .vocab import Vocabulary
 
 __all__ = [
@@ -194,13 +193,8 @@ def write_matrix_csv(matrix: ComparisonMatrix, path: str, manifest_digest: str =
 
     The manifest digest, when given, rides in a leading comment line.
     """
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        if manifest_digest:
-            f.write(f"# manifest: {manifest_digest}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow([""] + matrix.labels)
-        for label, row in zip(matrix.labels, matrix.values):
-            w.writerow([label] + [repr(v) for v in row])
+    rows = [[label] + [repr(v) for v in row] for label, row in zip(matrix.labels, matrix.values)]
+    write_table(path, [[""] + matrix.labels] + rows, manifest_digest)
 
 
 _BREAKDOWN_COLUMNS = (
@@ -213,15 +207,11 @@ _BREAKDOWN_COLUMNS = (
 
 def write_breakdown_tsv(rows: list[VocabBreakdownRow], path: str, manifest_digest: str = "") -> None:
     """One row per vocabulary: size, block count, then the two histograms."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        if manifest_digest:
-            f.write(f"# manifest: {manifest_digest}\n")
-        w = csv.writer(f, delimiter="\t", lineterminator="\n")
-        w.writerow(_BREAKDOWN_COLUMNS)
-        for r in rows:
-            w.writerow(
-                [r.label, r.clean_vocab_size, r.distinct_blocks]
-                + [r.chars_by_byte_len[n] for n in range(1, 5)]
-                + [r.tokens_by_byte_len[n] for n in range(1, 8)]
-                + [r.tokens_gt7]
-            )
+    table = [
+        [r.label, r.clean_vocab_size, r.distinct_blocks]
+        + [r.chars_by_byte_len[n] for n in range(1, 5)]
+        + [r.tokens_by_byte_len[n] for n in range(1, 8)]
+        + [r.tokens_gt7]
+        for r in rows
+    ]
+    write_table(path, [_BREAKDOWN_COLUMNS] + table, manifest_digest, delimiter="\t")

@@ -7,15 +7,20 @@ produced them. Result-neutral flags (--threads, output paths) stay out of
 the manifest, so reruns are byte-identical. --threads and TOKENLENS_THREADS
 are accepted and validated for compatibility; nothing depends on them.
 
+The option grammar (required options, either-or pairs) lives in the argparse
+parser alone, so --help shows every rule and a breach exits 2. Names that
+label an output's rows or columns must be distinct (_distinct). Tables go
+through text.write_table.
+
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
@@ -31,7 +36,7 @@ from .premium import (
     write_premium_json,
 )
 from .parallel import resolve_threads
-from .text import UNICODE_VERSION, load_corpus, load_parallel_corpus
+from .text import UNICODE_VERSION, load_corpus, load_parallel_corpus, write_table
 
 # embedding imports numpy, which only augment and eval need: they import it
 # themselves, so that train, compare and premium start without it.
@@ -84,6 +89,13 @@ def _parse_named(value: str, what: str) -> tuple[str, str]:
     if not name:
         raise ToolkitError(f"{what} name is empty in {value!r}")
     return name, spec
+
+
+def _distinct(names: list[str], what: str) -> None:
+    """Names that label an output's rows or columns may not repeat."""
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ToolkitError(f"repeated {what}: {', '.join(repeated)}")
 
 
 def _load_tokenizer(name: str, spec: str) -> tuple[TokenizerHandle, list[str]]:
@@ -154,6 +166,18 @@ def _load_encoder(spec: str, v0: np.ndarray) -> tuple[embedding.LayerEncoder, di
     raise ToolkitError(f"unknown encoder kind {parts[0]!r}")
 
 
+def _load_model(args: argparse.Namespace) -> tuple[TokenizerHandle, np.ndarray, embedding.LayerEncoder, dict, list[str]]:
+    """Augment's and eval's tokenizer, V0 and encoder, with the encoder's
+    manifest flags and the paths of every file they were read from."""
+    from . import embedding
+
+    name, spec = _parse_named(args.tokenizer, "tokenizer")
+    tok, tok_paths = _load_tokenizer(name, spec)
+    v0, _ = embedding.read_matrix(args.embeddings)
+    enc, enc_flags, enc_paths = _load_encoder(args.encoder, v0)
+    return tok, v0, enc, enc_flags, [args.embeddings] + tok_paths + enc_paths
+
+
 def _parse_strategy(text: str) -> embedding.DerivationStrategy:
     """knn:K@LAYER, linreg@LAYER, local:K@LAYER (local_linreg also accepted)."""
     from . import embedding
@@ -198,6 +222,8 @@ def _normalization_dict(rules: analysis.NormalizationRules) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.algorithm != "bpe" and args.target_size is None:
+        raise ToolkitError(f"{args.algorithm} requires --target-size")
     corpus = load_corpus(args.corpus)
     flags = {
         "algorithm": args.algorithm,
@@ -214,14 +240,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                 corpus, target_vocab_size=args.target_size, min_pair_freq=args.min_pair_freq
             )
         else:
-            if args.target_size is None:
-                raise ToolkitError("wordpiece requires --target-size")
             v, rules = training.wordpiece_train(corpus, args.target_size)
         vocab_mod.save_vocab(v, f"{prefix}.vocab.json")
         vocab_mod.save_merges(rules, v, f"{prefix}.merges.json")
     else:
-        if args.target_size is None:
-            raise ToolkitError("ulm requires --target-size")
         seed = training.ulm_seed(
             corpus, max_token_len=args.seed_max_token_len, seed_size=args.seed_size
         )
@@ -244,6 +266,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(args.vocab) < 2:
         raise ToolkitError("need at least two --vocab NAME=PATH arguments")
     named = [_parse_named(v, "vocab") for v in args.vocab]
+    _distinct([name for name, _ in named], "vocab name")
     if args.no_normalize:
         rules = analysis.NormalizationRules()
     elif args.space_marker or args.strip_prefix:
@@ -276,13 +299,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_premium(args: argparse.Namespace) -> int:
-    toks = []
-    tok_inputs: list[str] = []
-    for t in args.tokenizer:
-        name, spec = _parse_named(t, "tokenizer")
-        tok, paths = _load_tokenizer(name, spec)
-        toks.append(tok)
-        tok_inputs.extend(paths)
+    named = [_parse_named(t, "tokenizer") for t in args.tokenizer]
+    _distinct([name for name, _ in named], "tokenizer name")
+    loaded = [_load_tokenizer(name, spec) for name, spec in named]
+    toks = [tok for tok, _ in loaded]
+    tok_inputs = [path for _, paths in loaded for path in paths]
     corpora = []
     pair_inputs: list[str] = []
     for p in args.pair:
@@ -314,13 +335,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
     specs = [args.strategy] if args.grid is None else args.grid.split(",")
     strategies = [_parse_strategy(s) for s in specs]
     labels = [s.label() for s in strategies]
-    duplicates = sorted({label for label in labels if labels.count(label) > 1})
-    if duplicates:
-        raise ToolkitError(f"grid repeats strategy {', '.join(duplicates)}")
-    name, spec = _parse_named(args.tokenizer, "tokenizer")
-    tok, tok_paths = _load_tokenizer(name, spec)
-    v0, _ = embedding.read_matrix(args.embeddings)
-    enc, enc_flags, enc_paths = _load_encoder(args.encoder, v0)
+    _distinct(labels, "grid strategy")
+    tok, v0, enc, enc_flags, model_paths = _load_model(args)
     corpus = load_corpus(args.corpus)
     if args.chars:
         chars = set(args.chars)
@@ -333,9 +349,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
         "chars": sorted(chars),
         **enc_flags,
     }
-    manifest = RunManifest(
-        "augment", flags, _digests([args.corpus, args.embeddings] + tok_paths + enc_paths)
-    )
+    manifest = RunManifest("augment", flags, _digests([args.corpus] + model_paths))
     # One reference per distinct layer, all built before any plan is written,
     # so a layer the encoder lacks fails before a file exists.
     references = {
@@ -353,8 +367,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
         if len(strategies) == 1:
             out = args.out
         else:
-            stem, dot, ext = args.out.rpartition(".")
-            out = f"{stem}.{_strategy_file_tag(strat)}{dot}{ext}" if stem else f"{args.out}.{_strategy_file_tag(strat)}"
+            root, ext = os.path.splitext(args.out)
+            out = f"{root}.{_strategy_file_tag(strat)}{ext}"
         embedding.save_plan(plan, out, manifest=manifest.report_dict())
         outputs.append(out)
     print(f"wrote {len(outputs)} plan(s): {', '.join(outputs)} (manifest {manifest.digest()[:12]})")
@@ -364,18 +378,11 @@ def cmd_augment(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import embedding
 
-    name, spec = _parse_named(args.tokenizer, "tokenizer")
-    tok, tok_paths = _load_tokenizer(name, spec)
-    v0, _ = embedding.read_matrix(args.embeddings)
-    enc, enc_flags, enc_paths = _load_encoder(args.encoder, v0)
-    plans = []
-    for p in args.plan:
-        plan = embedding.load_plan(p, v0=v0)
-        plans.append((p, plan))
-    corpora = []
-    for c in args.corpus:
-        label, path = _parse_named(c, "corpus")
-        corpora.append((label, path, load_corpus(path)))
+    named = [_parse_named(c, "corpus") for c in args.corpus]
+    _distinct([label for label, _ in named], "corpus label")
+    tok, v0, enc, enc_flags, model_paths = _load_model(args)
+    plans = [embedding.load_plan(p, v0=v0) for p in args.plan]
+    corpora = [(label, load_corpus(path)) for label, path in named]
     flags = {
         "tokenizer": args.tokenizer,
         "plans": list(args.plan),
@@ -384,36 +391,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
         **enc_flags,
     }
     manifest = RunManifest(
-        "eval",
-        flags,
-        _digests(
-            [args.embeddings] + tok_paths + enc_paths + list(args.plan) + [path for _, path, _ in corpora]
-        ),
+        "eval", flags, _digests(model_paths + list(args.plan) + [path for _, path in named])
     )
-    plan_labels = [pl.strategy.label() for _, pl in plans]
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write(f"# manifest: {manifest.digest()}\n")
-        w = csv.writer(f, lineterminator="\n")
-        header = ["corpus"] + plan_labels
+    plan_labels = [pl.strategy.label() for pl in plans]
+    header = ["corpus"] + plan_labels
+    if args.report_new_fraction:
+        header += [f"{lbl}_new_fraction" for lbl in plan_labels]
+    rows = [header]
+    for label, corpus in corpora:
+        sims = [embedding.corpus_similarity(enc, corpus, tok, pl, args.last_layer) for pl in plans]
+        row = [label] + [f"{s:.6f}" for s in sims]
         if args.report_new_fraction:
-            header += [f"{lbl}_new_fraction" for lbl in plan_labels]
-        w.writerow(header)
-        for label, _, corpus in corpora:
-            sims = [embedding.corpus_similarity(enc, corpus, tok, pl, args.last_layer) for _, pl in plans]
-            row = [label] + [f"{s:.6f}" for s in sims]
-            if args.report_new_fraction:
-                fracs = [embedding.fraction_new_tokens(corpus, tok, pl) for _, pl in plans]
-                row += [f"{fr:.6f}" for fr in fracs]
-            w.writerow(row)
+            fracs = [embedding.fraction_new_tokens(corpus, tok, pl) for pl in plans]
+            row += [f"{fr:.6f}" for fr in fracs]
+        rows.append(row)
+    write_table(args.out, rows, manifest.digest())
     print(f"similarity table -> {args.out} (manifest {manifest.digest()[:12]})")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
-
-
-_THREADS_HELP = "accepted and validated for compatibility; neither outputs nor run time depend on it"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -423,78 +421,68 @@ def _build_parser() -> argparse.ArgumentParser:
         "per-language token premiums, and derive embeddings for multi-token characters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads_help = "accepted and validated for compatibility; neither outputs nor run time depend on it"
+    threads.add_argument("--threads", type=int, help=threads_help)
 
     p = sub.add_parser("train", help="train a bpe / wordpiece / ulm segmenter")
     p.add_argument("--algorithm", required=True, choices=["bpe", "wordpiece", "ulm"])
     p.add_argument("--corpus", required=True)
-    p.add_argument("--target-size", type=int, default=None, help="stop at this vocabulary size")
-    p.add_argument(
-        "--min-pair-freq", type=int, default=None, help="bpe only: stop when no pair reaches this count"
-    )
+    stop = p.add_mutually_exclusive_group(required=True)
+    stop.add_argument("--target-size", type=int, help="stop at this vocabulary size")
+    stop.add_argument("--min-pair-freq", type=int, help="bpe only: stop when no pair reaches this count")
     p.add_argument("--seed-max-token-len", type=int, default=8, help="ulm seed substring cap")
     p.add_argument("--seed-size", type=int, default=None, help="ulm seed vocabulary cap")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("compare", help="vocabulary overlap matrix and composition breakdown")
+    p = sub.add_parser("compare", parents=[threads], help="vocabulary overlap matrix and composition breakdown")
     p.add_argument("--vocab", action="append", default=[], metavar="NAME=PATH")
     p.add_argument("--metric", choices=["jaccard", "containment"], default="jaccard")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--space-marker", action="append", default=[], help="marker rewritten to a space")
     p.add_argument("--strip-prefix", action="append", default=[], help="continuation marker stripped from token fronts")
     p.add_argument("--breakdown", default=None, metavar="TSV_PATH")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("premium", help="per-language token-count premium matrix")
-    p.add_argument("--tokenizer", action="append", default=[], metavar="NAME=SPEC")
-    p.add_argument("--pair", action="append", default=[], metavar="LANG:SCRIPT:ENG:TGT")
+    p = sub.add_parser("premium", parents=[threads], help="per-language token-count premium matrix")
+    p.add_argument("--tokenizer", action="append", required=True, metavar="NAME=SPEC")
+    p.add_argument("--pair", action="append", required=True, metavar="LANG:SCRIPT:ENG:TGT")
     p.add_argument("--aggregate", choices=["ratios", "totals"], default="ratios")
     p.add_argument("--json", default=None, help="also write a full-precision JSON report")
     p.add_argument("--verbose", action="store_true", help="include per-sentence ratios in JSON")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_premium)
 
-    p = sub.add_parser("augment", help="derive input embeddings for multi-token characters")
+    p = sub.add_parser("augment", parents=[threads], help="derive input embeddings for multi-token characters")
     p.add_argument("--tokenizer", required=True, metavar="NAME=SPEC")
     p.add_argument("--embeddings", required=True, help="V0 matrix file")
     p.add_argument("--encoder", required=True, metavar="toy:SEED:DEPTH:DIM[:linear] | matrices:L=PATH,...")
-    p.add_argument("--strategy", default=None, metavar="knn:K@L | linreg@L | local:K@L")
-    p.add_argument("--grid", default=None, help="comma-separated strategies; one plan file per cell")
+    how = p.add_mutually_exclusive_group(required=True)
+    how.add_argument("--strategy", metavar="knn:K@L | linreg@L | local:K@L")
+    how.add_argument("--grid", help="comma-separated strategies; one plan file per cell")
     p.add_argument("--corpus", required=True, help="source of candidate characters")
     p.add_argument("--chars", default=None, help="explicit characters instead of corpus scan")
     p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True, help="plan path (grid runs add a strategy tag)")
     p.set_defaults(fn=cmd_augment)
 
-    p = sub.add_parser("eval", help="similarity of encodings before and after augmentation")
-    p.add_argument("--plan", action="append", default=[], metavar="PLAN_PATH")
+    p = sub.add_parser("eval", parents=[threads], help="similarity of encodings before and after augmentation")
+    p.add_argument("--plan", action="append", required=True, metavar="PLAN_PATH")
     p.add_argument("--tokenizer", required=True, metavar="NAME=SPEC")
     p.add_argument("--embeddings", required=True, help="V0 matrix file")
     p.add_argument("--encoder", required=True)
     p.add_argument("--last-layer", type=int, required=True)
-    p.add_argument("--corpus", action="append", default=[], metavar="LABEL=PATH")
+    p.add_argument("--corpus", action="append", required=True, metavar="LABEL=PATH")
     p.add_argument("--report-new-fraction", action="store_true")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_eval)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "train" and (args.target_size is None) == (args.min_pair_freq is None):
-        parser.error("exactly one of --target-size / --min-pair-freq is required")
-    if args.command == "augment" and (args.strategy is None) == (args.grid is None):
-        parser.error("exactly one of --strategy / --grid is required")
-    if args.command == "premium" and (not args.tokenizer or not args.pair):
-        parser.error("premium needs at least one --tokenizer and one --pair")
-    if args.command == "eval" and (not args.plan or not args.corpus):
-        parser.error("eval needs at least one --plan and one --corpus")
+    args = _build_parser().parse_args(argv)
     try:
         if "threads" in vars(args):
             resolve_threads(args.threads)  # validated only; no result depends on it

@@ -618,11 +618,10 @@ def load_plan(path: str, v0: np.ndarray | None = None) -> AugmentationPlan:
         if len(vec) != dim:
             raise ToolkitError(f"{path}: entry {token!r} has dim {len(vec)}, expected {dim}")
         entries.append(PlanEntry(token=token, vector=vec))
+    metric = _plan_field(doc, "distance_metric", str, path) if "distance_metric" in doc else "euclidean"
+    if metric not in ("euclidean", "cosine"):
+        raise ToolkitError(f"{path}: plan field 'distance_metric' is {metric!r}, not euclidean or cosine")
+    stats = _plan_field(doc, "stats", dict, path) if "stats" in doc else {}
     return AugmentationPlan(
-        entries=entries,
-        strategy=strat,
-        dim=dim,
-        distance_metric=doc.get("distance_metric", "euclidean"),
-        stats=doc.get("stats", {}),
-        v0=v0,
+        entries=entries, strategy=strat, dim=dim, distance_metric=metric, stats=stats, v0=v0
     )

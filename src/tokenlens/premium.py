@@ -15,7 +15,7 @@ from typing import Callable
 
 from .errors import OovCharacterError, ToolkitError, UnsegmentableError
 from .parallel import ordered_map
-from .text import ParallelCorpus
+from .text import ParallelCorpus, write_table
 from .training import bpe_encode, ulm_viterbi_segment, UnigramVocab
 from .vocab import MergeRuleList, Vocabulary
 
@@ -213,19 +213,12 @@ def premium_matrix(
 
 def write_premium_csv(matrix: PremiumMatrix, path: str, manifest_digest: str = "") -> None:
     """Two-decimal display table; unusable cells print NA."""
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        if manifest_digest:
-            f.write(f"# manifest: {manifest_digest}\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["language", "script"] + matrix.tokenizers)
-        for (lang, script), row in zip(matrix.languages, matrix.cells):
-            cells = [
-                "NA" if rep is None else f"{rep.value(matrix.aggregate):.2f}"
-                for rep in row
-            ]
-            w.writerow([lang, script] + cells)
+    rows = [
+        [lang, script]
+        + ["NA" if rep is None else f"{rep.value(matrix.aggregate):.2f}" for rep in row]
+        for (lang, script), row in zip(matrix.languages, matrix.cells)
+    ]
+    write_table(path, [["language", "script"] + matrix.tokenizers] + rows, manifest_digest)
 
 
 def write_premium_json(

@@ -1,14 +1,20 @@
-"""Corpus loading and character-level Unicode utilities.
+"""Corpus loading, table writing and character-level Unicode utilities.
 
 Corpora are plain text, one document per line, UTF-8 only. There is no
 whitespace pre-tokenization anywhere in this package: spaces, underscores and
 other separator-looking characters are ordinary characters.
+
+Every table the toolkit writes (overlap matrix, composition breakdown,
+premium matrix, similarity table) goes through write_table, so the manifest
+line and the CSV dialect are decided here once.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from ._blocks import _NAMES, _STARTS, UNICODE_VERSION
 from .errors import CorpusDecodeError, LineCountMismatchError
@@ -18,6 +24,7 @@ __all__ = [
     "ParallelCorpus",
     "load_corpus",
     "load_parallel_corpus",
+    "write_table",
     "unicode_block",
     "char_byte_len",
     "recover_utf8_chars",
@@ -87,6 +94,15 @@ def load_parallel_corpus(
         target_script=target_script,
         n_skipped=skipped,
     )
+
+
+def write_table(path: str, rows: Iterable[Sequence], manifest_digest: str = "", delimiter: str = ",") -> None:
+    """Write rows as CSV with "\\n" line ends, after a "# manifest: DIGEST"
+    comment line when a digest is given."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        if manifest_digest:
+            f.write(f"# manifest: {manifest_digest}\n")
+        csv.writer(f, delimiter=delimiter, lineterminator="\n").writerows(rows)
 
 
 def unicode_block(char: str) -> str:

@@ -397,8 +397,10 @@ def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     """Highest-log-probability segmentation of text over vocab tokens.
 
     Ties break toward fewer tokens, then toward the lexicographically
-    smallest token sequence. A position no token can reach raises
-    OovCharacterError for single characters, UnsegmentableError otherwise.
+    smallest token sequence. A position that no token ends at is only an
+    error when the whole text cannot be reached: then the furthest reachable
+    position p names the fault, as OovCharacterError for text[p] when that
+    character is not a token, UnsegmentableError otherwise.
     """
     return _viterbi(text, vocab._units, vocab.max_token_len(), None)
 
@@ -446,14 +448,15 @@ def _viterbi(
             best = s
             best_n = k
             best_i = i
-        if best_i < 0:
-            ch = text[j - 1]
-            if (j - 1 == 0 or score[j - 1] is not None) and ch not in units:
-                raise OovCharacterError(ch, j - 1)
-            raise UnsegmentableError(text, j - 1)
-        score[j] = best
-        n_tokens[j] = best_n
-        back[j] = best_i
+        if best_i >= 0:
+            score[j] = best
+            n_tokens[j] = best_n
+            back[j] = best_i
+    if score[n] is None:
+        p = max(i for i in range(n) if score[i] is not None)
+        if text[p] not in units:
+            raise OovCharacterError(text[p], p)
+        raise UnsegmentableError(text, p)
     return _path(text, back, n)
 
 

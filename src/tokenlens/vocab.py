@@ -157,13 +157,21 @@ def load_vocab(path: str) -> Vocabulary:
     """Read a vocabulary from JSON (token -> id) or plaintext (one token per line).
 
     JSON ids must be dense 0..n-1; plaintext lines are assigned ids in file
-    order and empty lines are skipped.
+    order and empty lines are skipped. A file opening with "[" is plaintext
+    unless it parses as JSON (a BERT-style vocab.txt opens with "[PAD]").
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         content = f.read()
     stripped = content.lstrip()
+    obj = None
     if stripped.startswith("{"):
         obj = json.loads(content)
+    elif stripped.startswith("["):
+        try:
+            obj = json.loads(content)
+        except ValueError:
+            pass
+    if obj is not None:
         if not isinstance(obj, dict):
             raise ToolkitError(f"{path}: vocabulary JSON must be an object")
         by_id: dict[int, bytes] = {}

@@ -127,6 +127,21 @@ class TestTrainCommand:
                   "--out-prefix", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    def test_neither_stop_rule_is_usage_error(self, tmp_path):
+        corpus = write_text(tmp_path / "c.txt", "ab\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--algorithm", "bpe", "--corpus", corpus,
+                  "--out-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("algorithm", ["wordpiece", "ulm"])
+    def test_wordpiece_and_ulm_need_target_size(self, tmp_path, capsys, algorithm):
+        corpus = write_text(tmp_path / "c.txt", "abab\n")
+        rc = main(["train", "--algorithm", algorithm, "--corpus", corpus,
+                   "--min-pair-freq", "2", "--out-prefix", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"{algorithm} requires --target-size" in capsys.readouterr().err
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--algorithm", "sentencepiece", "--corpus", "c",
@@ -208,6 +223,16 @@ class TestCompareCommand:
         a = self.make_vocab(tmp_path, "a", [b"a"])
         rc = main(["compare", "--vocab", f"a={a}", "--out", str(tmp_path / "m.csv")])
         assert rc == 1
+
+    def test_repeated_vocab_name_exits_one(self, tmp_path, capsys):
+        a = self.make_vocab(tmp_path, "a", [b"a"])
+        b = self.make_vocab(tmp_path, "b", [b"b"])
+        out = str(tmp_path / "m.csv")
+        rc = main(["compare", "--vocab", f"v={a}", "--vocab", f"w={b}", "--vocab", f"v={b}",
+                   "--out", out])
+        assert rc == 1
+        assert "repeated vocab name: v" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_bad_metric_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -311,6 +336,33 @@ class TestPremiumCommand:
         with open(out, encoding="utf-8") as f:
             assert f.read().splitlines()[2] == "xx,Latn,2.00"
 
+    def test_repeated_tokenizer_name_exits_one(self, tmp_path, capsys, worked_files, pair_files):
+        vpath, mpath = worked_files
+        eng, tgt = pair_files
+        out = str(tmp_path / "p.csv")
+        jout = str(tmp_path / "p.json")
+        rc = main(["premium", "--tokenizer", f"gpt=bpe:{vpath}:{mpath}",
+                   "--tokenizer", f"gpt=bpe:{vpath}:{mpath}",
+                   "--pair", f"xx:Latn:{eng}:{tgt}", "--json", jout, "--out", out])
+        assert rc == 1
+        assert "repeated tokenizer name: gpt" in capsys.readouterr().err
+        assert not os.path.exists(out) and not os.path.exists(jout)
+
+    def test_ulm_token_over_a_char_that_is_no_token(self, tmp_path):
+        import math
+
+        # "a" is no token, so no token ends after it, but "ab" + "c" covers "abc".
+        probs = write_text(tmp_path / "probs.json",
+                           json.dumps({"ab": math.log(0.5), "c": math.log(0.5)}))
+        eng = write_text(tmp_path / "e.txt", "abc\n")
+        tgt = write_text(tmp_path / "t.txt", "ababc\n")
+        out = str(tmp_path / "p.csv")
+        rc = main(["premium", "--tokenizer", f"u=ulm:{probs}",
+                   "--pair", f"xx:Latn:{eng}:{tgt}", "--out", out])
+        assert rc == 0
+        with open(out, encoding="utf-8") as f:
+            assert f.read().splitlines()[2] == "xx,Latn,1.50"
+
     def test_missing_tokenizer_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["premium", "--pair", "xx:Y:e:t", "--out", "p.csv"])
@@ -394,6 +446,26 @@ class TestAugmentCommand:
         assert rc == 1
         assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
 
+    @pytest.mark.parametrize(
+        "out,tagged",
+        [
+            ("plan.json", "plan.knn1-l0.json"),
+            ("plan", "plan.knn1-l0"),
+            (".hidden", ".hidden.knn1-l0"),
+            ("a.b.json", "a.b.knn1-l0.json"),
+            ("out.d/plan", "out.d/plan.knn1-l0"),
+        ],
+    )
+    def test_grid_tag_goes_before_the_file_extension(self, tmp_path, byte_level_files, out, tagged):
+        bf = byte_level_files
+        os.mkdir(tmp_path / "out.d")
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", "knn:1@0,linreg@0",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / out)])
+        assert rc == 0
+        assert os.path.exists(tmp_path / tagged)
+        assert os.path.exists(tmp_path / tagged.replace("knn1", "linreg"))
+
     @pytest.mark.parametrize("grid", ["knn:1@0,knn:1@0", "local:3@1,linreg@0,local_linreg:3@1", ""])
     def test_duplicate_or_empty_grid_cells_exit_one(self, tmp_path, byte_level_files, grid):
         bf = byte_level_files
@@ -447,7 +519,8 @@ class TestAugmentCommand:
 
     @pytest.mark.parametrize(
         "strategy",
-        ["knn:0@0", "knn@0", "linreg:5@0", "local:1@0", "knn:2@-1", "knn:2", "pca@0"],
+        ["knn:0@0", "knn@0", "linreg:5@0", "local:1@0", "knn:2@-1", "knn:2", "pca@0",
+         "knn:2@x", "knn:x@0", "knn:1:2@0"],
     )
     def test_bad_strategies_exit_one(self, tmp_path, byte_level_files, strategy):
         bf = byte_level_files
@@ -576,6 +649,33 @@ class TestEvalCommand:
         assert rows[2][1] == "1.000000"
         assert rows[2][2] == "1.000000"
 
+    def test_repeated_corpus_label_exits_one(self, tmp_path, capsys, planned):
+        bf, plan = planned
+        c1 = write_text(tmp_path / "c1.txt", "ab\n")
+        out = str(tmp_path / "sim.csv")
+        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"],
+                   "--embeddings", bf["embeddings"], "--encoder", "toy:2:1:3:linear",
+                   "--last-layer", "1", "--corpus", f"c={c1}", "--corpus", f"c={bf['corpus']}",
+                   "--out", out])
+        assert rc == 1
+        assert "repeated corpus label: c" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("field,value", [("distance_metric", 5), ("stats", [])])
+    def test_plan_field_of_wrong_type_exits_one(self, tmp_path, capsys, planned, field, value):
+        bf, plan = planned
+        with open(plan, encoding="utf-8") as f:
+            doc = json.load(f)
+        doc[field] = value
+        with open(plan, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"],
+                   "--embeddings", bf["embeddings"], "--encoder", "toy:2:1:3:linear",
+                   "--last-layer", "1", "--corpus", f"c={bf['corpus']}",
+                   "--out", str(tmp_path / "sim.csv")])
+        assert rc == 1
+        assert f"'{field}' has the wrong type" in capsys.readouterr().err
+
     def test_missing_plan_is_usage_error(self, byte_level_files):
         bf = byte_level_files
         with pytest.raises(SystemExit) as exc:
@@ -645,6 +745,13 @@ class TestMalformedFiles:
         path = write_text(tmp_path / "probs.json", probs)
         self.assert_one_line_error(capsys, self.premium(tmp_path, f"ulm:{path}"), path, needle)
 
+    def test_vocab_json_array(self, tmp_path, capsys):
+        a = write_text(tmp_path / "a.json", '["a", "b"]\n')
+        b = write_text(tmp_path / "b.txt", "a\n")
+        rc = main(["compare", "--vocab", f"a={a}", "--vocab", f"b={b}",
+                   "--out", str(tmp_path / "m.csv")])
+        self.assert_one_line_error(capsys, rc, "vocabulary JSON must be an object")
+
     def test_ulm_probs_accept_minus_infinity(self, tmp_path):
         path = write_text(tmp_path / "probs.json", '{"a": 0, "b": -Infinity}')
         assert self.premium(tmp_path, f"ulm:{path}") == 0
@@ -659,10 +766,31 @@ class TestMalformedFiles:
         self.assert_one_line_error(capsys, rc, "'kind' is missing")
 
 
+class TestOptionGrammar:
+    """The parser states every option rule, so the usage line shows it."""
+
+    @pytest.mark.parametrize(
+        "command,rules",
+        [
+            ("train", ["(--target-size TARGET_SIZE | --min-pair-freq MIN_PAIR_FREQ)"]),
+            ("augment", ["(--strategy knn:K@L | linreg@L | local:K@L | --grid GRID)"]),
+            ("premium", [" --tokenizer NAME=SPEC", " --pair LANG:SCRIPT:ENG:TGT"]),
+            ("eval", [" --plan PLAN_PATH", " --corpus LABEL=PATH"]),
+        ],
+    )
+    def test_usage_shows_rules(self, capsys, command, rules):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        usage = " ".join(capsys.readouterr().out.split("options:")[0].split())
+        for rule in rules:
+            assert rule in usage
+
+
 class TestBadSpecs:
     def test_bad_tokenizer_specs(self, tmp_path, byte_level_files):
         bf = byte_level_files
-        for spec in ["w=bpe:onlyvocab", "w=mystery:x", "noequals", "=bpe:a:b"]:
+        for spec in ["w=bpe:onlyvocab", "w=mystery:x", "noequals", "=bpe:a:b", "w=ulm:a:b"]:
             rc = main(["augment", "--tokenizer", spec, "--embeddings", bf["embeddings"],
                        "--encoder", "toy:0:1:3", "--strategy", "knn:1@0",
                        "--corpus", bf["corpus"], "--out", str(tmp_path / "p.json")])

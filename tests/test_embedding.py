@@ -843,9 +843,13 @@ class TestPlanFiles:
             (lambda doc: doc["entries"][0].update(vector_b64=None), "'vector_b64' has the wrong type"),
             (lambda doc: doc["entries"][0].update(token="ab"), "'ab' is not one character"),
             (lambda doc: doc["entries"][0].update(token=""), "'' is not one character"),
+            (lambda doc: doc.update(distance_metric=5), "'distance_metric' has the wrong type"),
+            (lambda doc: doc.update(distance_metric="manhattan"), "not euclidean or cosine"),
+            (lambda doc: doc.update(stats=[]), "'stats' has the wrong type"),
         ],
         ids=["empty-strategy", "list-strategy", "no-k", "bool-layer", "str-k", "no-dim",
-             "dict-entries", "int-entry", "null-vector", "two-char-token", "empty-token"],
+             "dict-entries", "int-entry", "null-vector", "two-char-token", "empty-token",
+             "int-metric", "unknown-metric", "list-stats"],
     )
     def test_malformed_plan_rejected(self, plan, tmp_path, edit, field):
         path = str(tmp_path / "plan.json")
@@ -857,6 +861,17 @@ class TestPlanFiles:
             json.dump(doc, f)
         with pytest.raises(ToolkitError, match=field):
             load_plan(path)
+
+    def test_plan_without_metric_or_stats_loads_defaults(self, plan, tmp_path):
+        path = str(tmp_path / "plan.json")
+        save_plan(plan, path)
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        del doc["distance_metric"], doc["stats"]
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        loaded = load_plan(path)
+        assert (loaded.distance_metric, loaded.stats) == ("euclidean", {})
 
     def test_plan_that_is_not_an_object_rejected(self, tmp_path):
         path = str(tmp_path / "plan.json")

@@ -123,6 +123,12 @@ class TestPremium:
         assert rep.n_skipped == 1
         assert rep.mean_ratio == 4 / 3
 
+    def test_empty_target_pairs_skipped_and_counted(self, worked_tok):
+        pc = corpus([("shoes", "shakes"), ("shoes", "")])
+        rep = premium(worked_tok, pc)
+        assert (rep.n_pairs, rep.n_skipped) == (1, 1)
+        assert rep.ratios == [4 / 3]
+
     def test_all_pairs_skipped_is_error(self, worked_tok):
         pc = corpus([("xyz", "shoe"), ("shoe", "qqq")])
         with pytest.raises(ToolkitError):

@@ -1,4 +1,4 @@
-"""Corpus loading and Unicode character utilities."""
+"""Corpus loading, table writing and Unicode character utilities."""
 
 import random
 
@@ -11,6 +11,7 @@ from tokenlens.text import (
     load_parallel_corpus,
     recover_utf8_chars,
     unicode_block,
+    write_table,
 )
 
 
@@ -76,6 +77,20 @@ class TestLoadParallelCorpus:
         t.write_text("\n", encoding="utf-8")
         pc = load_parallel_corpus(str(e), str(t), "fra")
         assert pc.pairs == (("a", ""),)
+
+
+class TestWriteTable:
+    def test_manifest_line_then_rows(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_table(path, [["", "a,b"], ["x", 0.5]], manifest_digest="ab12")
+        with open(path, "rb") as f:
+            assert f.read() == b'# manifest: ab12\n,"a,b"\nx,0.5\n'
+
+    def test_no_digest_no_comment_and_tab_delimiter(self, tmp_path):
+        path = str(tmp_path / "t.tsv")
+        write_table(path, [["a", 1], ["b", 2]], delimiter="\t")
+        with open(path, "rb") as f:
+            assert f.read() == b"a\t1\nb\t2\n"
 
 
 class TestUnicodeBlock:

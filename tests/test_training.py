@@ -240,11 +240,11 @@ def oracle_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
             ):
                 cand = entry
         best[j] = cand
-        if cand is None:
-            ch = text[j - 1]
-            if (j == 1 or best[j - 1] is not None) and ch not in vocab:
-                raise OovCharacterError(ch, j - 1)
-            raise UnsegmentableError(text, j - 1)
+    if best[-1] is None:
+        p = max(i for i in range(len(text)) if best[i] is not None)
+        if text[p] not in vocab:
+            raise OovCharacterError(text[p], p)
+        raise UnsegmentableError(text, p)
     return list(best[-1][2])
 
 
@@ -648,6 +648,17 @@ class TestUlmViterbi:
         assert exc.value.char == "z"
         assert exc.value.offset == 1
 
+    def test_position_no_token_ends_at_is_not_an_error(self):
+        # No token ends after "a", but "ab" + "c" covers the text.
+        uv = UnigramVocab({"ab": -1.0, "c": -1.0}, check=False)
+        assert ulm_viterbi_segment("abc", uv) == ["ab", "c"]
+
+    def test_unreachable_text_names_furthest_reachable_char(self):
+        uv = UnigramVocab({"ab": -1.0, "c": -1.0}, check=False)
+        with pytest.raises(OovCharacterError) as exc:
+            ulm_viterbi_segment("abx", uv)
+        assert (exc.value.char, exc.value.offset) == ("x", 2)
+
     def test_empty_text(self):
         uv = UnigramVocab.from_probs({"a": 1.0})
         assert ulm_viterbi_segment("", uv) == []
@@ -701,6 +712,22 @@ class TestUlmMatchesOracles:
         text = data.draw(st.text(alphabet=alphabet, max_size=14))
         uv = UnigramVocab(table, check=False)
         assert outcome(ulm_viterbi_segment, text, uv) == outcome(oracle_viterbi_segment, text, uv)
+
+    @given(unigram_tables(), st.data())
+    def test_viterbi_against_enumeration(self, case, data):
+        """Tables may leave out single characters: the result is the best of
+        every segmentation or, when there is none, an OovCharacterError at
+        the furthest offset that some token path reaches."""
+        alphabet, table = case
+        text = data.draw(st.text(alphabet=alphabet + "x", max_size=10))
+        uv = UnigramVocab(table, check=False)
+        expected = oracle_best_segmentation(text, table)
+        if expected is None:
+            p = max(i for i in range(len(text)) if oracle_enumerate_segmentations(text[:i], table))
+            expected = ("oov", text[p], p)
+        else:
+            expected = list(expected)
+        assert outcome(ulm_viterbi_segment, text, uv) == expected
 
     @given(unigram_tables(with_chars=True), st.data())
     def test_prune_random_tables(self, case, data):

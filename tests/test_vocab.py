@@ -180,6 +180,19 @@ class TestVocabFiles:
         with pytest.raises(ToolkitError, match="'a' is not an integer"):
             load_vocab(path)
 
+    def test_json_array_rejected(self, tmp_path):
+        path = str(tmp_path / "vocab.json")
+        with open(path, "w") as f:
+            f.write('["a", "b"]\n')
+        with pytest.raises(ToolkitError, match="vocabulary JSON must be an object"):
+            load_vocab(path)
+
+    def test_plaintext_opening_with_bracket_token(self, tmp_path):
+        path = str(tmp_path / "vocab.txt")
+        with open(path, "w") as f:
+            f.write("[PAD]\n[UNK]\na\n")
+        assert load_vocab(path).tokens() == [b"[PAD]", b"[UNK]", b"a"]
+
     def test_plaintext_one_token_per_line(self, tmp_path):
         path = str(tmp_path / "vocab.txt")
         with open(path, "w") as f:
