@@ -77,7 +77,6 @@ _EMBEDDING_NAMES = (
     "DerivationStrategy",
     "LayerEncoder",
     "LookupEncoder",
-    "PlanEntry",
     "ToyEncoder",
     "augment",
     "build_reference",

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from . import analysis, training, vocab as vocab_mod
-from .errors import ToolkitError
+from .errors import ToolkitError, parse_json
 from .premium import (
     TokenizerHandle,
     bpe_tokenizer,
@@ -113,7 +113,7 @@ def _load_tokenizer(name: str, spec: str) -> tuple[TokenizerHandle, list[str]]:
         if len(parts) != 2:
             raise ToolkitError(f"ulm spec needs a log-prob JSON path, got {spec!r}")
         with open(parts[1], "r", encoding="utf-8") as f:
-            probs = json.load(f)
+            probs = parse_json(f.read(), parts[1])
         # type(), not isinstance(): JSON true and false load as ints
         numbers = isinstance(probs, dict) and all(type(lp) in (int, float) for lp in probs.values())
         if not numbers:
@@ -157,10 +157,7 @@ def _load_encoder(spec: str, v0: np.ndarray) -> tuple[embedding.LayerEncoder, di
                 raise ToolkitError(f"matrices entry must be LAYER=PATH, got {item!r}")
             layer_s, path = item.split("=", 1)
             layer_paths[int(layer_s)] = path
-        mats = {}
-        for layer, path in layer_paths.items():
-            m, _ = embedding.read_matrix(path)
-            mats[layer] = m
+        mats = {layer: embedding.read_matrix(path) for layer, path in layer_paths.items()}
         enc = embedding.LookupEncoder(v0, mats)
         return enc, {"encoder": "matrices", "layers": sorted(layer_paths)}, list(layer_paths.values())
     raise ToolkitError(f"unknown encoder kind {parts[0]!r}")
@@ -173,7 +170,7 @@ def _load_model(args: argparse.Namespace) -> tuple[TokenizerHandle, np.ndarray, 
 
     name, spec = _parse_named(args.tokenizer, "tokenizer")
     tok, tok_paths = _load_tokenizer(name, spec)
-    v0, _ = embedding.read_matrix(args.embeddings)
+    v0 = embedding.read_matrix(args.embeddings)
     enc, enc_flags, enc_paths = _load_encoder(args.encoder, v0)
     return tok, v0, enc, enc_flags, [args.embeddings] + tok_paths + enc_paths
 
@@ -381,7 +378,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     named = [_parse_named(c, "corpus") for c in args.corpus]
     _distinct([label for label, _ in named], "corpus label")
     tok, v0, enc, enc_flags, model_paths = _load_model(args)
-    plans = [embedding.load_plan(p, v0=v0) for p in args.plan]
+    plans = [embedding.load_plan(p) for p in args.plan]
+    for path, pl in zip(args.plan, plans):
+        if pl.dim != v0.shape[1]:
+            raise ToolkitError(f"{path}: plan dim {pl.dim} does not match embeddings dim {v0.shape[1]}")
     corpora = [(label, load_corpus(path)) for label, path in named]
     flags = {
         "tokenizer": args.tokenizer,
@@ -399,7 +399,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         header += [f"{lbl}_new_fraction" for lbl in plan_labels]
     rows = [header]
     for label, corpus in corpora:
-        sims = [embedding.corpus_similarity(enc, corpus, tok, pl, args.last_layer) for pl in plans]
+        sims = [embedding.corpus_similarity(enc, v0, corpus, tok, pl, args.last_layer) for pl in plans]
         row = [label] + [f"{s:.6f}" for s in sims]
         if args.report_new_fraction:
             fracs = [embedding.fraction_new_tokens(corpus, tok, pl) for pl in plans]

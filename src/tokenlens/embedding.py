@@ -11,14 +11,16 @@ through the model separately; layer 0 is the input space itself.
 
 Embedding and hidden matrices are plain (n_tokens, dim) float arrays,
 row-aligned with token ids. Matrices travel as little-endian float32 binary
-files with an 8-byte header; plans as JSON with base64 vectors plus a
-companion matrix file, so embeddings exported from a real model can be
-plugged in and the plan imported back.
+files with an 8-byte header, so embeddings exported from a real model can be
+plugged in; a JSON sidecar records provenance and is never read back. A plan
+is what its file holds, the new tokens and one matrix of their vectors (JSON
+with base64 vectors plus a companion matrix file); V0 is passed to eval.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import math
 import struct
@@ -27,7 +29,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import ToolkitError, parse_json
 from .parallel import ordered_map
 from .premium import TokenizerHandle
 
@@ -44,7 +46,6 @@ __all__ = [
     "derive_linreg",
     "derive_local_linreg",
     "DerivationStrategy",
-    "PlanEntry",
     "AugmentationPlan",
     "select_oov_chars",
     "augment",
@@ -77,7 +78,7 @@ def write_matrix(path: str, matrix: np.ndarray, layer: int | None = None, proven
         f.write("\n")
 
 
-def read_matrix(path: str) -> tuple[np.ndarray, dict | None]:
+def read_matrix(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -87,14 +88,7 @@ def read_matrix(path: str) -> tuple[np.ndarray, dict | None]:
     expected = n * dim * 4
     if len(data) != expected:
         raise ToolkitError(f"{path}: expected {expected} data bytes, found {len(data)}")
-    arr = np.frombuffer(data, dtype="<f4").reshape(n, dim)
-    sidecar = None
-    try:
-        with open(path + ".json", "r", encoding="utf-8") as f:
-            sidecar = json.load(f)
-    except FileNotFoundError:
-        pass
-    return arr, sidecar
+    return np.frombuffer(data, dtype="<f4").reshape(n, dim)
 
 
 class LayerEncoder(Protocol):
@@ -366,28 +360,18 @@ class DerivationStrategy:
 
 
 @dataclass
-class PlanEntry:
-    token: str
-    vector: np.ndarray
-
-
-@dataclass
 class AugmentationPlan:
-    """New single-character tokens with derived input embeddings.
+    """New single-character tokens; vectors[i] (float64) is tokens[i]'s derived embedding."""
 
-    v0 is the embedding matrix the plan was derived from; it rides along in
-    memory (evaluation needs it) but only its dimension is serialized.
-    """
-
-    entries: list[PlanEntry]
+    tokens: tuple[str, ...]
+    vectors: np.ndarray
     strategy: DerivationStrategy
-    dim: int
     distance_metric: str = "euclidean"
     stats: dict = field(default_factory=dict)
-    v0: np.ndarray | None = field(default=None, repr=False)
 
-    def entry_index(self) -> dict[str, int]:
-        return {e.token: i for i, e in enumerate(self.entries)}
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
 
 def select_oov_chars(corpus: Sequence[str], tok: TokenizerHandle) -> set[str]:
@@ -437,7 +421,7 @@ def augment(
     if strat.kind == "linreg":
         theta = _fit_affine(vl, v0, None, RIDGE_EPS)
 
-    def derive_one(ch: str) -> PlanEntry:
+    def derive_one(ch: str) -> np.ndarray:
         ids = tok.encode(ch)
         if len(ids) < 2:
             raise ToolkitError(
@@ -450,15 +434,14 @@ def augment(
             vec = _apply_affine(pooled, theta)
         else:
             vec = derive_local_linreg(pooled, v0, vl, strat.k, metric=metric)
-        return PlanEntry(token=ch, vector=np.asarray(vec, dtype=np.float64))
+        return vec
 
-    entries = ordered_map(derive_one, ordered_chars)
+    rows = ordered_map(derive_one, ordered_chars)
     return AugmentationPlan(
-        entries=entries,
+        tokens=tuple(ordered_chars),
+        vectors=np.array(rows, dtype=np.float64).reshape(len(rows), v0.shape[1]),
         strategy=strat,
-        dim=v0.shape[1],
         distance_metric=metric,
-        v0=v0,
     )
 
 
@@ -467,11 +450,11 @@ def encode_augmented(
 ) -> list[tuple[str, int]]:
     """Tokenize with planned characters substituted first.
 
-    Returns ("new", entry_index) and ("old", token_id) items in order.
+    Returns ("new", plan_row) and ("old", token_id) items in order.
     Planned characters are replaced greedily before base tokenization, so the
     remaining runs are tokenized independently of one another.
     """
-    index = plan.entry_index()
+    index = {t: i for i, t in enumerate(plan.tokens)}
     items: list[tuple[str, int]] = []
     run_start = 0
     for pos, ch in enumerate(text):
@@ -487,31 +470,22 @@ def encode_augmented(
     return items
 
 
-def _embedding_rows(
-    items: list[tuple[str, int]], v0: np.ndarray, plan: AugmentationPlan
-) -> np.ndarray:
-    rows = [
-        plan.entries[i].vector if kind == "new" else v0[i] for kind, i in items
-    ]
-    return np.stack([np.asarray(r, dtype=np.float64) for r in rows])
-
-
 def eval_similarity(
     enc: LayerEncoder,
+    v0: np.ndarray,
     sentence: str,
     tok: TokenizerHandle,
     plan: AugmentationPlan,
     last_layer: int,
 ) -> float:
     """Cosine similarity of a sentence's encodings before and after
-    augmentation: run both token-embedding sequences to last_layer, average
-    each run's states into one vector, compare. Exactly 1.0 when the plan
-    touches nothing in the sentence."""
+    augmentation: run both token-embedding sequences (rows of v0, plus the
+    plan's vectors after) to last_layer, average each run's states into one
+    vector, compare. Exactly 1.0 when the plan touches nothing in the
+    sentence."""
     if sentence == "":
         raise ToolkitError("sentence is empty")
-    if plan.v0 is None:
-        raise ToolkitError("plan carries no embedding matrix; attach v0 first")
-    v0 = np.asarray(plan.v0)
+    v0 = np.asarray(v0)
     original = tok.encode(sentence)
     augmented = encode_augmented(sentence, tok, plan)
     if not original:
@@ -519,7 +493,10 @@ def eval_similarity(
     if all(kind == "old" for kind, _ in augmented):
         return 1.0
     orig_rows = np.asarray(v0[original], dtype=np.float64)
-    aug_rows = _embedding_rows(augmented, v0, plan)
+    aug_rows = np.stack(
+        [plan.vectors[i] if kind == "new" else np.asarray(v0[i], dtype=np.float64)
+         for kind, i in augmented]
+    )
     u = enc.encode_to_layer(orig_rows, last_layer).mean(axis=0)
     w = enc.encode_to_layer(aug_rows, last_layer).mean(axis=0)
     nu = np.linalg.norm(u)
@@ -531,6 +508,7 @@ def eval_similarity(
 
 def corpus_similarity(
     enc: LayerEncoder,
+    v0: np.ndarray,
     corpus: Sequence[str],
     tok: TokenizerHandle,
     plan: AugmentationPlan,
@@ -539,7 +517,7 @@ def corpus_similarity(
     """Mean per-sentence similarity over a corpus."""
     if len(corpus) == 0:
         raise ToolkitError("corpus is empty")
-    sims = ordered_map(lambda doc: eval_similarity(enc, doc, tok, plan, last_layer), list(corpus))
+    sims = ordered_map(lambda doc: eval_similarity(enc, v0, doc, tok, plan, last_layer), list(corpus))
     return sum(sims) / len(sims)
 
 
@@ -561,13 +539,11 @@ def fraction_new_tokens(corpus: Sequence[str], tok: TokenizerHandle, plan: Augme
 
 def save_plan(plan: AugmentationPlan, path: str, manifest: dict | None = None) -> None:
     """JSON with base64 float32 vectors, plus a companion matrix file at
-    path + '.mat' holding the same vectors row-aligned with entries."""
-    entries = []
-    for e in plan.entries:
-        vec = np.asarray(e.vector, dtype="<f4")
-        entries.append(
-            {"token": e.token, "vector_b64": base64.b64encode(vec.tobytes()).decode("ascii")}
-        )
+    path + '.mat' holding plan.vectors, row-aligned with the entries."""
+    entries = [
+        {"token": t, "vector_b64": base64.b64encode(row.tobytes()).decode("ascii")}
+        for t, row in zip(plan.tokens, np.asarray(plan.vectors, dtype="<f4"))
+    ]
     doc: dict = {
         "strategy": {"kind": plan.strategy.kind, "layer": plan.strategy.layer, "k": plan.strategy.k},
         "distance_metric": plan.distance_metric,
@@ -580,48 +556,62 @@ def save_plan(plan: AugmentationPlan, path: str, manifest: dict | None = None) -
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, ensure_ascii=False, indent=2, sort_keys=True)
         f.write("\n")
-    if plan.entries:
-        mat = np.stack([np.asarray(e.vector, dtype=np.float64) for e in plan.entries])
-    else:
-        mat = np.zeros((0, plan.dim))
     write_matrix(
-        path + ".mat", mat, layer=plan.strategy.layer, provenance=plan.strategy.label()
+        path + ".mat", plan.vectors, layer=plan.strategy.layer, provenance=plan.strategy.label()
     )
 
 
-def _plan_field(obj: object, key: str, types: type | tuple[type, ...], path: str):
+def _plan_field(obj: object, key: str, types: type | tuple[type, ...]):
     """obj[key], which a plan file must hold with one of types (never a bool)."""
     if not (isinstance(obj, dict) and key in obj):
-        raise ToolkitError(f"{path}: plan field {key!r} is missing")
+        raise ToolkitError(f"plan field {key!r} is missing")
     if isinstance(obj[key], bool) or not isinstance(obj[key], types):
-        raise ToolkitError(f"{path}: plan field {key!r} has the wrong type")
+        raise ToolkitError(f"plan field {key!r} has the wrong type")
     return obj[key]
 
 
-def load_plan(path: str, v0: np.ndarray | None = None) -> AugmentationPlan:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    strategy = _plan_field(doc, "strategy", dict, path)
+def _plan_from_doc(doc: object) -> AugmentationPlan:
+    strategy = _plan_field(doc, "strategy", dict)
     strat = DerivationStrategy(
-        kind=_plan_field(strategy, "kind", str, path),
-        layer=_plan_field(strategy, "layer", int, path),
-        k=_plan_field(strategy, "k", (int, type(None)), path),
+        kind=_plan_field(strategy, "kind", str),
+        layer=_plan_field(strategy, "layer", int),
+        k=_plan_field(strategy, "k", (int, type(None))),
     )
-    dim = _plan_field(doc, "dim", int, path)
-    entries = []
-    for e in _plan_field(doc, "entries", list, path):
-        token = _plan_field(e, "token", str, path)
+    dim = _plan_field(doc, "dim", int)
+    if dim < 1:
+        raise ToolkitError(f"plan field 'dim' is {dim}, not >= 1")
+    rows: dict[str, np.ndarray] = {}
+    for e in _plan_field(doc, "entries", list):
+        token = _plan_field(e, "token", str)
         if len(token) != 1:  # encode_augmented substitutes single characters
-            raise ToolkitError(f"{path}: plan token {token!r} is not one character")
-        b64 = _plan_field(e, "vector_b64", str, path)
-        vec = np.frombuffer(base64.b64decode(b64), dtype="<f4").astype(np.float64)
-        if len(vec) != dim:
-            raise ToolkitError(f"{path}: entry {token!r} has dim {len(vec)}, expected {dim}")
-        entries.append(PlanEntry(token=token, vector=vec))
-    metric = _plan_field(doc, "distance_metric", str, path) if "distance_metric" in doc else "euclidean"
+            raise ToolkitError(f"plan token {token!r} is not one character")
+        if token in rows:
+            raise ToolkitError(f"plan token {token!r} is repeated")
+        b64 = _plan_field(e, "vector_b64", str)
+        try:
+            raw = base64.b64decode(b64, validate=True)
+        except binascii.Error:
+            raise ToolkitError(f"entry {token!r} vector is not valid base64") from None
+        if len(raw) != 4 * dim:
+            raise ToolkitError(f"entry {token!r} has {len(raw)} vector bytes, expected {4 * dim} (dim {dim})")
+        rows[token] = np.frombuffer(raw, dtype="<f4")
+    metric = _plan_field(doc, "distance_metric", str) if "distance_metric" in doc else "euclidean"
     if metric not in ("euclidean", "cosine"):
-        raise ToolkitError(f"{path}: plan field 'distance_metric' is {metric!r}, not euclidean or cosine")
-    stats = _plan_field(doc, "stats", dict, path) if "stats" in doc else {}
+        raise ToolkitError(f"plan field 'distance_metric' is {metric!r}, not euclidean or cosine")
     return AugmentationPlan(
-        entries=entries, strategy=strat, dim=dim, distance_metric=metric, stats=stats, v0=v0
+        tokens=tuple(rows),
+        vectors=np.array(list(rows.values()), dtype=np.float64).reshape(len(rows), dim),
+        strategy=strat,
+        distance_metric=metric,
+        stats=_plan_field(doc, "stats", dict) if "stats" in doc else {},
     )
+
+
+def load_plan(path: str) -> AugmentationPlan:
+    """Read a plan file; anything malformed in it is an error naming path."""
+    with open(path, "r", encoding="utf-8") as f:
+        doc = parse_json(f.read(), path)
+    try:
+        return _plan_from_doc(doc)
+    except ToolkitError as exc:
+        raise ToolkitError(f"{path}: {exc}") from None

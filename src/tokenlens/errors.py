@@ -4,9 +4,19 @@ Everything user-triggerable raises ToolkitError (or a subclass) so the CLI can
 map it to exit code 1; genuine bugs surface as ordinary Python exceptions.
 """
 
+import json
+
 
 class ToolkitError(Exception):
     """Base class for expected, user-reportable failures."""
+
+
+def parse_json(text: str, path: str):
+    """json.loads(text), with a syntax error reported against the file it came from."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ToolkitError(f"{path}: {exc}") from None
 
 
 class CorpusDecodeError(ToolkitError):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ToolkitError
+from .errors import ToolkitError, parse_json
 
 __all__ = [
     "Vocabulary",
@@ -165,7 +165,7 @@ def load_vocab(path: str) -> Vocabulary:
     stripped = content.lstrip()
     obj = None
     if stripped.startswith("{"):
-        obj = json.loads(content)
+        obj = parse_json(content, path)
     elif stripped.startswith("["):
         try:
             obj = json.loads(content)
@@ -211,7 +211,7 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
     stripped = content.lstrip()
     pairs: list[tuple[str, str]] = []
     if stripped.startswith("["):
-        arr = json.loads(content)
+        arr = parse_json(content, path)
         if not isinstance(arr, list):
             raise ToolkitError(f"{path}: merges JSON must be an array")
         for entry in arr:

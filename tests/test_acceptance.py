@@ -20,7 +20,6 @@ from tokenlens.cli import main
 from tokenlens.embedding import (
     AugmentationPlan,
     DerivationStrategy,
-    PlanEntry,
     augment,
     corpus_similarity,
     derive_knn,
@@ -421,23 +420,19 @@ def test_criterion_10_toy_encoder_end_to_end():
     linear = toy_encoder(seed=5, depth=1, dim=8, linear=True)
     plan = augment(tok, v0, linear, set(oov_chars), DerivationStrategy("linreg", 0))
     worst = max(
-        abs(eval_similarity(linear, s, tok, plan, 1) - 1.0) for s in sentences
+        abs(eval_similarity(linear, v0, s, tok, plan, 1) - 1.0) for s in sentences
     )
     linear_ok = worst <= 1e-6
 
     nonlinear = toy_encoder(seed=6, depth=2, dim=8)
     derived_plan = augment(tok, v0, nonlinear, set(oov_chars), DerivationStrategy("linreg", 0))
     baseline = AugmentationPlan(
-        entries=[
-            PlanEntry(token=e.token, vector=rng.normal(size=8))
-            for e in derived_plan.entries
-        ],
+        tokens=derived_plan.tokens,
+        vectors=rng.normal(size=(12, 8)),
         strategy=derived_plan.strategy,
-        dim=8,
-        v0=v0,
     )
-    derived_mean = corpus_similarity(nonlinear, sentences, tok, derived_plan, 2)
-    baseline_mean = corpus_similarity(nonlinear, sentences, tok, baseline, 2)
+    derived_mean = corpus_similarity(nonlinear, v0, sentences, tok, derived_plan, 2)
+    baseline_mean = corpus_similarity(nonlinear, v0, sentences, tok, baseline, 2)
     nonlinear_ok = derived_mean > baseline_mean
     report(10, "linear-encoder similarity 1.0 and derived beats random baseline",
            linear_ok and nonlinear_ok,

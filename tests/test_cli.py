@@ -411,9 +411,9 @@ class TestAugmentCommand:
         assert doc["strategy"] == {"kind": "knn", "layer": 0, "k": 2}
         assert doc["manifest"]["command"] == "augment"
         assert bf["corpus"] in doc["stats"]["fraction_new_tokens"]
-        arr, sidecar = read_matrix(out + ".mat")
-        assert arr.shape == (2, 3)
-        assert sidecar["provenance"] == "knn:2@0"
+        assert read_matrix(out + ".mat").shape == (2, 3)
+        with open(out + ".mat.json", encoding="utf-8") as f:
+            assert json.load(f)["provenance"] == "knn:2@0"
 
     def test_explicit_chars(self, tmp_path, byte_level_files):
         bf = byte_level_files
@@ -538,7 +538,7 @@ class TestAugmentCommand:
 
     def test_matrices_encoder(self, tmp_path, byte_level_files):
         bf = byte_level_files
-        v0, _ = read_matrix(bf["embeddings"])
+        v0 = read_matrix(bf["embeddings"])
         m1 = np.random.default_rng(5).normal(size=v0.shape)
         m1path = str(tmp_path / "layer1.mat")
         write_matrix(m1path, m1, layer=1)
@@ -676,6 +676,18 @@ class TestEvalCommand:
         assert rc == 1
         assert f"'{field}' has the wrong type" in capsys.readouterr().err
 
+    def test_plan_dim_mismatch_names_the_plan(self, tmp_path, capsys, planned):
+        bf, plan = planned  # a 3-dim plan
+        v4 = str(tmp_path / "v4.mat")
+        write_matrix(v4, np.random.default_rng(3).normal(size=(5, 4)))
+        out = str(tmp_path / "sim.csv")
+        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"], "--embeddings", v4,
+                   "--encoder", "toy:2:1:4:linear", "--last-layer", "1",
+                   "--corpus", f"c={bf['corpus']}", "--out", out])
+        assert rc == 1
+        assert f"{plan}: plan dim 3 does not match embeddings dim 4" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_plan_is_usage_error(self, byte_level_files):
         bf = byte_level_files
         with pytest.raises(SystemExit) as exc:
@@ -719,8 +731,10 @@ class TestMalformedFiles:
         [
             ('{"a": 0}', "[[1, 2]]", "pair of strings"),
             ('{"a": true, "b": false}', "[]", "is not an integer"),
+            ('{"a": 0,', "[]", "v.json: Expecting property name"),
+            ('{"a": 0, "b": 1, "ab": 2}', '[["a", "b"],', "m.json: Expecting value"),
         ],
-        ids=["merge-of-ints", "boolean-ids"],
+        ids=["merge-of-ints", "boolean-ids", "vocab-json-syntax", "merges-json-syntax"],
     )
     def test_bpe_files(self, tmp_path, capsys, vocab, merges, needle):
         vpath = write_text(tmp_path / "v.json", vocab)
@@ -738,8 +752,10 @@ class TestMalformedFiles:
             ('{"a": NaN}', "not finite or -inf"),
             ('{"a": 1e999}', "not finite or -inf"),
             ('{"a": 1' + "0" * 400 + "}", "too large"),
+            ('{"a": 0,', "Expecting property name"),
         ],
-        ids=["array", "null", "bool", "string", "infinity", "nan", "overflow", "huge-int"],
+        ids=["array", "null", "bool", "string", "infinity", "nan", "overflow", "huge-int",
+             "json-syntax"],
     )
     def test_ulm_probs(self, tmp_path, capsys, probs, needle):
         path = write_text(tmp_path / "probs.json", probs)
@@ -838,6 +854,11 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
         ).stdout
         assert json.loads(out.splitlines()[-1]) == [False, [0, 0, 0, 0], False]
+
+    def test_lazy_embedding_names_match_the_module(self):
+        import tokenlens.embedding
+
+        assert set(tokenlens._EMBEDDING_NAMES) == set(tokenlens.embedding.__all__)
 
     def test_package_loads_embedding_names_on_first_use(self):
         import tokenlens.embedding

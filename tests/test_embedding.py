@@ -1,5 +1,7 @@
 """Embedding derivation: matrix IO, encoders, the three strategies, plans."""
 
+import base64
+import dataclasses
 import json
 import math
 import struct
@@ -14,7 +16,6 @@ from tokenlens.embedding import (
     AugmentationPlan,
     DerivationStrategy,
     LookupEncoder,
-    PlanEntry,
     ToyEncoder,
     augment,
     build_reference,
@@ -89,10 +90,11 @@ class TestMatrixIO:
         mat = rng.normal(size=(3, 4))
         path = str(tmp_path / "v0.mat")
         write_matrix(path, mat, layer=2, provenance="demo")
-        arr, sidecar = read_matrix(path)
+        arr = read_matrix(path)
         assert arr.shape == (3, 4)
         assert np.array_equal(arr, mat.astype("<f4"))
-        assert sidecar == {"n_tokens": 3, "dim": 4, "layer": 2, "provenance": "demo"}
+        with open(path + ".json", encoding="utf-8") as f:
+            assert json.load(f) == {"n_tokens": 3, "dim": 4, "layer": 2, "provenance": "demo"}
 
     def test_header_layout(self, tmp_path):
         path = str(tmp_path / "v0.mat")
@@ -100,15 +102,6 @@ class TestMatrixIO:
         with open(path, "rb") as f:
             head = f.read(8)
         assert struct.unpack("<II", head) == (5, 7)
-
-    def test_missing_sidecar_is_none(self, tmp_path):
-        import os
-
-        path = str(tmp_path / "v0.mat")
-        write_matrix(path, np.zeros((1, 1)))
-        os.remove(path + ".json")
-        _, sidecar = read_matrix(path)
-        assert sidecar is None
 
     def test_truncated_header_rejected(self, tmp_path):
         path = str(tmp_path / "bad.mat")
@@ -609,19 +602,19 @@ class TestAugment:
     def test_knn_layer0_entries(self, setting):
         tok, v0 = setting
         plan = augment(tok, v0, toy_encoder(0, 1, 3), {"é"}, DerivationStrategy("knn", 0, 2))
-        assert [e.token for e in plan.entries] == ["é"]
+        assert plan.tokens == ("é",)
         pooled = (v0[2] + v0[3]) / 2  # constituents Ã ©
         expected = derive_knn(pooled, v0, v0, 2)
-        assert np.allclose(plan.entries[0].vector, expected, rtol=1e-15)
+        assert np.allclose(plan.vectors[0], expected, rtol=1e-15)
+        assert plan.vectors.shape == (1, 3) and plan.vectors.dtype == np.float64
         assert plan.dim == 3
-        assert plan.v0 is v0
 
     def test_entries_sorted_by_codepoint(self, setting):
         tok, v0 = setting
         plan = augment(
             tok, v0, toy_encoder(0, 1, 3), {"é", "è"}, DerivationStrategy("knn", 0, 1)
         )
-        assert [e.token for e in plan.entries] == ["è", "é"]
+        assert plan.tokens == ("è", "é")
 
     def test_single_token_char_is_error(self, setting):
         tok, v0 = setting
@@ -635,7 +628,7 @@ class TestAugment:
         plan = augment(tok, v0, enc, {"é"}, DerivationStrategy("knn", 1, 2))
         pooled = (m1[2] + m1[3]) / 2
         expected = derive_knn(pooled, v0, m1, 2)
-        assert np.allclose(plan.entries[0].vector, expected, rtol=1e-15)
+        assert np.allclose(plan.vectors[0], expected, rtol=1e-15)
 
     @pytest.mark.parametrize(
         "strat",
@@ -651,8 +644,8 @@ class TestAugment:
         chars = {"é", "è"}
         built = augment(tok, v0, enc, chars, strat)
         passed = augment(tok, v0, enc, chars, strat, reference=build_reference(enc, v0, 1))
-        for a, b in zip(built.entries, passed.entries, strict=True):
-            assert_bitwise(a.vector, b.vector)
+        assert built.tokens == passed.tokens
+        assert_bitwise(built.vectors, passed.vectors)
 
     def test_reference_shape_mismatch_rejected(self, setting):
         tok, v0 = setting
@@ -706,16 +699,16 @@ class TestEvalSimilarity:
         v0 = rng.normal(size=(len(vocab), 3))
         enc = toy_encoder(seed=2, depth=1, dim=3, linear=True)
         plan = augment(tok, v0, enc, {"é", "è"}, DerivationStrategy("linreg", 0))
-        return tok, enc, plan
+        return tok, enc, v0, plan
 
     def test_untouched_sentence_is_exactly_one(self, linear_setting):
-        tok, enc, plan = linear_setting
-        assert eval_similarity(enc, "ab", tok, plan, 1) == 1.0
+        tok, enc, v0, plan = linear_setting
+        assert eval_similarity(enc, v0, "ab", tok, plan, 1) == 1.0
 
     def test_linear_encoder_equal_group_sizes_near_one(self, linear_setting):
-        tok, enc, plan = linear_setting
+        tok, enc, v0, plan = linear_setting
         # both planned chars have exactly two constituent tokens
-        sim = eval_similarity(enc, "éè", tok, plan, 1)
+        sim = eval_similarity(enc, v0, "éè", tok, plan, 1)
         assert sim == pytest.approx(1.0, abs=1e-6)
 
     def test_nonlinear_encoder_similarity_below_one(self, byte_tok):
@@ -724,24 +717,16 @@ class TestEvalSimilarity:
         v0 = rng.normal(size=(len(vocab), 3))
         enc = toy_encoder(seed=3, depth=2, dim=3)
         plan = augment(tok, v0, enc, {"é"}, DerivationStrategy("knn", 0, 1))
-        sim = eval_similarity(enc, "aéb", tok, plan, 2)
+        sim = eval_similarity(enc, v0, "aéb", tok, plan, 2)
         assert -1.0 <= sim < 1.0
 
     def test_empty_sentence_is_error(self, linear_setting):
-        tok, enc, plan = linear_setting
+        tok, enc, v0, plan = linear_setting
         with pytest.raises(ToolkitError):
-            eval_similarity(enc, "", tok, plan, 1)
-
-    def test_plan_without_v0_is_error(self, linear_setting, tmp_path):
-        tok, enc, plan = linear_setting
-        path = str(tmp_path / "plan.json")
-        save_plan(plan, path)
-        detached = load_plan(path)
-        with pytest.raises(ToolkitError):
-            eval_similarity(enc, "éè", tok, detached, 1)
+            eval_similarity(enc, v0, "", tok, plan, 1)
 
     def test_zero_pooled_vector_is_error(self, linear_setting):
-        tok, _, plan = linear_setting
+        tok, _, v0, plan = linear_setting
 
         class ZeroEnc:
             depth = 1
@@ -750,7 +735,7 @@ class TestEvalSimilarity:
                 return np.zeros_like(np.asarray(states, dtype=np.float64))
 
         with pytest.raises(ToolkitError):
-            eval_similarity(ZeroEnc(), "éè", tok, plan, 1)
+            eval_similarity(ZeroEnc(), v0, "éè", tok, plan, 1)
 
 
 class TestCorpusLevelMetrics:
@@ -760,34 +745,38 @@ class TestCorpusLevelMetrics:
         v0 = np.random.default_rng(30).normal(size=(len(vocab), 3))
         enc = toy_encoder(seed=4, depth=1, dim=3)
         plan = augment(tok, v0, enc, {"é"}, DerivationStrategy("knn", 0, 2))
-        return tok, enc, plan
+        return tok, enc, v0, plan
 
     def test_corpus_similarity_is_mean(self, setting):
-        tok, enc, plan = setting
+        tok, enc, v0, plan = setting
         corpus = ("aéb", "ab")
-        per = [eval_similarity(enc, doc, tok, plan, 1) for doc in corpus]
-        assert corpus_similarity(enc, corpus, tok, plan, 1) == sum(per) / 2
+        per = [eval_similarity(enc, v0, doc, tok, plan, 1) for doc in corpus]
+        assert corpus_similarity(enc, v0, corpus, tok, plan, 1) == sum(per) / 2
 
     def test_empty_corpus_is_error(self, setting):
-        tok, enc, plan = setting
+        tok, enc, v0, plan = setting
         with pytest.raises(ToolkitError):
-            corpus_similarity(enc, (), tok, plan, 1)
+            corpus_similarity(enc, v0, (), tok, plan, 1)
 
     def test_fraction_new_tokens_hand_value(self, setting):
-        tok, _, plan = setting
+        tok, _, _, plan = setting
         corpus = ("aé", "é")
         assert fraction_new_tokens(corpus, tok, plan) == 2 / 3
 
     def test_fraction_zero_when_untouched(self, setting):
-        tok, _, plan = setting
+        tok, _, _, plan = setting
         assert fraction_new_tokens(("ab",), tok, plan) == 0.0
 
 
 class TestPlanFiles:
     @pytest.fixture()
-    def plan(self, byte_tok):
-        vocab, tok = byte_tok
-        v0 = np.random.default_rng(40).normal(size=(len(vocab), 3))
+    def v0(self, byte_tok):
+        vocab, _ = byte_tok
+        return np.random.default_rng(40).normal(size=(len(vocab), 3))
+
+    @pytest.fixture()
+    def plan(self, byte_tok, v0):
+        _, tok = byte_tok
         p = augment(
             tok, v0, toy_encoder(5, 1, 3), {"é", "è"}, DerivationStrategy("local_linreg", 1, 3)
         )
@@ -802,32 +791,33 @@ class TestPlanFiles:
         assert loaded.dim == 3
         assert loaded.distance_metric == "euclidean"
         assert loaded.stats == {"fraction_new": 0.25}
-        assert [e.token for e in loaded.entries] == ["è", "é"]
-        for orig, got in zip(plan.entries, loaded.entries):
-            assert np.array_equal(
-                got.vector, np.asarray(orig.vector, dtype="<f4").astype(np.float64)
-            )
-        assert loaded.v0 is None
+        assert loaded.tokens == ("è", "é")
+        assert_bitwise(loaded.vectors, plan.vectors.astype("<f4").astype(np.float64))
         with open(path, encoding="utf-8") as f:
             assert json.load(f)["manifest"] == {"cmd": "augment"}
 
     def test_companion_matrix_row_aligned(self, plan, tmp_path):
         path = str(tmp_path / "plan.json")
         save_plan(plan, path)
-        arr, sidecar = read_matrix(path + ".mat")
+        arr = read_matrix(path + ".mat")
         assert arr.shape == (2, 3)
-        assert np.array_equal(arr[0], np.asarray(plan.entries[0].vector, dtype="<f4"))
+        assert np.array_equal(arr, plan.vectors.astype("<f4"))
+        with open(path + ".mat.json", encoding="utf-8") as f:
+            sidecar = json.load(f)
         assert sidecar["provenance"] == "local_linreg:3@1"
         assert sidecar["layer"] == 1
 
-    def test_reattached_v0_enables_eval(self, plan, tmp_path, byte_tok):
-        vocab, tok = byte_tok
+    def test_loaded_plan_evaluates_with_v0(self, plan, v0, tmp_path, byte_tok):
+        _, tok = byte_tok
         path = str(tmp_path / "plan.json")
         save_plan(plan, path)
-        loaded = load_plan(path, v0=plan.v0)
         enc = toy_encoder(5, 1, 3)
-        sim = eval_similarity(enc, "éè", tok, loaded, 1)
+        sim = eval_similarity(enc, v0, "éè", tok, load_plan(path), 1)
         assert -1.0 <= sim <= 1.0
+
+    def test_plan_holds_what_its_file_holds(self):
+        names = [f.name for f in dataclasses.fields(AugmentationPlan)]
+        assert names == ["tokens", "vectors", "strategy", "distance_metric", "stats"]
 
     @pytest.mark.parametrize(
         "edit,field",
@@ -846,21 +836,30 @@ class TestPlanFiles:
             (lambda doc: doc.update(distance_metric=5), "'distance_metric' has the wrong type"),
             (lambda doc: doc.update(distance_metric="manhattan"), "not euclidean or cosine"),
             (lambda doc: doc.update(stats=[]), "'stats' has the wrong type"),
+            (lambda doc: doc["strategy"].update(kind="lasso"), "unknown strategy kind 'lasso'"),
+            (lambda doc: doc["entries"].append(dict(doc["entries"][0])), "'è' is repeated"),
+            (lambda doc: doc.update(dim=-1, entries=[]), "'dim' is -1, not >= 1"),
+            (lambda doc: doc["entries"][0].update(vector_b64="abc"), "not valid base64"),
+            (lambda doc: doc["entries"][0].update(vector_b64=base64.b64encode(b"x" * 13).decode()),
+             "has 13 vector bytes, expected 12"),
+            (lambda doc: json.dumps(doc)[:-1], "Expecting ',' delimiter"),
         ],
         ids=["empty-strategy", "list-strategy", "no-k", "bool-layer", "str-k", "no-dim",
              "dict-entries", "int-entry", "null-vector", "two-char-token", "empty-token",
-             "int-metric", "unknown-metric", "list-stats"],
+             "int-metric", "unknown-metric", "list-stats", "unknown-kind", "repeated-token",
+             "negative-dim", "bad-base64", "ragged-vector", "json-syntax"],
     )
     def test_malformed_plan_rejected(self, plan, tmp_path, edit, field):
         path = str(tmp_path / "plan.json")
         save_plan(plan, path)
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-        edit(doc)
+        text = edit(doc)  # an edit that returns a string replaces the whole file
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f)
-        with pytest.raises(ToolkitError, match=field):
+            f.write(text if isinstance(text, str) else json.dumps(doc))
+        with pytest.raises(ToolkitError, match=field) as exc:
             load_plan(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_plan_without_metric_or_stats_loads_defaults(self, plan, tmp_path):
         path = str(tmp_path / "plan.json")
@@ -893,11 +892,12 @@ class TestPlanFiles:
 
     def test_empty_plan_roundtrip(self, tmp_path):
         empty = AugmentationPlan(
-            entries=[], strategy=DerivationStrategy("knn", 0, 1), dim=3
+            tokens=(), vectors=np.zeros((0, 3)), strategy=DerivationStrategy("knn", 0, 1)
         )
         path = str(tmp_path / "plan.json")
         save_plan(empty, path)
         loaded = load_plan(path)
-        assert loaded.entries == []
-        arr, _ = read_matrix(path + ".mat")
+        assert loaded.tokens == ()
+        assert loaded.vectors.shape == (0, 3) and loaded.dim == 3
+        arr = read_matrix(path + ".mat")
         assert arr.shape == (0, 3)
