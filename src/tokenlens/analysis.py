@@ -39,11 +39,15 @@ class NormalizationRules:
     marker anywhere in the token is replaced (space markers stand for a space
     wherever they appear, not only at the front). strip_continuation markers
     are removed from the front of the token, repeated to a fixpoint. Both
-    choices keep normalization idempotent.
+    choices keep normalization idempotent. No marker may be empty.
     """
 
     prefix_markers: tuple[tuple[bytes, bytes], ...] = ()
     strip_continuation: tuple[bytes, ...] = ()
+
+    def __post_init__(self):
+        if any(m == b"" for m, _ in self.prefix_markers) or b"" in self.strip_continuation:
+            raise ToolkitError("normalization markers must not be empty")
 
     def apply(self, token: bytes) -> bytes:
         for marker, repl in self.prefix_markers:
@@ -53,7 +57,7 @@ class NormalizationRules:
         while changed:
             changed = False
             for marker in self.strip_continuation:
-                if marker and token.startswith(marker):
+                if token.startswith(marker):
                     token = token[len(marker) :]
                     changed = True
         return token

@@ -4,13 +4,14 @@ Every run builds a manifest (command, result-affecting flags, input file
 digests, Unicode version, normalization rules) and stamps its digest into
 each report, because the numbers are meaningless without the settings that
 produced them. Result-neutral flags (--threads, output paths) stay out of
-the manifest, so reruns are byte-identical. --threads and TOKENLENS_THREADS
-are accepted and validated for compatibility; nothing depends on them.
+the manifest, so reruns are byte-identical. --threads is accepted for
+compatibility; nothing depends on it.
 
-The option grammar (required options, either-or pairs) lives in the argparse
-parser alone, so --help shows every rule and a breach exits 2. Names that
-label an output's rows or columns must be distinct (_distinct). Tables go
-through text.write_table.
+The option grammar (required options, either-or pairs, --threads >= 1) lives
+in the argparse parser alone, so --help shows every rule and a breach exits 2.
+Names that label an output's rows or columns must be distinct (_distinct).
+Input files are parsed inside errors.reading, so every error in one names it.
+Tables go through text.write_table.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from . import analysis, training, vocab as vocab_mod
-from .errors import ToolkitError, parse_json
+from .errors import ToolkitError, reading
 from .premium import (
     TokenizerHandle,
     bpe_tokenizer,
@@ -35,7 +36,6 @@ from .premium import (
     write_premium_csv,
     write_premium_json,
 )
-from .parallel import resolve_threads
 from .text import UNICODE_VERSION, load_corpus, load_parallel_corpus, write_table
 
 # embedding imports numpy, which only augment and eval need: they import it
@@ -112,16 +112,13 @@ def _load_tokenizer(name: str, spec: str) -> tuple[TokenizerHandle, list[str]]:
     if kind == "ulm":
         if len(parts) != 2:
             raise ToolkitError(f"ulm spec needs a log-prob JSON path, got {spec!r}")
-        with open(parts[1], "r", encoding="utf-8") as f:
-            probs = parse_json(f.read(), parts[1])
-        # type(), not isinstance(): JSON true and false load as ints
-        numbers = isinstance(probs, dict) and all(type(lp) in (int, float) for lp in probs.values())
-        if not numbers:
-            raise ToolkitError(f"{parts[1]}: probs JSON must map each token to a number")
-        try:
+        with reading(parts[1]), open(parts[1], "r", encoding="utf-8") as f:
+            probs = json.load(f)
+            # type(), not isinstance(): JSON true and false load as ints
+            if not (isinstance(probs, dict) and all(type(lp) in (int, float) for lp in probs.values())):
+                raise ToolkitError("probs JSON must map each token to a number")
+            # float() of an int beyond float range raises OverflowError
             uv = training.UnigramVocab({t: float(lp) for t, lp in probs.items()}, check=False)
-        except (ToolkitError, OverflowError) as exc:  # OverflowError: int beyond float range
-            raise ToolkitError(f"{parts[1]}: {exc}") from None
         return ulm_tokenizer(name, uv), [parts[1]]
     raise ToolkitError(f"unknown tokenizer kind {kind!r}")
 
@@ -151,12 +148,21 @@ def _load_encoder(spec: str, v0: np.ndarray) -> tuple[embedding.LayerEncoder, di
         rest = spec[len("matrices:") :]
         if not rest:
             raise ToolkitError("matrices encoder spec needs LAYER=PATH entries")
+        # Every entry is checked before any layer matrix is read; layer 0 is V0.
         layer_paths: dict[int, str] = {}
         for item in rest.split(","):
-            if "=" not in item:
+            layer_s, eq, path = item.partition("=")
+            if not eq:
                 raise ToolkitError(f"matrices entry must be LAYER=PATH, got {item!r}")
-            layer_s, path = item.split("=", 1)
-            layer_paths[int(layer_s)] = path
+            try:
+                layer = int(layer_s)
+            except ValueError:
+                raise ToolkitError(f"matrices entry {item!r}: layer must be an integer") from None
+            if layer < 1:
+                raise ToolkitError(f"matrices entry {item!r}: layer must be >= 1 (layer 0 is V0)")
+            if layer in layer_paths:
+                raise ToolkitError(f"matrices entry {item!r}: layer {layer} is given twice")
+            layer_paths[layer] = path
         mats = {layer: embedding.read_matrix(path) for layer, path in layer_paths.items()}
         enc = embedding.LookupEncoder(v0, mats)
         return enc, {"encoder": "matrices", "layers": sorted(layer_paths)}, list(layer_paths.values())
@@ -414,6 +420,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # argument wiring
 
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tokenlens",
@@ -422,8 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     threads = argparse.ArgumentParser(add_help=False)
-    threads_help = "accepted and validated for compatibility; neither outputs nor run time depend on it"
-    threads.add_argument("--threads", type=int, help=threads_help)
+    threads_help = "an integer >= 1, accepted for compatibility; neither outputs nor run time depend on it"
+    threads.add_argument("--threads", type=_thread_count, help=threads_help)
 
     p = sub.add_parser("train", help="train a bpe / wordpiece / ulm segmenter")
     p.add_argument("--algorithm", required=True, choices=["bpe", "wordpiece", "ulm"])
@@ -484,8 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "threads" in vars(args):
-            resolve_threads(args.threads)  # validated only; no result depends on it
         return args.fn(args)
     except (ToolkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

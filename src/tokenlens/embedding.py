@@ -29,7 +29,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ToolkitError, parse_json
+from .errors import ToolkitError, reading
 from .parallel import ordered_map
 from .premium import TokenizerHandle
 
@@ -79,16 +79,15 @@ def write_matrix(path: str, matrix: np.ndarray, layer: int | None = None, proven
 
 
 def read_matrix(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
+    with reading(path), open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
-            raise ToolkitError(f"{path}: truncated header")
+            raise ToolkitError("truncated header")
         n, dim = _HEADER.unpack(head)
         data = f.read()
-    expected = n * dim * 4
-    if len(data) != expected:
-        raise ToolkitError(f"{path}: expected {expected} data bytes, found {len(data)}")
-    return np.frombuffer(data, dtype="<f4").reshape(n, dim)
+        if len(data) != n * dim * 4:
+            raise ToolkitError(f"expected {n * dim * 4} data bytes, found {len(data)}")
+        return np.frombuffer(data, dtype="<f4").reshape(n, dim)
 
 
 class LayerEncoder(Protocol):
@@ -609,9 +608,5 @@ def _plan_from_doc(doc: object) -> AugmentationPlan:
 
 def load_plan(path: str) -> AugmentationPlan:
     """Read a plan file; anything malformed in it is an error naming path."""
-    with open(path, "r", encoding="utf-8") as f:
-        doc = parse_json(f.read(), path)
-    try:
-        return _plan_from_doc(doc)
-    except ToolkitError as exc:
-        raise ToolkitError(f"{path}: {exc}") from None
+    with reading(path), open(path, "r", encoding="utf-8") as f:
+        return _plan_from_doc(json.load(f))

@@ -2,20 +2,26 @@
 
 Everything user-triggerable raises ToolkitError (or a subclass) so the CLI can
 map it to exit code 1; genuine bugs surface as ordinary Python exceptions.
+Input files are parsed inside reading(path), the one place that puts a file's
+path in front of what is wrong with it.
 """
 
-import json
+from contextlib import contextmanager
 
 
 class ToolkitError(Exception):
     """Base class for expected, user-reportable failures."""
 
 
-def parse_json(text: str, path: str):
-    """json.loads(text), with a syntax error reported against the file it came from."""
+@contextmanager
+def reading(path: str):
+    """Frame the parse of one input file: a ToolkitError, ValueError (JSON
+    syntax, UTF-8 decoding, numpy reshape) or OverflowError raised inside is
+    re-raised as a ToolkitError that starts with path. OSError passes through;
+    it already names the file."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        yield
+    except (ToolkitError, ValueError, OverflowError) as exc:
         raise ToolkitError(f"{path}: {exc}") from None
 
 

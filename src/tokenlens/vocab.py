@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ToolkitError, parse_json
+from .errors import ToolkitError, reading
 
 __all__ = [
     "Vocabulary",
@@ -160,32 +160,32 @@ def load_vocab(path: str) -> Vocabulary:
     order and empty lines are skipped. A file opening with "[" is plaintext
     unless it parses as JSON (a BERT-style vocab.txt opens with "[PAD]").
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        content = f.read()
-    stripped = content.lstrip()
-    obj = None
-    if stripped.startswith("{"):
-        obj = parse_json(content, path)
-    elif stripped.startswith("["):
-        try:
+    with reading(path):
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            content = f.read()
+        stripped = content.lstrip()
+        obj = None
+        if stripped.startswith("{"):
             obj = json.loads(content)
-        except ValueError:
-            pass
-    if obj is not None:
+        elif stripped.startswith("["):
+            try:
+                obj = json.loads(content)
+            except ValueError:
+                pass
+        if obj is None:
+            return Vocabulary([str_to_token(ln) for ln in content.split("\n") if ln != ""])
         if not isinstance(obj, dict):
-            raise ToolkitError(f"{path}: vocabulary JSON must be an object")
+            raise ToolkitError("vocabulary JSON must be an object")
         by_id: dict[int, bytes] = {}
         for tok_s, tid in obj.items():
             if type(tid) is not int:  # JSON true and false are bools
-                raise ToolkitError(f"{path}: id for {tok_s!r} is not an integer")
+                raise ToolkitError(f"id for {tok_s!r} is not an integer")
             if tid in by_id:
-                raise ToolkitError(f"{path}: duplicate id {tid}")
+                raise ToolkitError(f"duplicate id {tid}")
             by_id[tid] = str_to_token(tok_s)
         if sorted(by_id) != list(range(len(by_id))):
-            raise ToolkitError(f"{path}: token ids are not dense 0..n-1")
+            raise ToolkitError("token ids are not dense 0..n-1")
         return Vocabulary([by_id[i] for i in range(len(by_id))])
-    lines = content.split("\n")
-    return Vocabulary([str_to_token(ln) for ln in lines if ln != ""])
 
 
 def save_merges(rules: MergeRuleList, vocab: Vocabulary, path: str) -> None:
@@ -206,38 +206,38 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
     Every referenced token, including each merged concatenation, must exist
     in vocab.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        content = f.read()
-    stripped = content.lstrip()
-    pairs: list[tuple[str, str]] = []
-    if stripped.startswith("["):
-        arr = parse_json(content, path)
-        if not isinstance(arr, list):
-            raise ToolkitError(f"{path}: merges JSON must be an array")
-        for entry in arr:
-            if not isinstance(entry, list) or [type(s) for s in entry] != [str, str]:
-                raise ToolkitError(f"{path}: each merge must be a [left, right] pair of strings")
-            pairs.append((entry[0], entry[1]))
-    else:
-        for lineno, ln in enumerate(content.split("\n"), 1):
-            if ln == "" or ln.startswith("#version"):
-                continue
-            parts = ln.split(" ")
-            if ln.startswith("#") and len(parts) != 2:
-                continue
-            if len(parts) != 2:
-                raise ToolkitError(f"{path}:{lineno}: expected 'left right'")
-            pairs.append((parts[0], parts[1]))
-    rules = []
-    for left_s, right_s in pairs:
-        left = str_to_token(left_s)
-        right = str_to_token(right_s)
-        merged = left + right
-        lid = vocab.get(left)
-        rid = vocab.get(right)
-        nid = vocab.get(merged)
-        if lid is None or rid is None or nid is None:
-            missing = token_to_str(left if lid is None else right if rid is None else merged)
-            raise ToolkitError(f"{path}: merge references unknown token {missing!r}")
-        rules.append(MergeRule(lid, rid, nid))
+    with reading(path):
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            content = f.read()
+        pairs: list[tuple[str, str]] = []
+        if content.lstrip().startswith("["):
+            arr = json.loads(content)
+            if not isinstance(arr, list):
+                raise ToolkitError("merges JSON must be an array")
+            for entry in arr:
+                if not isinstance(entry, list) or [type(s) for s in entry] != [str, str]:
+                    raise ToolkitError("each merge must be a [left, right] pair of strings")
+                pairs.append((entry[0], entry[1]))
+        else:
+            for lineno, ln in enumerate(content.split("\n"), 1):
+                if ln == "" or ln.startswith("#version"):
+                    continue
+                parts = ln.split(" ")
+                if ln.startswith("#") and len(parts) != 2:
+                    continue
+                if len(parts) != 2:
+                    raise ToolkitError(f"line {lineno}: expected 'left right'")
+                pairs.append((parts[0], parts[1]))
+        rules = []
+        for left_s, right_s in pairs:
+            left = str_to_token(left_s)
+            right = str_to_token(right_s)
+            merged = left + right
+            lid = vocab.get(left)
+            rid = vocab.get(right)
+            nid = vocab.get(merged)
+            if lid is None or rid is None or nid is None:
+                missing = token_to_str(left if lid is None else right if rid is None else merged)
+                raise ToolkitError(f"merge references unknown token {missing!r}")
+            rules.append(MergeRule(lid, rid, nid))
     return MergeRuleList(rules)

@@ -51,6 +51,15 @@ class TestNormalizationRules:
         rules = NormalizationRules()
         assert rules.apply(GDOT + b"##x") == GDOT + b"##x"
 
+    @pytest.mark.parametrize(
+        "rules",
+        [{"prefix_markers": ((GDOT, b" "), (b"", b" "))}, {"strip_continuation": (b"##", b"")}],
+        ids=["prefix-marker", "strip-continuation"],
+    )
+    def test_empty_marker_rejected(self, rules):
+        with pytest.raises(ToolkitError, match="normalization markers must not be empty"):
+            NormalizationRules(**rules)
+
 
 def oracle_normalize(
     vocab: Vocabulary, rules: NormalizationRules

@@ -22,6 +22,12 @@ def write_text(path, content):
     return str(path)
 
 
+def write_bytes(path, content):
+    with open(path, "wb") as f:
+        f.write(content)
+    return str(path)
+
+
 @pytest.fixture()
 def worked_files(tmp_path):
     """Worked-example BPE artifacts on disk."""
@@ -233,6 +239,18 @@ class TestCompareCommand:
         assert rc == 1
         assert "repeated vocab name: v" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("option", ["--space-marker", "--strip-prefix"])
+    def test_empty_marker_exits_one(self, tmp_path, capsys, option):
+        a = self.make_vocab(tmp_path, "a", [b"ab"])
+        b = self.make_vocab(tmp_path, "b", [b"a"])
+        out = str(tmp_path / "m.csv")
+        tsv = str(tmp_path / "b.tsv")
+        rc = main(["compare", "--vocab", f"a={a}", "--vocab", f"b={b}", option, "",
+                   "--breakdown", tsv, "--out", out])
+        assert rc == 1
+        assert "normalization markers must not be empty" in capsys.readouterr().err
+        assert not os.path.exists(out) and not os.path.exists(tsv)
 
     def test_bad_metric_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -550,6 +568,37 @@ class TestAugmentCommand:
         with open(out, encoding="utf-8") as f:
             assert len(json.load(f)["entries"]) == 2
 
+    @pytest.mark.parametrize(
+        "entries,needle",
+        [
+            ("x={a}", "matrices entry 'x={a}': layer must be an integer"),
+            ("1={a},1={b}", "matrices entry '1={b}': layer 1 is given twice"),
+            ("0={a}", "matrices entry '0={a}': layer must be >= 1"),
+            ("1={a},-1={b}", "matrices entry '-1={b}': layer must be >= 1"),
+        ],
+        ids=["non-integer", "repeated", "layer-0", "negative"],
+    )
+    def test_bad_matrices_entry_exits_one_before_any_read(
+        self, tmp_path, capsys, byte_level_files, monkeypatch, entries, needle
+    ):
+        from tokenlens import embedding
+
+        bf = byte_level_files
+        paths = {"a": str(tmp_path / "a.mat"), "b": str(tmp_path / "b.mat")}
+        for path in paths.values():
+            write_matrix(path, read_matrix(bf["embeddings"]))
+        reads = []
+        read = embedding.read_matrix
+        monkeypatch.setattr(embedding, "read_matrix", lambda path: reads.append(path) or read(path))
+        out = str(tmp_path / "plan.json")
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "matrices:" + entries.format(**paths), "--strategy", "knn:1@1",
+                   "--corpus", bf["corpus"], "--out", out])
+        assert rc == 1
+        assert needle.format(**paths) in capsys.readouterr().err
+        assert reads == [bf["embeddings"]]
+        assert not os.path.exists(out)
+
     def test_rerun_and_threads_byte_identical(self, tmp_path, byte_level_files):
         bf = byte_level_files
         blobs = []
@@ -562,28 +611,6 @@ class TestAugmentCommand:
             with open(out, "rb") as f:
                 blobs.append(f.read())
         assert blobs[0] == blobs[1] == blobs[2]
-
-    def test_env_threads_fallback(self, tmp_path, byte_level_files, monkeypatch):
-        bf = byte_level_files
-        out = str(tmp_path / "env.json")
-        ref = str(tmp_path / "ref.json")
-        assert main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
-                     "--encoder", "toy:0:1:3", "--strategy", "knn:1@0",
-                     "--corpus", bf["corpus"], "--out", ref]) == 0
-        monkeypatch.setenv("TOKENLENS_THREADS", "3")
-        assert main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
-                     "--encoder", "toy:0:1:3", "--strategy", "knn:1@0",
-                     "--corpus", bf["corpus"], "--out", out]) == 0
-        with open(ref, "rb") as f1, open(out, "rb") as f2:
-            assert f1.read() == f2.read()
-
-    def test_invalid_env_threads_exits_one(self, byte_level_files, monkeypatch, tmp_path):
-        bf = byte_level_files
-        monkeypatch.setenv("TOKENLENS_THREADS", "many")
-        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
-                   "--encoder", "toy:0:1:3", "--strategy", "knn:1@0",
-                   "--corpus", bf["corpus"], "--out", str(tmp_path / "p.json")])
-        assert rc == 1
 
 
 class TestEvalCommand:
@@ -733,8 +760,11 @@ class TestMalformedFiles:
             ('{"a": true, "b": false}', "[]", "is not an integer"),
             ('{"a": 0,', "[]", "v.json: Expecting property name"),
             ('{"a": 0, "b": 1, "ab": 2}', '[["a", "b"],', "m.json: Expecting value"),
+            ("a\nb\na\n", "[]", "v.json: duplicate token 'a'"),
+            ('{"": 0, "a": 1}', "[]", "v.json: empty tokens are not allowed"),
         ],
-        ids=["merge-of-ints", "boolean-ids", "vocab-json-syntax", "merges-json-syntax"],
+        ids=["merge-of-ints", "boolean-ids", "vocab-json-syntax", "merges-json-syntax",
+             "plaintext-vocab-repeated-line", "vocab-json-empty-key"],
     )
     def test_bpe_files(self, tmp_path, capsys, vocab, merges, needle):
         vpath = write_text(tmp_path / "v.json", vocab)
@@ -753,12 +783,14 @@ class TestMalformedFiles:
             ('{"a": 1e999}', "not finite or -inf"),
             ('{"a": 1' + "0" * 400 + "}", "too large"),
             ('{"a": 0,', "Expecting property name"),
+            ('{"\udcff": 0}', "'utf-8' codec can't decode byte 0xff"),
         ],
         ids=["array", "null", "bool", "string", "infinity", "nan", "overflow", "huge-int",
-             "json-syntax"],
+             "json-syntax", "not-utf8"],
     )
     def test_ulm_probs(self, tmp_path, capsys, probs, needle):
-        path = write_text(tmp_path / "probs.json", probs)
+        # surrogateescape writes "\udcff" as the lone byte 0xff
+        path = write_bytes(tmp_path / "probs.json", probs.encode("utf-8", "surrogateescape"))
         self.assert_one_line_error(capsys, self.premium(tmp_path, f"ulm:{path}"), path, needle)
 
     def test_vocab_json_array(self, tmp_path, capsys):
@@ -768,17 +800,45 @@ class TestMalformedFiles:
                    "--out", str(tmp_path / "m.csv")])
         self.assert_one_line_error(capsys, rc, "vocabulary JSON must be an object")
 
+    @pytest.mark.parametrize(
+        "content,needle",
+        [
+            (b'{"strategy": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+            (b'{"strategy": {"kind": "knn", "layer": 0, "k": 1}, "dim": 100000000000000000000, '
+             b'"entries": []}', ""),
+        ],
+        ids=["not-utf8", "dim-beyond-numpy"],
+    )
+    def test_plan_parse_errors_name_the_plan(self, tmp_path, capsys, byte_level_files, content, needle):
+        plan = write_bytes(tmp_path / "plan.json", content)
+        rc = self.eval_plan(tmp_path, byte_level_files, plan)
+        self.assert_one_line_error(capsys, rc, f"error: {plan}: {needle}")
+        assert not os.path.exists(tmp_path / "sim.csv")
+
+    def test_truncated_matrix(self, tmp_path, capsys, byte_level_files):
+        bf = byte_level_files
+        with open(bf["embeddings"], "rb") as f:
+            data = f.read()
+        path = write_bytes(tmp_path / "cut.mat", data[:-1])
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", path,
+                   "--encoder", "toy:0:1:3", "--strategy", "knn:1@0",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "p.json")])
+        # 5 rows of 3 float32 values after the 8-byte header
+        self.assert_one_line_error(capsys, rc, f"error: {path}: expected 60 data bytes, found 59")
+
     def test_ulm_probs_accept_minus_infinity(self, tmp_path):
         path = write_text(tmp_path / "probs.json", '{"a": 0, "b": -Infinity}')
         assert self.premium(tmp_path, f"ulm:{path}") == 0
 
+    def eval_plan(self, tmp_path, bf, plan):
+        return main(["eval", "--plan", plan, "--tokenizer", bf["tok"],
+                     "--embeddings", bf["embeddings"], "--encoder", "toy:2:1:3:linear",
+                     "--last-layer", "1", "--corpus", f"c={bf['corpus']}",
+                     "--out", str(tmp_path / "sim.csv")])
+
     def test_plan_without_strategy_fields(self, tmp_path, capsys, byte_level_files):
-        bf = byte_level_files
         plan = write_text(tmp_path / "plan.json", '{"strategy": {}}')
-        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"],
-                   "--embeddings", bf["embeddings"], "--encoder", "toy:2:1:3:linear",
-                   "--last-layer", "1", "--corpus", f"c={bf['corpus']}",
-                   "--out", str(tmp_path / "sim.csv")])
+        rc = self.eval_plan(tmp_path, byte_level_files, plan)
         self.assert_one_line_error(capsys, rc, "'kind' is missing")
 
 
@@ -801,6 +861,15 @@ class TestOptionGrammar:
         usage = " ".join(capsys.readouterr().out.split("options:")[0].split())
         for rule in rules:
             assert rule in usage
+
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    @pytest.mark.parametrize("command", ["compare", "premium", "augment", "eval"])
+    def test_threads_below_one_is_usage_error(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--threads", value])
+        assert exc.value.code == 2
+        assert f"argument --threads: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
 
 
 class TestBadSpecs:

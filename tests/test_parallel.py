@@ -1,8 +1,8 @@
-"""Order-preserving map and thread-count resolution."""
+"""Order-preserving map."""
 
 import pytest
 
-from tokenlens.parallel import ordered_map, resolve_threads
+from tokenlens.parallel import ordered_map
 
 
 class TestOrderedMap:
@@ -21,22 +21,3 @@ class TestOrderedMap:
         with pytest.raises(ValueError):
             ordered_map(boom, [1, 2], threads=1)
 
-
-class TestResolveThreads:
-    def test_explicit_wins_over_env(self):
-        assert resolve_threads(3, env={"TOKENLENS_THREADS": "8"}) == 3
-
-    def test_env_fallback(self):
-        assert resolve_threads(None, env={"TOKENLENS_THREADS": "8"}) == 8
-
-    def test_default_is_one(self):
-        assert resolve_threads(None, env={}) == 1
-        assert resolve_threads(None, env={"TOKENLENS_THREADS": ""}) == 1
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_threads(0)
-        with pytest.raises(ValueError):
-            resolve_threads(None, env={"TOKENLENS_THREADS": "zero"})
-        with pytest.raises(ValueError):
-            resolve_threads(None, env={"TOKENLENS_THREADS": "-2"})

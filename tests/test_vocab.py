@@ -251,8 +251,8 @@ class TestMergeFiles:
         vocab, _ = trained
         path = str(tmp_path / "merges.txt")
         with open(path, "w") as f:
-            f.write("a b c\n")
-        with pytest.raises(ToolkitError):
+            f.write("a b\nab ab c\n")
+        with pytest.raises(ToolkitError, match=r"merges\.txt: line 2: expected 'left right'"):
             load_merges(path, vocab)
 
     def test_rule_list_indexing(self, trained):
