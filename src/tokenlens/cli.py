@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import analysis, training, vocab as vocab_mod
 from .errors import ToolkitError, reading
@@ -123,8 +123,14 @@ def _load_tokenizer(name: str, spec: str) -> tuple[TokenizerHandle, list[str]]:
     raise ToolkitError(f"unknown tokenizer kind {kind!r}")
 
 
-def _load_encoder(spec: str, v0: np.ndarray) -> tuple[embedding.LayerEncoder, dict, list[str]]:
-    """toy:SEED:DEPTH:DIM[:linear], or matrices:LAYER=PATH[,LAYER=PATH...]."""
+def _parse_encoder(
+    spec: str,
+) -> tuple[dict, list[str], Callable[[np.ndarray], embedding.LayerEncoder]]:
+    """toy:SEED:DEPTH:DIM[:linear], or matrices:LAYER=PATH[,LAYER=PATH...].
+
+    Checks the spec's syntax and reads nothing. Returns the encoder's
+    manifest flags, the paths it will read, and a function building it from
+    V0 (the toy spec's dim is checked against V0 there)."""
     from . import embedding
 
     parts = spec.split(":")
@@ -140,15 +146,17 @@ def _load_encoder(spec: str, v0: np.ndarray) -> tuple[embedding.LayerEncoder, di
             seed, depth, dim = int(parts[1]), int(parts[2]), int(parts[3])
         except ValueError:
             raise ToolkitError(f"toy encoder spec needs integers, got {spec!r}") from None
-        if dim != v0.shape[1]:
-            raise ToolkitError(f"encoder dim {dim} does not match embeddings dim {v0.shape[1]}")
-        enc = embedding.toy_encoder(seed, depth, dim, linear=linear)
-        return enc, {"encoder": spec}, []
+
+        def build_toy(v0: np.ndarray) -> embedding.LayerEncoder:
+            if dim != v0.shape[1]:
+                raise ToolkitError(f"encoder dim {dim} does not match embeddings dim {v0.shape[1]}")
+            return embedding.toy_encoder(seed, depth, dim, linear=linear)
+
+        return {"encoder": spec}, [], build_toy
     if parts[0] == "matrices":
         rest = spec[len("matrices:") :]
         if not rest:
             raise ToolkitError("matrices encoder spec needs LAYER=PATH entries")
-        # Every entry is checked before any layer matrix is read; layer 0 is V0.
         layer_paths: dict[int, str] = {}
         for item in rest.split(","):
             layer_s, eq, path = item.partition("=")
@@ -163,21 +171,27 @@ def _load_encoder(spec: str, v0: np.ndarray) -> tuple[embedding.LayerEncoder, di
             if layer in layer_paths:
                 raise ToolkitError(f"matrices entry {item!r}: layer {layer} is given twice")
             layer_paths[layer] = path
-        mats = {layer: embedding.read_matrix(path) for layer, path in layer_paths.items()}
-        enc = embedding.LookupEncoder(v0, mats)
-        return enc, {"encoder": "matrices", "layers": sorted(layer_paths)}, list(layer_paths.values())
+
+        def build_lookup(v0: np.ndarray) -> embedding.LayerEncoder:
+            mats = {layer: embedding.read_matrix(path) for layer, path in layer_paths.items()}
+            return embedding.LookupEncoder(v0, mats)
+
+        flags = {"encoder": "matrices", "layers": sorted(layer_paths)}
+        return flags, list(layer_paths.values()), build_lookup
     raise ToolkitError(f"unknown encoder kind {parts[0]!r}")
 
 
 def _load_model(args: argparse.Namespace) -> tuple[TokenizerHandle, np.ndarray, embedding.LayerEncoder, dict, list[str]]:
     """Augment's and eval's tokenizer, V0 and encoder, with the encoder's
-    manifest flags and the paths of every file they were read from."""
+    manifest flags and the paths of every file they were read from. Both
+    specs are checked before any file is read."""
     from . import embedding
 
     name, spec = _parse_named(args.tokenizer, "tokenizer")
+    enc_flags, enc_paths, build_encoder = _parse_encoder(args.encoder)
     tok, tok_paths = _load_tokenizer(name, spec)
     v0 = embedding.read_matrix(args.embeddings)
-    enc, enc_flags, enc_paths = _load_encoder(args.encoder, v0)
+    enc = build_encoder(v0)
     return tok, v0, enc, enc_flags, [args.embeddings] + tok_paths + enc_paths
 
 

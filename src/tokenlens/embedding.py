@@ -163,7 +163,8 @@ def toy_encoder(seed: int, depth: int, dim: int, linear: bool = False) -> ToyEnc
 
 
 class LookupEncoder:
-    """Encoder backed by exported per-token matrices (layer -> matrix).
+    """Encoder backed by exported per-token matrices (layer -> matrix, for
+    layers >= 1; layer 0 is v0 itself).
 
     It can only encode vectors that are exact rows of its V0, each position
     independently, so it supports reference building and augmentation but not
@@ -175,12 +176,15 @@ class LookupEncoder:
         self._by_row = {self._v0[i].tobytes(): i for i in range(len(self._v0))}
         self._layers = {0: self._v0}
         for layer, mat in layer_matrices.items():
+            layer = int(layer)
+            if layer < 1:
+                raise ToolkitError(f"layer {layer} matrix: layer must be >= 1 (layer 0 is V0)")
             m = np.asarray(mat)
             if m.shape != self._v0.shape:
                 raise ToolkitError(
                     f"layer {layer} matrix shape {m.shape} does not match V0 {self._v0.shape}"
                 )
-            self._layers[int(layer)] = m
+            self._layers[layer] = m
         self.depth = max(self._layers)
 
     def encode_to_layer(self, states: np.ndarray, layer: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .errors import OovCharacterError, ToolkitError, UnsegmentableError
@@ -227,11 +228,14 @@ def bpe_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
     ranks, and a rule whose operand only a later rule produces never fires.
     Characters missing from the vocabulary raise OovCharacterError.
 
-    Cost: rules whose pair does not occur in the current sequence change
-    nothing, so only the rules that do are applied. Each step scans the
-    adjacent pairs for the lowest rank not yet passed, through
-    MergeRuleList.rank_index, and applies that one rule. A text of n
-    characters costs O(n) per merge applied, whatever the number of rules.
+    Cost: the text is a linked list of symbols, and a heap holds one
+    (rank, position, version) entry per adjacent pair that still has a rule
+    to come: the lowest rank, through MergeRuleList.rank_index, at or above
+    the floor in force when the pair was made. Popping in that order runs
+    each rank as one left-to-right pass; a merge at rank r pushes its two new
+    neighbour pairs with floor r + 1, and an entry whose position has changed
+    since it was pushed is skipped. A text of n characters costs
+    O((n + merges applied) log n), whatever the number of rules.
     """
     if text == "":
         return []
@@ -242,30 +246,55 @@ def bpe_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
             raise OovCharacterError(ch, offset)
         seq.append(tid)
     first, later = rules.rank_index()
-    no_rule = len(rules)
-    floor = 0  # ranks below this have been replayed
-    while len(seq) > 1:
-        best = no_rule
-        for a, b in zip(seq, seq[1:]):
-            key = a << 32 | b
-            rank = first.get(key)
-            if rank is None or rank >= best:
-                continue
-            if rank < floor:
-                ranks = later.get(key)
-                if ranks is None:
-                    continue
-                i = bisect_left(ranks, floor)
-                if i == len(ranks) or ranks[i] >= best:
-                    continue
-                rank = ranks[i]
-            best = rank
-        if best == no_rule:
-            break
-        rule = rules[best]
-        seq = _merge_in_place(seq, rule.left_id, rule.right_id, rule.new_id)
-        floor = best + 1
-    return seq
+    n = len(seq)
+    nxt = list(range(1, n + 1))  # n: no right neighbour
+    prv = list(range(-1, n - 1))  # -1: no left neighbour
+    version = [0] * n  # bumped whenever the pair starting at a position changes
+    heap = []
+    for pos in range(n - 1):
+        rank = first.get(seq[pos] << 32 | seq[pos + 1])
+        if rank is not None:
+            heap.append((rank, pos, 0))
+    heapify(heap)
+
+    def push(pos: int, floor: int) -> None:
+        key = seq[pos] << 32 | seq[nxt[pos]]
+        rank = first.get(key)
+        if rank is None:
+            return
+        if rank < floor:
+            ranks = later.get(key)
+            if ranks is None:
+                return
+            i = bisect_left(ranks, floor)
+            if i == len(ranks):
+                return
+            rank = ranks[i]
+        heappush(heap, (rank, pos, version[pos]))
+
+    while heap:
+        rank, pos, ver = heappop(heap)
+        if ver != version[pos]:
+            continue
+        right = nxt[pos]
+        after = nxt[right]
+        seq[pos] = rules[rank].new_id
+        nxt[pos] = after
+        version[pos] += 1
+        version[right] += 1  # merged away: its entries are stale
+        if after < n:
+            prv[after] = pos
+            push(pos, rank + 1)
+        before = prv[pos]
+        if before >= 0:
+            version[before] += 1
+            push(before, rank + 1)
+    out = []
+    pos = 0
+    while pos < n:
+        out.append(seq[pos])
+        pos = nxt[pos]
+    return out
 
 
 def _xlogx(x: float) -> float:

@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -569,34 +570,38 @@ class TestAugmentCommand:
             assert len(json.load(f)["entries"]) == 2
 
     @pytest.mark.parametrize(
-        "entries,needle",
+        "encoder,needle",
         [
-            ("x={a}", "matrices entry 'x={a}': layer must be an integer"),
-            ("1={a},1={b}", "matrices entry '1={b}': layer 1 is given twice"),
-            ("0={a}", "matrices entry '0={a}': layer must be >= 1"),
-            ("1={a},-1={b}", "matrices entry '-1={b}': layer must be >= 1"),
+            ("matrices:x={a}", "matrices entry 'x={a}': layer must be an integer"),
+            ("matrices:1={a},1={b}", "matrices entry '1={b}': layer 1 is given twice"),
+            ("matrices:0={a}", "matrices entry '0={a}': layer must be >= 1"),
+            ("matrices:1={a},-1={b}", "matrices entry '-1={b}': layer must be >= 1"),
+            ("toy:0:x:3", "toy encoder spec needs integers, got 'toy:0:x:3'"),
         ],
-        ids=["non-integer", "repeated", "layer-0", "negative"],
+        ids=["non-integer", "repeated", "layer-0", "negative", "toy-non-integer"],
     )
     def test_bad_matrices_entry_exits_one_before_any_read(
-        self, tmp_path, capsys, byte_level_files, monkeypatch, entries, needle
+        self, tmp_path, capsys, byte_level_files, monkeypatch, encoder, needle
     ):
-        from tokenlens import embedding
+        from tokenlens import embedding, vocab
 
         bf = byte_level_files
         paths = {"a": str(tmp_path / "a.mat"), "b": str(tmp_path / "b.mat")}
         for path in paths.values():
             write_matrix(path, read_matrix(bf["embeddings"]))
         reads = []
-        read = embedding.read_matrix
-        monkeypatch.setattr(embedding, "read_matrix", lambda path: reads.append(path) or read(path))
+        for module, name in ((embedding, "read_matrix"), (vocab, "load_vocab"), (vocab, "load_merges")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, real=real: reads.append(a[0]) or real(*a)
+            )
         out = str(tmp_path / "plan.json")
         rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
-                   "--encoder", "matrices:" + entries.format(**paths), "--strategy", "knn:1@1",
+                   "--encoder", encoder.format(**paths), "--strategy", "knn:1@1",
                    "--corpus", bf["corpus"], "--out", out])
         assert rc == 1
         assert needle.format(**paths) in capsys.readouterr().err
-        assert reads == [bf["embeddings"]]
+        assert reads == []
         assert not os.path.exists(out)
 
     def test_rerun_and_threads_byte_identical(self, tmp_path, byte_level_files):
@@ -923,6 +928,26 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
         ).stdout
         assert json.loads(out.splitlines()[-1]) == [False, [0, 0, 0, 0], False]
+
+    def test_every_traced_name_exists(self):
+        # perfbench/spans.py traces by module attribute and records a name
+        # that is gone as missing, so a rename would silently drop its
+        # per-layer metrics from the benchmark.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        spec = importlib.util.spec_from_file_location(
+            "_perfbench_spans", os.path.join(root, "perfbench", "spans.py")
+        )
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        names = [(module, attr) for module, attr, _, _ in spans.PLAIN_WRAPS]
+        names += [(module, "ordered_map") for module in spans.ORDERED_MAP_USERS]
+        names += [("tokenlens.cli", attr) for attr in spans.HANDLE_FACTORIES]
+        missing = [
+            f"{module}.{attr}"
+            for module, attr in names
+            if not hasattr(importlib.import_module(module), attr)
+        ]
+        assert missing == []
 
     def test_lazy_embedding_names_match_the_module(self):
         import tokenlens.embedding

@@ -285,6 +285,13 @@ class TestLookupEncoder:
         with pytest.raises(ToolkitError):
             LookupEncoder(v0, {1: np.zeros((4, 3))})
 
+    @pytest.mark.parametrize("layer", [0, -1])
+    def test_layer_below_one_rejected(self, exported, layer):
+        # Layer 0 is V0 itself: a matrix given for it would never be read.
+        v0, m1, _ = exported
+        with pytest.raises(ToolkitError, match=r"layer must be >= 1 \(layer 0 is V0\)"):
+            LookupEncoder(v0, {1: m1, layer: np.full(v0.shape, 7.0)})
+
     def test_depth_is_max_layer(self, exported):
         _, _, enc = exported
         assert enc.depth == 1

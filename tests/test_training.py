@@ -405,6 +405,41 @@ class TestBpeEncode:
         twice = MergeRuleList(once + [MergeRule(0, 1, 3)])
         assert decode(vocab, bpe_encode("ccb", vocab, twice)) == ["ab"]
 
+    def test_new_id_equal_to_left_operand_fires_once_per_rank(self):
+        # (a, b) -> a makes a new (a, b) at once; the pass at its rank has
+        # already moved past it, so it waits for a later rank of (a, b).
+        vocab = Vocabulary([b"a", b"b"])
+        once = MergeRuleList([MergeRule(0, 1, 0)])
+        assert decode(vocab, bpe_encode("abbb", vocab, once)) == ["a", "b", "b"]
+        twice = MergeRuleList([MergeRule(0, 1, 0), MergeRule(0, 1, 0)])
+        assert decode(vocab, bpe_encode("abbb", vocab, twice)) == ["a", "b"]
+
+    def test_position_whose_pair_returns_is_not_merged_twice(self):
+        # Shrunk from a hypothesis search. Position 0 starts as (c, a), due at
+        # rank 1. Rank 0 merges the (a, c) to its right into a new a, so
+        # position 0 holds (c, a) again and is due at rank 1 once more. Rank
+        # 1 may merge there only once: its pass leaves the new (c, a) alone.
+        vocab = Vocabulary([b"a", b"b", b"c"])
+        rules = MergeRuleList([MergeRule(0, 2, 0), MergeRule(2, 0, 2)])
+        assert decode(vocab, bpe_encode("caca", vocab, rules)) == ["c", "a"]
+
+    def test_same_rank_pairs_merge_in_text_order_not_creation_order(self):
+        # Rank 0 makes the X X at the end first; ranks 1-3 make the first X
+        # later. Rank 4's pass still starts at the left: Y X, not X Y.
+        vocab = Vocabulary([c.encode() for c in "abcdefghXY"])
+        a, b, c, d, e, f, g, h, x, y = range(10)
+        rules = MergeRuleList([
+            MergeRule(c, d, x), MergeRule(e, f, g), MergeRule(g, h, a), MergeRule(a, b, x),
+            MergeRule(x, x, y),
+        ])
+        assert decode(vocab, bpe_encode("efhbcdcd", vocab, rules)) == ["Y", "X"]
+
+    @pytest.mark.parametrize("n,expected", [(500, 125), (501, 126)])
+    def test_long_equal_run_under_two_ranks(self, n, expected):
+        vocab = Vocabulary([b"a"])
+        rules = MergeRuleList([MergeRule(0, 0, 0), MergeRule(0, 0, 0)])
+        assert bpe_encode("a" * n, vocab, rules) == [0] * expected
+
 
 _CHARS = "abc"
 
@@ -418,7 +453,7 @@ def vocab_rules_text(draw):
     vocab = Vocabulary([c.encode() for c in _CHARS] + [b"#%d" % i for i in range(n_extra)])
     ids = st.integers(0, len(vocab) - 1)
     rules = draw(st.lists(st.builds(MergeRule, ids, ids, ids), max_size=30))
-    text = draw(st.text(alphabet=_CHARS, max_size=40))
+    text = draw(st.text(alphabet=_CHARS, max_size=200))
     return vocab, MergeRuleList(rules), text
 
 
@@ -431,7 +466,7 @@ class TestBpeEncodeMatchesReplay:
     @given(
         st.lists(st.text(alphabet="abcd", min_size=1, max_size=20), min_size=1, max_size=3),
         st.randoms(use_true_random=False),
-        st.text(alphabet="abcd", max_size=40),
+        st.text(alphabet="abcd", max_size=200),
     )
     def test_shuffled_trained_rules(self, docs, rng, text):
         vocab, trained = bpe_train(docs, target_vocab_size=len(set("".join(docs))) + 8)
