@@ -51,6 +51,8 @@ from .training import (
     bpe_encode,
     bpe_train,
     count_adjacent_pairs,
+    load_probs,
+    save_probs,
     ulm_prune,
     ulm_seed,
     ulm_viterbi_segment,

@@ -7,8 +7,9 @@ produced them. Result-neutral flags (--threads, output paths) stay out of
 the manifest, so reruns are byte-identical. --threads is accepted for
 compatibility; nothing depends on it.
 
-The option grammar (required options, either-or pairs, --threads >= 1) lives
-in the argparse parser alone, so --help shows every rule and a breach exits 2.
+The option grammar (required options, either-or pairs, --threads and
+--seed-max-token-len >= 1) lives in the argparse parser alone, so --help shows
+every rule and a breach exits 2.
 Names that label an output's rows or columns must be distinct (_distinct).
 Input files are parsed inside errors.reading, so every error in one names it.
 Tables go through text.write_table.
@@ -27,7 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
 from . import analysis, training, vocab as vocab_mod
-from .errors import ToolkitError, reading
+from .errors import ToolkitError
 from .premium import (
     TokenizerHandle,
     bpe_tokenizer,
@@ -112,14 +113,7 @@ def _load_tokenizer(name: str, spec: str) -> tuple[TokenizerHandle, list[str]]:
     if kind == "ulm":
         if len(parts) != 2:
             raise ToolkitError(f"ulm spec needs a log-prob JSON path, got {spec!r}")
-        with reading(parts[1]), open(parts[1], "r", encoding="utf-8") as f:
-            probs = json.load(f)
-            # type(), not isinstance(): JSON true and false load as ints
-            if not (isinstance(probs, dict) and all(type(lp) in (int, float) for lp in probs.values())):
-                raise ToolkitError("probs JSON must map each token to a number")
-            # float() of an int beyond float range raises OverflowError
-            uv = training.UnigramVocab({t: float(lp) for t, lp in probs.items()}, check=False)
-        return ulm_tokenizer(name, uv), [parts[1]]
+        return ulm_tokenizer(name, training.load_probs(parts[1])), [parts[1]]
     raise ToolkitError(f"unknown tokenizer kind {kind!r}")
 
 
@@ -269,9 +263,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             vocab_mod.Vocabulary([vocab_mod.str_to_token(t) for t in pruned.tokens()]),
             f"{prefix}.vocab.json",
         )
-        with open(f"{prefix}.probs.json", "w", encoding="utf-8") as f:
-            json.dump({t: pruned.log_prob(t) for t in pruned.tokens()}, f, ensure_ascii=True, indent=0)
-            f.write("\n")
+        training.save_probs(pruned, f"{prefix}.probs.json")
     with open(f"{prefix}.manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest.report_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
@@ -434,7 +426,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # argument wiring
 
 
-def _thread_count(text: str) -> int:
+def _at_least_one(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -453,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     threads = argparse.ArgumentParser(add_help=False)
     threads_help = "an integer >= 1, accepted for compatibility; neither outputs nor run time depend on it"
-    threads.add_argument("--threads", type=_thread_count, help=threads_help)
+    threads.add_argument("--threads", type=_at_least_one, help=threads_help)
 
     p = sub.add_parser("train", help="train a bpe / wordpiece / ulm segmenter")
     p.add_argument("--algorithm", required=True, choices=["bpe", "wordpiece", "ulm"])
@@ -461,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stop = p.add_mutually_exclusive_group(required=True)
     stop.add_argument("--target-size", type=int, help="stop at this vocabulary size")
     stop.add_argument("--min-pair-freq", type=int, help="bpe only: stop when no pair reaches this count")
-    p.add_argument("--seed-max-token-len", type=int, default=8, help="ulm seed substring cap")
+    p.add_argument("--seed-max-token-len", type=_at_least_one, default=8, help="ulm seed substring cap, >= 1")
     p.add_argument("--seed-size", type=int, default=None, help="ulm seed vocabulary cap")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=cmd_train)

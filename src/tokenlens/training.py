@@ -13,14 +13,16 @@ concatenated byte string, and all logarithms are natural.
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from operator import eq
 from typing import Iterable, Mapping
 
-from .errors import OovCharacterError, ToolkitError, UnsegmentableError
+from .errors import OovCharacterError, ToolkitError, UnsegmentableError, reading
 from .vocab import MergeRule, MergeRuleList, Vocabulary
 
 __all__ = [
@@ -34,20 +36,38 @@ __all__ = [
     "ulm_viterbi_segment",
     "ulm_prune",
     "ulm_seed",
+    "save_probs",
+    "load_probs",
 ]
 
 
 def count_adjacent_pairs(sequences: Iterable[list[int]]) -> Counter:
-    """Sequential adjacent-pair counts over per-document token-id sequences."""
+    """Sequential adjacent-pair counts over per-document token-id sequences.
+
+    Counts every adjacent pair, then corrects for runs of equal tokens: a
+    left-to-right scan reaches each run of k >= 2 equal tokens at its start
+    and counts k // 2 of its k - 1 pairs, and when k is even it steps over
+    the pair that leaves the run."""
     counts: Counter = Counter()
     for seq in sequences:
-        i = 0
-        last = len(seq) - 1
-        while i < last:
-            a = seq[i]
-            b = seq[i + 1]
-            counts[(a, b)] += 1
-            i += 2 if a == b else 1
+        counts.update(zip(seq, seq[1:]))
+        equal = list(compress(range(len(seq)), map(eq, seq, seq[1:])))  # seq[i] == seq[i + 1]
+        j = 0
+        while j < len(equal):
+            start = equal[j]
+            m = 1  # the run's equal pairs
+            while j + m < len(equal) and equal[j + m] == start + m:
+                m += 1
+            j += m
+            k = m + 1
+            if m > k // 2:
+                counts[seq[start], seq[start]] -= m - k // 2
+            if k % 2 == 0 and start + k < len(seq):
+                pair = (seq[start], seq[start + k])
+                if counts[pair] == 1:
+                    del counts[pair]
+                else:
+                    counts[pair] -= 1
     return counts
 
 
@@ -80,6 +100,68 @@ def _merge_in_place(seq: list[int], left: int, right: int, new_id: int) -> list[
     return out
 
 
+class _LazyArgmax:
+    """The exact argmax of score(key(item)) over live items, kept in lazy heaps.
+
+    key(item) is a live item's (bucket, p), and must match no pushed entry
+    once the item is gone; within a bucket, score(bucket, p) must not
+    increase as p grows. Each bucket is a min-heap of (p, label, item)
+    entries, with one label per item. Push an item again whenever its key
+    changes: an entry whose key has moved is stale, and is dropped when it
+    reaches the top of its heap.
+    """
+
+    def __init__(self, key, score):
+        self._key = key
+        self._score = score
+        self._buckets: dict[int, list] = defaultdict(list)
+
+    def push(self, label: bytes, item: tuple[int, int]) -> None:
+        bucket, p = self._key(item)
+        heappush(self._buckets[bucket], (p, label, item))
+
+    def best(self) -> tuple[float, bytes, tuple[int, int]] | None:
+        """(score, label, item) of the highest score, ties going to the
+        smallest label; None when no item is live.
+
+        Scores only the top of each bucket, then pops each bucket in order
+        while its score equals the best and pushes those entries back: that
+        collects exactly the items a scan of every item would find tied."""
+        key, score = self._key, self._score
+        best = None
+        for bucket in list(self._buckets):
+            heap = self._buckets[bucket]
+            while heap and key(heap[0][2]) != (bucket, heap[0][0]):
+                heappop(heap)
+            if not heap:
+                del self._buckets[bucket]
+                continue
+            s = score(bucket, heap[0][0])
+            if best is None or s > best:
+                best = s
+        if best is None:
+            return None
+        chosen = None
+        for bucket, heap in self._buckets.items():
+            tied = []
+            while heap:
+                entry = heap[0]
+                if key(entry[2]) != (bucket, entry[0]):
+                    heappop(heap)
+                    continue
+                if score(bucket, entry[0]) != best:
+                    break
+                heappop(heap)
+                if tied and tied[-1] == entry:
+                    continue  # a second live entry of the same item
+                tied.append(entry)
+                if chosen is None or entry[1] < chosen[1]:
+                    chosen = entry
+            for entry in tied:
+                heappush(heap, entry)
+        return best, chosen[1], chosen[2]
+
+
 def _train(
     corpus: Iterable[str],
     target_vocab_size: int | None,
@@ -89,10 +171,17 @@ def _train(
     """Shared merge loop of bpe_train and wordpiece_train.
 
     The pair counts are kept incrementally: a merge re-merges and recounts
-    only the documents where its pair is adjacent, so a step costs the
-    length of those documents plus one scan of the distinct pairs for the
-    argmax, not a recount of the whole corpus. The counts, and so every
-    choice, are those of count_adjacent_pairs over the whole corpus.
+    only the documents where its pair is adjacent, not the whole corpus. The
+    counts, and so every choice, are those of count_adjacent_pairs over the
+    whole corpus.
+
+    The argmax is kept incrementally too, in a _LazyArgmax over the counted
+    pairs. A pair's key is (0, -count) for the count scorer, and (count,
+    product of its two tokens' counts) for the likelihood scorer, whose score
+    does not increase with the product at a fixed count (see
+    wordpiece_train). After a merge, only the pairs whose count or product
+    moved are pushed again, and a step scores one entry per distinct count
+    (plus the ties), not every pair.
     """
     if (target_vocab_size is None) == (min_pair_freq is None):
         raise ToolkitError("exactly one of target_vocab_size and min_pair_freq is required")
@@ -114,46 +203,74 @@ def _train(
     for d, seq in enumerate(segmented):
         for pair in zip(seq, seq[1:]):
             where[pair].add(d)
-    concat: dict[tuple[int, int], bytes] = {}  # tokens never change
+    # A pair's key is (bucket, p). A pair no longer counted has count 0 in
+    # the Counter, so its key matches no entry.
     if scorer == "likelihood":
         token_counts = Counter(tid for seq in segmented for tid in seq)
         corpus_len = sum(len(seq) for seq in segmented)
+        having: dict[int, set[tuple[int, int]]] = defaultdict(set)  # token -> counted pairs
+        for pair in counts:
+            having[pair[0]].add(pair)
+            having[pair[1]].add(pair)
+
+        def key(pair: tuple[int, int]) -> tuple[int, int]:
+            return counts[pair], token_counts[pair[0]] * token_counts[pair[1]]
+
+        def score(cab: int, product: int) -> float:
+            # wordpiece_merge_score's operations in its order: bit-identical
+            return cab * math.log(cab / product) - _xlogx(corpus_len - cab)
+    else:
+
+        def key(pair: tuple[int, int]) -> tuple[int, int]:
+            return 0, -counts[pair]
+
+        def score(bucket: int, p: int) -> float:
+            return -p
+
+    # A string standing as two whole tokens at two places has been merged
+    # identically at both (merges cannot cross its ends there), so no two
+    # pairs spell the same bytes: the concatenation breaks every tie, and
+    # every merge adds a new token (Vocabulary rejects a repeat).
+    argmax = _LazyArgmax(key, score)
+    for pair in counts:
+        argmax.push(tokens[pair[0]] + tokens[pair[1]], pair)
 
     rules: list[MergeRule] = []
     while target_vocab_size is None or len(tokens) < target_vocab_size:
-        if not counts:
+        top = argmax.best()
+        if top is None:
             break
-        if scorer == "count":
-            top = max(counts.values())
-            if min_pair_freq is not None and top < min_pair_freq:
-                break
-            tied = [pair for pair, cab in counts.items() if cab == top]
-        else:
-            tied = _wordpiece_best(counts, token_counts, corpus_len)
-        # A string standing as two whole tokens at two places has been merged
-        # identically at both (merges cannot cross its ends there), so no two
-        # pairs spell the same bytes: the concatenation breaks every tie, and
-        # every merge adds a new token (Vocabulary rejects a repeat).
-        for pair in tied:
-            if pair not in concat:
-                concat[pair] = tokens[pair[0]] + tokens[pair[1]]
-        chosen = min(tied, key=concat.__getitem__)
-        left, right = chosen
+        best, merged_bytes, (left, right) = top
+        if min_pair_freq is not None and best < min_pair_freq:
+            break
         new_id = len(tokens)
-        tokens.append(concat[chosen])
+        tokens.append(merged_bytes)
         rules.append(MergeRule(left, right, new_id))
 
         # One left-to-right pass removes every adjacent (left, right).
-        touched = list(where.pop(chosen))
+        touched = list(where.pop((left, right)))
         old = [segmented[d] for d in touched]
         new = [_merge_in_place(seq, left, right, new_id) for seq in old]
-        for pair, cab in count_adjacent_pairs(old).items():
-            rest = counts[pair] - cab
-            if rest:
-                counts[pair] = rest
+        old_counts = count_adjacent_pairs(old)
+        new_counts = count_adjacent_pairs(new)
+        moved = set()
+        for pair in old_counts.keys() | new_counts.keys():
+            delta = new_counts.get(pair, 0) - old_counts.get(pair, 0)
+            if not delta:
+                continue
+            moved.add(pair)
+            prev = counts.get(pair, 0)
+            cab = prev + delta
+            if cab:
+                counts[pair] = cab
             else:
                 del counts[pair]
-        counts.update(count_adjacent_pairs(new))
+            if scorer == "likelihood" and not (prev and cab):  # newly counted, or dropped
+                for tid in pair:
+                    if cab:
+                        having[tid].add(pair)
+                    else:
+                        having[tid].discard(pair)
         merged = 0
         for d, before, after in zip(touched, old, new):
             segmented[d] = after
@@ -173,27 +290,12 @@ def _train(
             token_counts[right] -= merged
             token_counts[new_id] += merged
             corpus_len -= merged
+            # every counted pair holding left or right has a new product
+            moved |= having[left] | having[right]
+        for pair in moved:
+            if pair in counts:
+                argmax.push(tokens[pair[0]] + tokens[pair[1]], pair)
     return Vocabulary(tokens), MergeRuleList(rules)
-
-
-def _wordpiece_best(
-    counts: Mapping[tuple[int, int], int], token_counts: Mapping[int, int], corpus_len: int
-) -> list[tuple[int, int]]:
-    """The pairs of highest wordpiece_merge_score, computed inline with the
-    same operations in the same order, so scores are bit-identical."""
-    log = math.log
-    # the second term depends on cab alone, so compute it once per value
-    rest_xlogx = {cab: _xlogx(corpus_len - cab) for cab in set(counts.values())}
-    best = -math.inf
-    tied: list[tuple[int, int]] = []
-    for (a, b), cab in counts.items():
-        score = cab * log(cab / (token_counts[a] * token_counts[b])) - rest_xlogx[cab]
-        if score > best:
-            best = score
-            tied = [(a, b)]
-        elif score == best:
-            tied.append((a, b))
-    return tied
 
 
 def bpe_train(
@@ -214,7 +316,14 @@ def wordpiece_train(
     corpus: Iterable[str], target_vocab_size: int
 ) -> tuple[Vocabulary, MergeRuleList]:
     """Like bpe_train, but each step merges the pair maximizing the
-    likelihood-gain score wordpiece_merge_score instead of the raw count."""
+    likelihood-gain score wordpiece_merge_score instead of the raw count.
+
+    The argmax keeps one heap per pair count #ab, ordered by the product
+    #a * #b, and scores only the top of each. It relies on the score, as
+    computed in floats, not increasing as the product grows at a fixed #ab:
+    #ab / (#a * #b) is a correctly rounded quotient, math.log is monotone,
+    and the rest is a positive factor and a term of #ab alone. A test pins
+    this on this platform's libm."""
     return _train(corpus, target_vocab_size, None, scorer="likelihood")
 
 
@@ -372,6 +481,11 @@ class UnigramVocab:
         self._ids = {t: i for i, t in enumerate(self._tokens)}
         self._units = {t: _log_prob_units(lp) for t, lp in self._log_probs.items()}
         self._max_len = max(len(t) for t in self._tokens)
+        # Every prefix of a token -> its units if it is a token too, else None.
+        self._prefixes: dict[str, int | float | None] = {
+            t[:k]: None for t in self._tokens for k in range(1, len(t))
+        }
+        self._prefixes.update(self._units)
         if check:
             total = math.fsum(math.exp(lp) for lp in self._log_probs.values())
             if abs(total - 1.0) > 1e-9:
@@ -422,6 +536,26 @@ class UnigramVocab:
         return self._max_len
 
 
+def save_probs(vocab: UnigramVocab, path: str) -> None:
+    """Write vocab as a probs file: one JSON object mapping each token to its
+    log-prob in id order, ASCII-escaped, -inf as -Infinity."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({t: vocab.log_prob(t) for t in vocab.tokens()}, f, ensure_ascii=True, indent=0)
+        f.write("\n")
+
+
+def load_probs(path: str) -> UnigramVocab:
+    """Read a probs file as save_probs writes it. The log-probs need not sum
+    to one; every error names the file."""
+    with reading(path), open(path, "r", encoding="utf-8") as f:
+        probs = json.load(f)
+        # type(), not isinstance(): JSON true and false load as ints
+        if not (isinstance(probs, dict) and all(type(lp) in (int, float) for lp in probs.values())):
+            raise ToolkitError("probs JSON must map each token to a number")
+        # float() of an int beyond float range raises OverflowError
+        return UnigramVocab({t: float(lp) for t, lp in probs.items()}, check=False)
+
+
 def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     """Highest-log-probability segmentation of text over vocab tokens.
 
@@ -430,36 +564,72 @@ def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     error when the whole text cannot be reached: then the furthest reachable
     position p names the fault, as OovCharacterError for text[p] when that
     character is not a token, UnsegmentableError otherwise.
+
+    The DP runs over the text's lattice of token edges (_lattice), which
+    ulm_prune shares: one DP serves both.
     """
-    return _viterbi(text, vocab._units, vocab.max_token_len(), None)
-
-
-def _viterbi(
-    text: str, units: Mapping[str, int | float], max_len: int, excluded: str | None
-) -> list[str]:
-    """ulm_viterbi_segment over the tokens of units, less excluded."""
-    if text == "":
-        return []
+    units = vocab._units
+    score, _, back = _forward(text, _lattice(text, vocab._prefixes))
     n = len(text)
-    # For each prefix text[:j]: its best score (None if unreachable), the
-    # token count of that path and where its last token starts. Scores are
-    # exact unit counts (see _log_prob_units), so a path's score depends only
-    # on its token multiset and reorderings tie exactly.
-    score: list[int | float | None] = [None] * (n + 1)
-    n_tokens = [0] * (n + 1)
-    back = [0] * (n + 1)
-    score[0] = 0
-    for j in range(1, n + 1):
+    if score[n] is None:
+        p = max(i for i in range(n) if score[i] is not None)
+        if text[p] not in units:
+            raise OovCharacterError(text[p], p)
+        raise UnsegmentableError(text, p)
+    return _path(text, back, n)
+
+
+_Edge = tuple[int, str, "int | float"]  # (start, piece, the piece's units)
+_Arrays = tuple[list, list[int], list[int]]  # score, n_tokens, back
+
+
+def _lattice(text: str, prefixes: Mapping[str, int | float | None]) -> list[list[_Edge]]:
+    """Row j - 1 holds the edges (i, text[i:j], its units) ending at j whose
+    piece is a token, in ascending i. prefixes maps every prefix of a token
+    to its units, or to None when it is no token itself (UnigramVocab), so
+    the scan from each start stops at the first piece that begins no token."""
+    n = len(text)
+    rows: list[list[_Edge]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            piece = text[i:j]
+            if piece not in prefixes:
+                break
+            piece_units = prefixes[piece]
+            if piece_units is not None:
+                rows[j - 1].append((i, piece, piece_units))
+    return rows
+
+
+def _forward(
+    text: str,
+    rows: Iterable[list[_Edge]],
+    excluded: str | None = None,
+    arrays: _Arrays | None = None,
+    start: int = 1,
+) -> _Arrays:
+    """The Viterbi DP over lattice rows, without the edges of excluded.
+
+    For each prefix text[:j] the arrays hold its best score (None if
+    unreachable), the token count of that path and where its last token
+    starts. Scores are exact unit counts (see _log_prob_units), so a path's
+    score depends only on its token multiset and reorderings tie exactly.
+    rows are those of end positions start..len(text); given arrays must hold
+    the final values below start, and are filled from start on.
+    """
+    if arrays is None:
+        n = len(text)
+        score: list[int | float | None] = [None] * (n + 1)
+        score[0] = 0
+        arrays = score, [0] * (n + 1), [0] * (n + 1)
+    score, n_tokens, back = arrays
+    for j, row in enumerate(rows, start):
         best: int | float | None = None
         best_n = 0
         best_i = -1
-        for i in range(j - max_len if j > max_len else 0, j):
+        for i, piece, piece_units in row:
             prev = score[i]
-            if prev is None:
-                continue
-            piece = text[i:j]
-            piece_units = units.get(piece)
-            if piece_units is None or piece == excluded:
+            if prev is None or piece == excluded:
                 continue
             if prev == _NEG_INF or piece_units == _NEG_INF:
                 s: int | float = _NEG_INF
@@ -481,12 +651,7 @@ def _viterbi(
             score[j] = best
             n_tokens[j] = best_n
             back[j] = best_i
-    if score[n] is None:
-        p = max(i for i in range(n) if score[i] is not None)
-        if text[p] not in units:
-            raise OovCharacterError(text[p], p)
-        raise UnsegmentableError(text, p)
-    return _path(text, back, n)
+    return arrays
 
 
 def _path(text: str, back: list[int], j: int) -> list[str]:
@@ -498,14 +663,6 @@ def _path(text: str, back: list[int], j: int) -> list[str]:
         j = i
     tokens.reverse()
     return tokens
-
-
-def _segment_counts(docs: list[str], vocab: UnigramVocab) -> tuple[list[list[str]], Counter]:
-    segs = [ulm_viterbi_segment(doc, vocab) for doc in docs]
-    counts: Counter = Counter()
-    for seg in segs:
-        counts.update(seg)
-    return segs, counts
 
 
 def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> UnigramVocab:
@@ -521,11 +678,17 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
     missing from vocab raises OovCharacterError for its first occurrence in
     corpus order, with its offset in its document.
 
-    Cost: a step segments the corpus once, then, for each candidate, only
-    the documents whose current segmentation uses it (the others keep their
-    optimum), with the candidate excluded from the same vocabulary. This is
-    exact; Kudo's approximations (a likelihood-loss estimate from the current
-    segmentation, removing a fraction of tokens per step) are not used.
+    Cost: a step builds each document's lattice (the token edges ending at
+    each position) once and runs the Viterbi DP over it, keeping its forward
+    arrays. For a candidate, only the documents whose segmentation uses it
+    are re-segmented (the others keep their optimum), and only from the end
+    of its first occurrence: no edge of it ends before, so the DP there is
+    unchanged. The restart copies the arrays up to that position and runs
+    the same DP over the rest of the lattice without the candidate's edges,
+    making the same comparisons in the same order as a DP from the start.
+    This is exact; Kudo's approximations (a likelihood-loss estimate from
+    the current segmentation, removing a fraction of tokens per step) are not
+    used.
     """
     docs = _char_documents(corpus)
     tokens = vocab.tokens()
@@ -545,13 +708,16 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
 
     current = vocab
     while len(current) > target_size:
-        segs, total_counts = _segment_counts(docs, current)
+        # Every character is a token, so every document is reachable.
+        lattices = [_lattice(doc, current._prefixes) for doc in docs]
+        bases = [_forward(doc, lattice) for doc, lattice in zip(docs, lattices)]
+        segs = [_path(doc, back, len(doc)) for doc, (_, _, back) in zip(docs, bases)]
+        total_counts: Counter = Counter()
         users: dict[str, list[int]] = defaultdict(list)  # token -> docs using it
         for d, seg in enumerate(segs):
+            total_counts.update(seg)
             for tok in set(seg):
                 users[tok].append(d)
-        units = current._units
-        max_len = current.max_token_len()
 
         best_token = None
         best_ll = None
@@ -561,8 +727,14 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
                 continue
             new_counts = Counter(total_counts)
             for d in users.get(t, ()):
+                doc = docs[d]
+                j0 = doc.find(t) + len(t)  # where t's first edge ends
+                score, n_tokens, back = bases[d]
+                pad = len(doc) + 1 - j0
+                arrays = score[:j0] + [None] * pad, n_tokens[:j0] + [0] * pad, back[:j0] + [0] * pad
+                _forward(doc, lattices[d][j0 - 1 :], t, arrays, j0)
                 new_counts.subtract(segs[d])
-                new_counts.update(_viterbi(docs[d], units, max_len, t))
+                new_counts.update(_path(doc, arrays[2], len(doc)))
             new_counts = +new_counts  # drop zero entries
             ll = unigram_log_likelihood(new_counts)
             if (
@@ -590,6 +762,8 @@ def ulm_seed(
     """Seed vocabulary for ulm_prune: every character plus the most frequent
     substrings of length 2..max_token_len (overlapping counts), capped at
     seed_size tokens, probabilities proportional to occurrence counts."""
+    if max_token_len < 1:
+        raise ToolkitError(f"max_token_len must be at least 1, got {max_token_len}")
     docs = _char_documents(corpus)
     counts: Counter = Counter()
     for doc in docs:

@@ -876,6 +876,16 @@ class TestOptionGrammar:
         assert exc.value.code == 2
         assert f"argument --threads: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_seed_max_token_len_below_one_is_usage_error(self, tmp_path, capsys, value):
+        corpus = write_text(tmp_path / "c.txt", "abab\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--algorithm", "ulm", "--corpus", corpus, "--target-size", "2",
+                  "--seed-max-token-len", value, "--out-prefix", str(tmp_path / "u")])
+        assert exc.value.code == 2
+        assert f"argument --seed-max-token-len: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("u.*"))
+
 
 class TestBadSpecs:
     def test_bad_tokenizer_specs(self, tmp_path, byte_level_files):
