@@ -7,9 +7,9 @@ produced them. Result-neutral flags (--threads, output paths) stay out of
 the manifest, so reruns are byte-identical. --threads is accepted for
 compatibility; nothing depends on it.
 
-The option grammar (required options, either-or pairs, --threads and
---seed-max-token-len >= 1) lives in the argparse parser alone, so --help shows
-every rule and a breach exits 2.
+The option grammar (required options, either-or pairs, --threads,
+--seed-max-token-len and --min-pair-freq >= 1) lives in the argparse parser
+alone, so --help shows every rule and a breach exits 2.
 Names that label an output's rows or columns must be distinct (_distinct).
 Input files are parsed inside errors.reading, so every error in one names it.
 Tables go through text.write_table.
@@ -390,10 +390,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     named = [_parse_named(c, "corpus") for c in args.corpus]
     _distinct([label for label, _ in named], "corpus label")
     tok, v0, enc, enc_flags, model_paths = _load_model(args)
+    if not 0 <= args.last_layer <= enc.depth:
+        raise ToolkitError(f"--last-layer {args.last_layer} outside 0..{enc.depth}")
     plans = [embedding.load_plan(p) for p in args.plan]
     for path, pl in zip(args.plan, plans):
         if pl.dim != v0.shape[1]:
             raise ToolkitError(f"{path}: plan dim {pl.dim} does not match embeddings dim {v0.shape[1]}")
+    plan_labels = [pl.strategy.label() for pl in plans]
+    _distinct(plan_labels, "plan label")
     corpora = [(label, load_corpus(path)) for label, path in named]
     flags = {
         "tokenizer": args.tokenizer,
@@ -405,7 +409,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         "eval", flags, _digests(model_paths + list(args.plan) + [path for _, path in named])
     )
-    plan_labels = [pl.strategy.label() for pl in plans]
     header = ["corpus"] + plan_labels
     if args.report_new_fraction:
         header += [f"{lbl}_new_fraction" for lbl in plan_labels]
@@ -452,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     stop = p.add_mutually_exclusive_group(required=True)
     stop.add_argument("--target-size", type=int, help="stop at this vocabulary size")
-    stop.add_argument("--min-pair-freq", type=int, help="bpe only: stop when no pair reaches this count")
+    stop.add_argument("--min-pair-freq", type=_at_least_one, help="bpe only: stop when no pair reaches this count, >= 1")
     p.add_argument("--seed-max-token-len", type=_at_least_one, default=8, help="ulm seed substring cap, >= 1")
     p.add_argument("--seed-size", type=int, default=None, help="ulm seed vocabulary cap")
     p.add_argument("--out-prefix", required=True)

@@ -170,10 +170,10 @@ def _train(
 ) -> tuple[Vocabulary, MergeRuleList]:
     """Shared merge loop of bpe_train and wordpiece_train.
 
-    The pair counts are kept incrementally: a merge re-merges and recounts
-    only the documents where its pair is adjacent, not the whole corpus. The
-    counts, and so every choice, are those of count_adjacent_pairs over the
-    whole corpus.
+    The pair counts are kept incrementally: a merge re-merges only the
+    documents that hold both of its tokens, and recounts only those it
+    changed, not the whole corpus. The counts, and so every choice, are
+    those of count_adjacent_pairs over the whole corpus.
 
     The argmax is kept incrementally too, in a _LazyArgmax over the counted
     pairs. A pair's key is (0, -count) for the count scorer, and (count,
@@ -197,18 +197,19 @@ def _train(
         )
 
     counts = count_adjacent_pairs(segmented)
-    # pair -> documents where it is adjacent, counted or not: the sequential
-    # count of [a, a, b] skips (a, b), but merging (a, b) still changes it.
-    where: dict[tuple[int, int], set[int]] = defaultdict(set)
+    # token -> documents that have held it, never shrunk: a document where
+    # (left, right) is adjacent holds both tokens, and one that no longer
+    # does costs a merge pass that changes nothing.
+    holding: dict[int, set[int]] = defaultdict(set)
     for d, seq in enumerate(segmented):
-        for pair in zip(seq, seq[1:]):
-            where[pair].add(d)
+        for tid in set(seq):
+            holding[tid].add(d)
     # A pair's key is (bucket, p). A pair no longer counted has count 0 in
     # the Counter, so its key matches no entry.
     if scorer == "likelihood":
         token_counts = Counter(tid for seq in segmented for tid in seq)
         corpus_len = sum(len(seq) for seq in segmented)
-        having: dict[int, set[tuple[int, int]]] = defaultdict(set)  # token -> counted pairs
+        having: dict[int, set[tuple[int, int]]] = defaultdict(set)  # token -> pairs ever counted
         for pair in counts:
             having[pair[0]].add(pair)
             having[pair[1]].add(pair)
@@ -248,9 +249,15 @@ def _train(
         rules.append(MergeRule(left, right, new_id))
 
         # One left-to-right pass removes every adjacent (left, right).
-        touched = list(where.pop((left, right)))
-        old = [segmented[d] for d in touched]
-        new = [_merge_in_place(seq, left, right, new_id) for seq in old]
+        old, new = [], []
+        for d in holding[left] & holding[right]:
+            before = segmented[d]
+            after = _merge_in_place(before, left, right, new_id)
+            if len(after) < len(before):
+                segmented[d] = after
+                holding[new_id].add(d)
+                old.append(before)
+                new.append(after)
         old_counts = count_adjacent_pairs(old)
         new_counts = count_adjacent_pairs(new)
         moved = set()
@@ -265,32 +272,17 @@ def _train(
                 counts[pair] = cab
             else:
                 del counts[pair]
-            if scorer == "likelihood" and not (prev and cab):  # newly counted, or dropped
-                for tid in pair:
-                    if cab:
-                        having[tid].add(pair)
-                    else:
-                        having[tid].discard(pair)
-        merged = 0
-        for d, before, after in zip(touched, old, new):
-            segmented[d] = after
-            merged += len(before) - len(after)
-            was = set(zip(before, before[1:]))
-            now = set(zip(after, after[1:]))
-            for pair in was - now:
-                doc_ids = where.get(pair)
-                if doc_ids is not None:
-                    doc_ids.discard(d)
-                    if not doc_ids:
-                        del where[pair]
-            for pair in now - was:
-                where[pair].add(d)
+            if scorer == "likelihood" and not prev:  # newly counted
+                having[pair[0]].add(pair)
+                having[pair[1]].add(pair)
         if scorer == "likelihood":
+            merged = sum(map(len, old)) - sum(map(len, new))
             token_counts[left] -= merged
             token_counts[right] -= merged
             token_counts[new_id] += merged
             corpus_len -= merged
-            # every counted pair holding left or right has a new product
+            # every counted pair holding left or right has a new product;
+            # having's pairs no longer counted fail the check below
             moved |= having[left] | having[right]
         for pair in moved:
             if pair in counts:

@@ -693,6 +693,28 @@ class TestEvalCommand:
         assert "repeated corpus label: c" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_repeated_plan_label_exits_one(self, tmp_path, capsys, planned):
+        bf, plan = planned
+        out = str(tmp_path / "sim.csv")
+        rc = main(["eval", "--plan", plan, "--plan", plan, "--tokenizer", bf["tok"],
+                   "--embeddings", bf["embeddings"], "--encoder", "toy:2:1:3:linear",
+                   "--last-layer", "1", "--corpus", f"c={bf['corpus']}", "--out", out])
+        assert rc == 1
+        assert "repeated plan label: linreg@0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("layer", ["-1", "99"])
+    def test_last_layer_outside_encoder_exits_one_on_untouched_corpus(self, tmp_path, capsys, planned, layer):
+        bf, plan = planned
+        ascii_corpus = write_text(tmp_path / "plain.txt", "ab\nba\n")  # the plan touches no sentence
+        out = str(tmp_path / "sim.csv")
+        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"],
+                   "--embeddings", bf["embeddings"], "--encoder", "toy:2:1:3:linear",
+                   "--last-layer", layer, "--corpus", f"plain={ascii_corpus}", "--out", out])
+        assert rc == 1
+        assert f"--last-layer {layer} outside 0..1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("field,value", [("distance_metric", 5), ("stats", [])])
     def test_plan_field_of_wrong_type_exits_one(self, tmp_path, capsys, planned, field, value):
         bf, plan = planned
@@ -877,13 +899,21 @@ class TestOptionGrammar:
         assert f"argument --threads: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
-    def test_seed_max_token_len_below_one_is_usage_error(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize(
+        "option,args",
+        [
+            ("--seed-max-token-len", ["--algorithm", "ulm", "--target-size", "2"]),
+            ("--min-pair-freq", ["--algorithm", "bpe"]),
+        ],
+        ids=["seed-max-token-len", "min-pair-freq"],
+    )
+    def test_train_count_below_one_is_usage_error(self, tmp_path, capsys, option, args, value):
         corpus = write_text(tmp_path / "c.txt", "abab\n")
         with pytest.raises(SystemExit) as exc:
-            main(["train", "--algorithm", "ulm", "--corpus", corpus, "--target-size", "2",
-                  "--seed-max-token-len", value, "--out-prefix", str(tmp_path / "u")])
+            main(["train", *args, "--corpus", corpus, option, value,
+                  "--out-prefix", str(tmp_path / "u")])
         assert exc.value.code == 2
-        assert f"argument --seed-max-token-len: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+        assert f"argument {option}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
         assert not list(tmp_path.glob("u.*"))
 
 
