@@ -8,6 +8,7 @@ tokenizer families become comparable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ToolkitError
@@ -35,11 +36,18 @@ __all__ = [
 class NormalizationRules:
     """Byte-level token rewrite rules.
 
-    prefix_markers: (marker, replacement) pairs; every occurrence of the
-    marker anywhere in the token is replaced (space markers stand for a space
-    wherever they appear, not only at the front). strip_continuation markers
-    are removed from the front of the token, repeated to a fixpoint. Both
-    choices keep normalization idempotent. No marker may be empty.
+    prefix_markers: (marker, replacement) pairs, applied in order; every
+    occurrence of the marker anywhere in the token is replaced (space markers
+    stand for a space wherever they appear, not only at the front).
+    strip_continuation markers are removed from the front of the token,
+    repeated to a fixpoint. No marker may be empty.
+
+    DEFAULT_RULES are idempotent: a replacement puts a space between the
+    bytes on either side of a marker, so no new marker forms, and stripping
+    leaves no marker at the front. Custom rules need not be: a replacement
+    can join the bytes around a marker into a new one, so ((b"ab", b""),)
+    turns b"aabb" into b"ab" and a second pass into b"", and a space marker
+    " x" turns b" xx" into b" x" and a second pass into b" ".
     """
 
     prefix_markers: tuple[tuple[bytes, bytes], ...] = ()
@@ -79,11 +87,33 @@ class NormalizeResult:
     n_dropped: int
 
 
+def _strip_front(token: bytes, markers: tuple[bytes, ...]) -> bytes:
+    """NormalizationRules.apply's strip loop: remove markers from the front
+    of token, each in turn, until none is left there."""
+    while token.startswith(markers):
+        for marker in markers:
+            if token.startswith(marker):
+                token = token[len(marker) :]
+    return token
+
+
 def normalize_vocab(vocab: Vocabulary, rules: NormalizationRules = DEFAULT_RULES) -> NormalizeResult:
     """Apply rules to every token; tokens that collide afterwards collapse to
     one (set semantics), tokens that normalize to empty are dropped. Both
-    events are counted. Applying the result to the same rules is a no-op."""
-    normalized = [rules.apply(token) for token in vocab]
+    events are counted. Normalizing the result again with DEFAULT_RULES is
+    a no-op; with custom rules it need not be (see NormalizationRules).
+
+    Each token comes out as rules.apply(token), but each rule runs as one
+    pass over all tokens, and the strip loop runs only for the tokens that
+    start with a continuation marker."""
+    normalized = vocab.tokens()
+    for marker, repl in rules.prefix_markers:
+        normalized = [token.replace(marker, repl) for token in normalized]
+    strip = rules.strip_continuation
+    if strip:
+        normalized = [
+            _strip_front(token, strip) if token.startswith(strip) else token for token in normalized
+        ]
     unique = dict.fromkeys(normalized)  # first-occurrence order
     unique.pop(b"", None)
     dropped = normalized.count(b"")
@@ -95,10 +125,12 @@ def normalize_vocab(vocab: Vocabulary, rules: NormalizationRules = DEFAULT_RULES
 
 
 def jaccard(a: frozenset[bytes], b: frozenset[bytes]) -> float:
-    """|a & b| / |a | b| under exact byte-string equality."""
+    """|a & b| / |a | b| under exact byte-string equality. |a | b| is
+    counted as |a| + |b| - |a & b|, without building the union."""
     if not a and not b:
         raise ToolkitError("jaccard of two empty vocabularies is undefined")
-    return len(a & b) / len(a | b)
+    inter = len(a & b)
+    return inter / (len(a) + len(b) - inter)
 
 
 def containment(small: frozenset[bytes], large: frozenset[bytes]) -> float:
@@ -120,6 +152,10 @@ class VocabBreakdownRow:
     tokens_gt7: int = 0
 
 
+# What surrogateescape decodes a byte 0x80..0xff that is not valid UTF-8 to.
+_ESCAPES = frozenset(map(chr, range(0xDC80, 0xDD00)))
+
+
 def vocab_breakdown(vocab: Vocabulary, label: str = "") -> VocabBreakdownRow:
     """Byte-length histograms and script coverage of a vocabulary.
 
@@ -127,20 +163,21 @@ def vocab_breakdown(vocab: Vocabulary, label: str = "") -> VocabBreakdownRow:
     character set is collected from tokens directly when they decode as
     UTF-8, and through recover_utf8_chars otherwise; characters are bucketed
     by encoded length 1..4 and counted across distinct Unicode blocks.
+
+    Each token is decoded once, with surrogateescape: a token that is not
+    valid UTF-8 decodes to at least one escape (U+DC80..U+DCFF), and valid
+    UTF-8 never decodes to a surrogate, so the escapes pick out exactly the
+    tokens that need recover_utf8_chars.
     """
-    chars: set[str] = set()
-    tokens_by_len = {n: 0 for n in range(1, 8)}
-    gt7 = 0
-    for token in vocab:
-        n = len(token)
-        if n > 7:
-            gt7 += 1
-        else:
-            tokens_by_len[n] += 1
-        try:
-            chars.update(token.decode("utf-8"))
-        except UnicodeDecodeError:
-            chars.update(recover_utf8_chars(token))
+    by_len = Counter(map(len, vocab))
+    tokens_by_len = {n: by_len[n] for n in range(1, 8)}
+    decoded = [token.decode("utf-8", "surrogateescape") for token in vocab]
+    chars = set("".join(decoded))
+    if not _ESCAPES.isdisjoint(chars):
+        chars = set("".join(text for text in decoded if _ESCAPES.isdisjoint(text)))
+        for token, text in zip(vocab, decoded):
+            if not _ESCAPES.isdisjoint(text):
+                chars.update(recover_utf8_chars(token))
     chars_by_len = {n: 0 for n in range(1, 5)}
     for ch in chars:
         chars_by_len[char_byte_len(ch)] += 1
@@ -151,7 +188,7 @@ def vocab_breakdown(vocab: Vocabulary, label: str = "") -> VocabBreakdownRow:
         distinct_blocks=len(blocks),
         chars_by_byte_len=chars_by_len,
         tokens_by_byte_len=tokens_by_len,
-        tokens_gt7=gt7,
+        tokens_gt7=len(vocab) - sum(tokens_by_len.values()),
     )
 
 

@@ -227,9 +227,21 @@ def build_reference(enc: LayerEncoder, v0: np.ndarray, layer: int) -> np.ndarray
     return enc.encode_to_layer(arr[:, None, :], layer)[:, 0, :]
 
 
+# Rows per block of the euclidean distance pass: its temporaries are
+# _DISTANCE_BLOCK x dim, not n_tokens x dim.
+_DISTANCE_BLOCK = 1024
+
+
 def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
     if metric == "euclidean":
-        return np.linalg.norm(vl - h, axis=1)
+        # Each row's distance is the same operations on the same row whatever
+        # block it falls in, so the result is bitwise
+        # np.linalg.norm(vl - h, axis=1).
+        out = np.empty(len(vl))
+        for start in range(0, len(vl), _DISTANCE_BLOCK):
+            stop = start + _DISTANCE_BLOCK
+            out[start:stop] = np.linalg.norm(vl[start:stop] - h, axis=1)
+        return out
     if metric == "cosine":
         norms = np.linalg.norm(vl, axis=1) * np.linalg.norm(h)
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -108,13 +108,23 @@ class _LazyArgmax:
     increase as p grows. Each bucket is a min-heap of (p, label, item)
     entries, with one label per item. Push an item again whenever its key
     changes: an entry whose key has moved is stale, and is dropped when it
-    reaches the top of its heap.
+    reaches the top of its heap, or at the next compaction: once the heaps
+    hold more than twice the entries left by the last one (and at least
+    _FLOOR), best drops every stale and repeated entry first, so memory
+    tracks the live items rather than the pushes.
     """
+
+    _FLOOR = 1024
 
     def __init__(self, key, score):
         self._key = key
         self._score = score
         self._buckets: dict[int, list] = defaultdict(list)
+        self._limit = self._FLOOR
+
+    def __len__(self) -> int:
+        """Entries held, stale ones included."""
+        return sum(map(len, self._buckets.values()))
 
     def push(self, label: bytes, item: tuple[int, int]) -> None:
         bucket, p = self._key(item)
@@ -128,6 +138,11 @@ class _LazyArgmax:
         while its score equals the best and pushes those entries back: that
         collects exactly the items a scan of every item would find tied."""
         key, score = self._key, self._score
+        if len(self) > self._limit:
+            for bucket, heap in self._buckets.items():
+                heap[:] = dict.fromkeys(e for e in heap if key(e[2]) == (bucket, e[0]))
+                heapify(heap)
+            self._limit = max(self._FLOOR, 2 * len(self))
         best = None
         for bucket in list(self._buckets):
             heap = self._buckets[bucket]
@@ -340,12 +355,11 @@ def bpe_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
     """
     if text == "":
         return []
-    seq = []
-    for offset, ch in enumerate(text):
-        tid = vocab.get(ch.encode("utf-8"))
-        if tid is None:
-            raise OovCharacterError(ch, offset)
-        seq.append(tid)
+    ids = {ch: vocab.get(ch.encode("utf-8")) for ch in set(text)}
+    seq = list(map(ids.__getitem__, text))
+    if None in ids.values():
+        offset = seq.index(None)
+        raise OovCharacterError(text[offset], offset)
     first, later = rules.rank_index()
     n = len(seq)
     nxt = list(range(1, n + 1))  # n: no right neighbour

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 from .errors import ToolkitError, reading
@@ -44,7 +45,7 @@ class Vocabulary:
     def __init__(self, tokens: Iterable[bytes] = ()):
         self._tokens: list[bytes] = list(tokens)
         # bytes first: an unhashable item must not reach the dict
-        if not all(isinstance(t, bytes) for t in self._tokens):
+        if not all(map(isinstance, self._tokens, repeat(bytes))):
             _reject_first_bad(self._tokens)
         self._ids: dict[bytes, int] = dict(zip(self._tokens, range(len(self._tokens))))
         if b"" in self._ids or len(self._ids) != len(self._tokens):
@@ -173,19 +174,30 @@ def load_vocab(path: str) -> Vocabulary:
             except ValueError:
                 pass
         if obj is None:
-            return Vocabulary([str_to_token(ln) for ln in content.split("\n") if ln != ""])
+            # No character but "\n" encodes to a 0x0A byte, so splitting the
+            # encoded text splits it exactly where its lines end.
+            return Vocabulary([t for t in str_to_token(content).split(b"\n") if t])
         if not isinstance(obj, dict):
             raise ToolkitError("vocabulary JSON must be an object")
-        by_id: dict[int, bytes] = {}
-        for tok_s, tid in obj.items():
-            if type(tid) is not int:  # JSON true and false are bools
-                raise ToolkitError(f"id for {tok_s!r} is not an integer")
-            if tid in by_id:
-                raise ToolkitError(f"duplicate id {tid}")
-            by_id[tid] = str_to_token(tok_s)
-        if sorted(by_id) != list(range(len(by_id))):
+        if not {int}.issuperset(map(type, obj.values())):  # JSON true and false are bools
+            _reject_first_bad_id(obj)
+        by_id = dict(zip(obj.values(), obj))
+        if len(by_id) != len(obj):
+            _reject_first_bad_id(obj)
+        if min(by_id, default=0) != 0 or max(by_id, default=-1) != len(by_id) - 1:
             raise ToolkitError("token ids are not dense 0..n-1")
-        return Vocabulary([by_id[i] for i in range(len(by_id))])
+        return Vocabulary([str_to_token(by_id[i]) for i in range(len(by_id))])
+
+
+def _reject_first_bad_id(obj: dict) -> None:
+    """Raise for the first entry whose id is not an integer or a repeat."""
+    seen: set[int] = set()
+    for tok_s, tid in obj.items():
+        if type(tid) is not int:
+            raise ToolkitError(f"id for {tok_s!r} is not an integer")
+        if tid in seen:
+            raise ToolkitError(f"duplicate id {tid}")
+        seen.add(tid)
 
 
 def save_merges(rules: MergeRuleList, vocab: Vocabulary, path: str) -> None:
@@ -209,7 +221,6 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
     with reading(path):
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
             content = f.read()
-        pairs: list[tuple[str, str]] = []
         if content.lstrip().startswith("["):
             arr = json.loads(content)
             if not isinstance(arr, list):
@@ -217,27 +228,28 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
             for entry in arr:
                 if not isinstance(entry, list) or [type(s) for s in entry] != [str, str]:
                     raise ToolkitError("each merge must be a [left, right] pair of strings")
-                pairs.append((entry[0], entry[1]))
+            lefts = [str_to_token(left) for left, _ in arr]
+            rights = [str_to_token(right) for _, right in arr]
         else:
-            for lineno, ln in enumerate(content.split("\n"), 1):
-                if ln == "" or ln.startswith("#version"):
-                    continue
-                parts = ln.split(" ")
-                if ln.startswith("#") and len(parts) != 2:
-                    continue
-                if len(parts) != 2:
-                    raise ToolkitError(f"line {lineno}: expected 'left right'")
-                pairs.append((parts[0], parts[1]))
-        rules = []
-        for left_s, right_s in pairs:
-            left = str_to_token(left_s)
-            right = str_to_token(right_s)
-            merged = left + right
-            lid = vocab.get(left)
-            rid = vocab.get(right)
-            nid = vocab.get(merged)
-            if lid is None or rid is None or nid is None:
-                missing = token_to_str(left if lid is None else right if rid is None else merged)
-                raise ToolkitError(f"merge references unknown token {missing!r}")
-            rules.append(MergeRule(lid, rid, nid))
-    return MergeRuleList(rules)
+            # Split the encoded text: "\n" and " " are the only characters
+            # that encode to 0x0A and 0x20. A line splits into exactly two
+            # tokens when it holds exactly one space.
+            lines = str_to_token(content).split(b"\n")
+            bad = [
+                lineno
+                for lineno, ln in enumerate(lines, 1)
+                if ln.count(b" ") != 1 and ln and not ln.startswith(b"#")
+            ]
+            if bad:
+                raise ToolkitError(f"line {bad[0]}: expected 'left right'")
+            kept = [ln for ln in lines if ln.count(b" ") == 1 and not ln.startswith(b"#version")]
+            words = b" ".join(kept).split(b" ") if kept else []
+            lefts, rights = words[0::2], words[1::2]
+        get = vocab._ids.get
+        lids, rids = list(map(get, lefts)), list(map(get, rights))
+        nids = list(map(get, map(bytes.__add__, lefts, rights)))
+        if None in lids or None in rids or None in nids:
+            i = min(ids.index(None) for ids in (lids, rids, nids) if None in ids)
+            missing = lefts[i] if lids[i] is None else rights[i] if rids[i] is None else lefts[i] + rights[i]
+            raise ToolkitError(f"merge references unknown token {token_to_str(missing)!r}")
+    return MergeRuleList(list(map(MergeRule, lids, rids, nids)))

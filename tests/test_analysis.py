@@ -18,6 +18,7 @@ from tokenlens.analysis import (
     write_matrix_csv,
 )
 from tokenlens.errors import ToolkitError
+from tokenlens.text import char_byte_len, recover_utf8_chars, unicode_block
 from tokenlens.vocab import Vocabulary
 
 GDOT = "Ġ".encode("utf-8")
@@ -46,6 +47,30 @@ class TestNormalizationRules:
         for raw in [GDOT + b"x", b"##" + LOWLINE + b"y", b"ordinary", b"## ##"]:
             once = DEFAULT_RULES.apply(raw)
             assert DEFAULT_RULES.apply(once) == once
+
+    # Markers whole, and their bytes apart, so that a replacement may land
+    # between the halves of another marker.
+    @given(
+        st.lists(
+            st.sampled_from([b"a", b" ", b"#", b"##", GDOT, LOWLINE, b"\xc4", b"\xa0", b"\xe2", b"\x96\x81"]),
+            max_size=8,
+        ).map(b"".join)
+    )
+    def test_default_rules_are_idempotent(self, raw):
+        once = DEFAULT_RULES.apply(raw)
+        assert DEFAULT_RULES.apply(once) == once
+
+    @pytest.mark.parametrize(
+        "rules,raw,once,twice",
+        [
+            (NormalizationRules(prefix_markers=((b"ab", b""),)), b"aabb", b"ab", b""),
+            (NormalizationRules(prefix_markers=((b" x", b" "),)), b" xx", b" x", b" "),  # --space-marker " x"
+        ],
+    )
+    def test_custom_rules_need_not_be_idempotent(self, rules, raw, once, twice):
+        # A replacement joins the bytes around a marker into a new marker.
+        assert rules.apply(raw) == once
+        assert rules.apply(once) == twice
 
     def test_empty_rules_are_identity(self):
         rules = NormalizationRules()
@@ -94,6 +119,7 @@ _RULE_SETS = st.sampled_from(
         DEFAULT_RULES,
         NormalizationRules(),
         NormalizationRules(prefix_markers=((b"#", b""),), strip_continuation=(b"a", b"b")),
+        NormalizationRules(prefix_markers=((b"ab", b""), (b" a", b"#")), strip_continuation=(b"##", b"b")),
     ]
 )
 
@@ -107,6 +133,12 @@ class TestNormalizeVocabMatchesOracle:
 
 
 class TestNormalizeVocab:
+    @given(_MARKED_TOKENS)
+    def test_default_normalization_twice_is_noop(self, tokens):
+        once = normalize_vocab(Vocabulary(tokens))
+        again = normalize_vocab(once.vocab)
+        assert (again.vocab, again.n_collapsed, again.n_dropped) == (once.vocab, 0, 0)
+
     def test_collision_collapses_and_counts(self):
         v = Vocabulary([b"ing", b"##ing"])
         res = normalize_vocab(v)
@@ -141,6 +173,11 @@ class TestNormalizeVocab:
 
 
 class TestOverlapMetrics:
+    @given(st.frozensets(st.binary(max_size=2), max_size=12), st.frozensets(st.binary(max_size=2), max_size=12))
+    def test_jaccard_matches_union_oracle(self, a, b):
+        if a or b:
+            assert jaccard(a, b) == len(a & b) / len(a | b)
+
     def test_jaccard_known_value(self):
         a = frozenset({b"a", b"b"})
         b = frozenset({b"b", b"c"})
@@ -168,6 +205,48 @@ class TestOverlapMetrics:
     def test_containment_empty_numerator_is_error(self):
         with pytest.raises(ToolkitError):
             containment(frozenset(), frozenset({b"a"}))
+
+
+def oracle_breakdown(vocab: Vocabulary) -> tuple:
+    """The spec of vocab_breakdown, token by token: bucket its byte length,
+    then take its characters from a strict decode, or from
+    recover_utf8_chars when that fails."""
+    chars: set[str] = set()
+    tokens_by_len = {n: 0 for n in range(1, 8)}
+    gt7 = 0
+    for token in vocab:
+        if len(token) > 7:
+            gt7 += 1
+        else:
+            tokens_by_len[len(token)] += 1
+        try:
+            chars.update(token.decode("utf-8"))
+        except UnicodeDecodeError:
+            chars.update(recover_utf8_chars(token))
+    chars_by_len = {n: 0 for n in range(1, 5)}
+    for ch in chars:
+        chars_by_len[char_byte_len(ch)] += 1
+    blocks = {unicode_block(ch) for ch in chars}
+    return len(vocab), len(blocks), chars_by_len, tokens_by_len, gt7
+
+
+# Valid characters of each UTF-8 length, "\n", lone bytes 0x80..0xff and
+# cut-off sequences, so that tokens are valid, invalid but recoverable, or
+# not recoverable at all, and some are longer than 7 bytes.
+_BREAKDOWN_PIECES = st.sampled_from(
+    [b"a", b"\n", b" ", "é".encode(), "क".encode(), "😀".encode(), b"\xe0\xa4", b"\xf0\x9f\x98"]
+) | st.integers(0x80, 0xFF).map(lambda b: bytes([b]))
+
+
+# Tried in a scratch copy, two breakdown mutants fail this test: taking an
+# invalid token's characters from its surrogateescape decode, and dropping
+# the escapes from the joined set instead of recovering those tokens.
+class TestVocabBreakdownMatchesOracle:
+    @given(st.lists(st.lists(_BREAKDOWN_PIECES, min_size=1, max_size=6).map(b"".join), unique=True, max_size=20))
+    def test_any_tokens(self, tokens):
+        row = vocab_breakdown(Vocabulary(tokens))
+        got = (row.clean_vocab_size, row.distinct_blocks, row.chars_by_byte_len, row.tokens_by_byte_len, row.tokens_gt7)
+        assert got == oracle_breakdown(Vocabulary(tokens))
 
 
 class TestVocabBreakdown:

@@ -406,6 +406,26 @@ class TestNearest:
         assert_bitwise(got[1], want[1])
 
 
+def oracle_euclidean(h, vl):
+    """The euclidean distances in one pass over every row."""
+    return np.linalg.norm(vl - h, axis=1)
+
+
+class TestDistances:
+    # Row counts around the block size: one row, one short of a block, one
+    # block, one past it, and three blocks with a short tail.
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3079])
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 64]), st.booleans())
+    def test_euclidean_matches_one_pass(self, rows, seed, dim, special):
+        rng = np.random.default_rng(seed)
+        vl = rng.normal(size=(rows, dim)) * rng.choice([1e-160, 1.0, 1e160], size=(rows, 1))
+        h = rng.normal(size=dim)
+        if special:  # overflow, NaN and infinite rows
+            vl[rng.integers(0, rows, size=3)] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=(3, dim))
+        with np.errstate(all="ignore"):
+            assert_bitwise(_distances(h, vl, "euclidean"), oracle_euclidean(h, vl))
+
+
 class TestDeriveKnn:
     @pytest.fixture()
     def space(self):

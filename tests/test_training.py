@@ -515,6 +515,20 @@ class TestBpeEncodeMatchesReplay:
         assert bpe_encode(text, vocab, rules) == oracle_replay_encode(text, vocab, rules)
 
 
+    @given(st.text(alphabet="ab\u0915xé", max_size=30))
+    def test_oov_names_first_missing_character(self, text):
+        # The per-character lookup: the first character, in text order, that
+        # the vocabulary lacks, however often it and others repeat.
+        vocab, rules = bpe_train(["abab", "ba"], target_vocab_size=4)
+        missing = [(ch, i) for i, ch in enumerate(text) if vocab.get(ch.encode("utf-8")) is None]
+        if not missing:
+            assert bpe_encode(text, vocab, rules) == oracle_replay_encode(text, vocab, rules)
+            return
+        with pytest.raises(OovCharacterError) as exc:
+            bpe_encode(text, vocab, rules)
+        assert (exc.value.char, exc.value.offset) == missing[0]
+
+
 def rule_triples(rules: MergeRuleList) -> list[tuple[int, int, int]]:
     return [(r.left_id, r.right_id, r.new_id) for r in rules]
 
@@ -612,6 +626,12 @@ class TestMergeTrainersMatchFullRecount:
             assert_same_training(train(docs, target_vocab_size=150), oracle_train(docs, 150, None, scorer))
 
 
+class _EagerCompaction(_LazyArgmax):
+    """Compacts at almost every step, so that the tests reach it."""
+
+    _FLOOR = 2
+
+
 class TestLazyArgmax:
     """The trainers' argmax against a scan of every live item, under a score
     that ties across buckets and across products within a bucket."""
@@ -620,10 +640,23 @@ class TestLazyArgmax:
     def score(bucket: int, p: int) -> int:
         return bucket % 2 - p // 3  # does not increase as p grows
 
-    @given(st.lists(st.tuples(st.integers(0, 3), st.none() | st.tuples(st.integers(0, 2), st.integers(0, 5))), min_size=10, max_size=100))
+    _OPS = st.lists(
+        st.tuples(st.integers(0, 3), st.none() | st.tuples(st.integers(0, 2), st.integers(0, 5))),
+        min_size=10,
+        max_size=100,
+    )
+
+    @given(_OPS)
     def test_matches_scan(self, ops):
+        self.check_against_scan(_LazyArgmax, ops)
+
+    @given(_OPS)
+    def test_matches_scan_compacting_at_every_step(self, ops):
+        self.check_against_scan(_EagerCompaction, ops)
+
+    def check_against_scan(self, argmax_class, ops):
         live: dict[int, tuple[int, int]] = {}
-        argmax = _LazyArgmax(lambda item: live.get(item, (-1, 0)), self.score)
+        argmax = argmax_class(lambda item: live.get(item, (-1, 0)), self.score)
         for item, key in ops:
             if key is None:
                 live.pop(item, None)
@@ -636,6 +669,36 @@ class TestLazyArgmax:
                 winner = min((i for i, k in live.items() if self.score(*k) == best), key=lambda i: b"%d" % i)
                 expected = (best, b"%d" % winner, winner)
             assert argmax.best() == expected
+
+    def test_entries_track_live_items_over_a_long_run(self, monkeypatch):
+        # Wordpiece pushes a pair again whenever a merge moves either
+        # token's count: about 91,000 pushes for 1,500 merges here, which
+        # without compaction peak at about 66,000 entries for some 3,200
+        # live pairs.
+        rng = random.Random(5)
+        words = ["".join(rng.choice("abcdefghijklmnop") for _ in range(rng.randrange(2, 9))) for _ in range(400)]
+        docs = [" ".join(rng.choice(words) for _ in range(rng.randrange(1, 15))) for _ in range(400)]
+        seen = Counter()  # peak entries, live items (every 10th step), pushes in a step
+
+        class Recorder(_LazyArgmax):
+            def push(self, label, item):
+                seen["pushes"] += 1
+                super().push(label, item)
+
+            def best(self):
+                seen["steps"] += 1
+                seen["step_pushes"] = max(seen["step_pushes"], seen.pop("pushes", 0))
+                seen["peak"] = max(seen["peak"], len(self))
+                if seen["steps"] % 10 == 0:
+                    live = {e[2] for b, heap in self._buckets.items() for e in heap if self._key(e[2]) == (b, e[0])}
+                    seen["live"] = max(seen["live"], len(live))
+                return super().best()
+
+        monkeypatch.setattr(sys.modules["tokenlens.training"], "_LazyArgmax", Recorder)
+        _, rules = wordpiece_train(docs, len(set("".join(docs))) + 1500)
+        assert len(rules) == 1500
+        # Some 3,200 live pairs, so twice that is above the floor.
+        assert seen["peak"] <= 2 * seen["live"] + seen["step_pushes"]
 
 
 # ---------------------------------------------------------------------------

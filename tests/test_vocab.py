@@ -1,13 +1,15 @@
 """Vocabulary and merge-rule containers plus their file round-trips."""
 
 import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokenlens.errors import ToolkitError
+from tokenlens.errors import ToolkitError, reading
 from tokenlens.vocab import (
     MergeRule,
     MergeRuleList,
@@ -136,6 +138,151 @@ class TestVocabulary:
         assert Vocabulary([b"a", b"b"]) != Vocabulary([b"b", b"a"])
 
 
+def oracle_load_vocab(path: str) -> Vocabulary:
+    """The spec of load_vocab, line by line and entry by entry."""
+    with reading(path):
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            content = f.read()
+        stripped = content.lstrip()
+        obj = None
+        if stripped.startswith("{"):
+            obj = json.loads(content)
+        elif stripped.startswith("["):
+            try:
+                obj = json.loads(content)
+            except ValueError:
+                pass
+        if obj is None:
+            return Vocabulary([str_to_token(ln) for ln in content.split("\n") if ln != ""])
+        if not isinstance(obj, dict):
+            raise ToolkitError("vocabulary JSON must be an object")
+        by_id: dict[int, bytes] = {}
+        for tok_s, tid in obj.items():
+            if type(tid) is not int:
+                raise ToolkitError(f"id for {tok_s!r} is not an integer")
+            if tid in by_id:
+                raise ToolkitError(f"duplicate id {tid}")
+            by_id[tid] = str_to_token(tok_s)
+        if sorted(by_id) != list(range(len(by_id))):
+            raise ToolkitError("token ids are not dense 0..n-1")
+        return Vocabulary([by_id[i] for i in range(len(by_id))])
+
+
+def oracle_load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
+    """The spec of load_merges, line by line and rule by rule."""
+    with reading(path):
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            content = f.read()
+        pairs: list[tuple[str, str]] = []
+        if content.lstrip().startswith("["):
+            arr = json.loads(content)
+            if not isinstance(arr, list):
+                raise ToolkitError("merges JSON must be an array")
+            for entry in arr:
+                if not isinstance(entry, list) or [type(s) for s in entry] != [str, str]:
+                    raise ToolkitError("each merge must be a [left, right] pair of strings")
+                pairs.append((entry[0], entry[1]))
+        else:
+            for lineno, ln in enumerate(content.split("\n"), 1):
+                if ln == "" or ln.startswith("#version"):
+                    continue
+                parts = ln.split(" ")
+                if ln.startswith("#") and len(parts) != 2:
+                    continue
+                if len(parts) != 2:
+                    raise ToolkitError(f"line {lineno}: expected 'left right'")
+                pairs.append((parts[0], parts[1]))
+        rules = []
+        for left_s, right_s in pairs:
+            left = str_to_token(left_s)
+            right = str_to_token(right_s)
+            lid = vocab.get(left)
+            rid = vocab.get(right)
+            nid = vocab.get(left + right)
+            if lid is None or rid is None or nid is None:
+                missing = token_to_str(left if lid is None else right if rid is None else left + right)
+                raise ToolkitError(f"merge references unknown token {missing!r}")
+            rules.append(MergeRule(lid, rid, nid))
+    return MergeRuleList(rules)
+
+
+def file_outcomes(loader, oracle, data: bytes, *args):
+    """outcome(loader, path, *args) and outcome(oracle, path, *args) for one
+    file holding data."""
+    fd, path = tempfile.mkstemp()
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        return outcome(loader, path, *args), outcome(oracle, path, *args)
+    finally:
+        os.remove(path)
+
+
+# Token bytes that are valid UTF-8, invalid (lone 0x80..0xff bytes, a cut-off
+# sequence), or a space, "#" or "\r"; lines end in "\n", "\r\n" or "\r",
+# which reading translates to "\n", and may be empty.
+_TOKEN_BYTES = st.lists(
+    st.sampled_from([b"a", b"b", b"#", b" ", b"\r", b"[", "क".encode(), b"\xe0\xa4"])
+    | st.integers(0x80, 0xFF).map(lambda b: bytes([b])),
+    max_size=3,
+).map(b"".join)
+_LINE_END = st.sampled_from([b"\n", b"\r\n", b"\r"])
+
+
+@st.composite
+def vocab_files(draw):
+    """A plaintext vocabulary, or a JSON object of token -> id whose ids are
+    often dense but may repeat, skip, be negative, bool or a string."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(st.tuples(_TOKEN_BYTES, _LINE_END), max_size=10))
+        return b"".join(t + end for t, end in lines)
+    tokens = draw(st.lists(_TOKEN_BYTES, max_size=8, unique=True))
+    ids = list(range(len(tokens)))
+    draw(st.randoms(use_true_random=False)).shuffle(ids)
+    odd = st.integers(-1, len(tokens) + 1) | st.booleans() | st.just("0")
+    ids = [draw(odd) if draw(st.integers(0, 2)) == 0 else i for i in ids]
+    return json.dumps(dict(zip(map(token_to_str, tokens), ids)), ensure_ascii=True).encode()
+
+
+_MERGE_VOCAB = Vocabulary([b"a", b"b", b"ab", b"#", b"##", b"#a", b"\xff", b"a\xff", "क".encode()])
+
+
+@st.composite
+def merges_files(draw):
+    """Plaintext merges: pairs of vocabulary tokens (or not), "#version"
+    headers, "#" comments and "#" merges, lines of one or three tokens, empty
+    lines and mixed line ends. Or a JSON array of pairs and malformed entries."""
+    word = st.sampled_from([b"a", b"b", b"ab", b"#", b"#a", b"\xff", b"\xa4", "क".encode(), b""])
+    if draw(st.integers(0, 3)) == 0:
+        entry = st.lists(word.map(token_to_str), min_size=2, max_size=2) | st.sampled_from([["a"], [1, "a"], "ab"])
+        return json.dumps(draw(st.lists(entry, max_size=6)), ensure_ascii=True).encode()
+    pair = st.sampled_from([b"a b", b"# #", b"# a", b"a \xff"])  # rules of _MERGE_VOCAB
+    line = (
+        pair
+        | pair
+        | st.sampled_from([b"#version: 0.2", b"#version a", b"# comment here", b""])
+        | st.lists(word, min_size=1, max_size=3).map(b" ".join)
+    )
+    lines = draw(st.lists(st.tuples(line, _LINE_END), max_size=8))
+    return b"".join(ln + end for ln, end in lines)
+
+
+# Tried in a scratch copy, these loader mutants fail a test here: reading
+# without newline translation ("\r" and "\r\n" kept), a "#version" line of
+# two tokens read as a merge, and a missing token reported for the last bad
+# rule instead of the first.
+class TestLoadersMatchOracles:
+    @given(vocab_files())
+    def test_load_vocab(self, data):
+        got, expected = file_outcomes(load_vocab, oracle_load_vocab, data)
+        assert got == expected
+
+    @given(merges_files())
+    def test_load_merges(self, data):
+        got, expected = file_outcomes(load_merges, oracle_load_merges, data, _MERGE_VOCAB)
+        assert got == expected
+
+
 class TestVocabFiles:
     def test_json_roundtrip(self, tmp_path):
         v = Vocabulary([b"a", b"sh", b"\xff", b"\xc4\xa0x"])
@@ -157,6 +304,14 @@ class TestVocabFiles:
         with open(path, "w") as f:
             json.dump({"a": 0, "b": 2}, f)
         with pytest.raises(ToolkitError):
+            load_vocab(path)
+
+    def test_json_negative_id_rejected(self, tmp_path):
+        # two distinct ids whose largest is n - 1, one of them below 0
+        path = str(tmp_path / "vocab.json")
+        with open(path, "w") as f:
+            json.dump({"a": -1, "b": 1}, f)
+        with pytest.raises(ToolkitError, match="token ids are not dense"):
             load_vocab(path)
 
     def test_json_duplicate_ids_rejected(self, tmp_path):
