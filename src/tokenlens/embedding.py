@@ -144,7 +144,13 @@ class ToyEncoder:
         # changes no bit; one 2-D product over all rows would round
         # differently.
         for w, b in self.layers[:layer]:
-            if not self.linear:
+            if not self.linear and h.shape[-2] == 1:
+                # One position: the prefix mean is h itself (a one-term cumsum
+                # and a divide by 1 are exact), so this is the same
+                # fl(0.5*h) + fl(0.5*h) as the general step, bit for bit.
+                h *= 0.5
+                h += h
+            elif not self.linear:
                 prefix_mean = np.cumsum(h, axis=-2)
                 prefix_mean /= np.arange(1, h.shape[-2] + 1)[:, None]
                 prefix_mean *= 0.5

@@ -361,6 +361,7 @@ def bpe_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
         offset = seq.index(None)
         raise OovCharacterError(text[offset], offset)
     first, later = rules.rank_index()
+    new_ids = rules.new_ids
     n = len(seq)
     nxt = list(range(1, n + 1))  # n: no right neighbour
     prv = list(range(-1, n - 1))  # -1: no left neighbour
@@ -393,7 +394,7 @@ def bpe_encode(text: str, vocab: Vocabulary, rules: MergeRuleList) -> list[int]:
             continue
         right = nxt[pos]
         after = nxt[right]
-        seq[pos] = rules[rank].new_id
+        seq[pos] = new_ids[rank]
         nxt[pos] = after
         version[pos] += 1
         version[right] += 1  # merged away: its entries are stale

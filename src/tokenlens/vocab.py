@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
+from operator import attrgetter, not_
 from typing import Iterable
 
 from .errors import ToolkitError, reading
@@ -103,23 +104,52 @@ class MergeRule:
 
 
 class MergeRuleList:
-    """Ordered merge rules, built once; position in the list is the rule's rank."""
+    """Ordered merge rules, built once; position in the list is the rule's rank.
+
+    The rules are held as three id columns (left, right, new), so a 50k-rule
+    list costs three tuples of ints, not one object per rule. Indexing and
+    iteration build MergeRule objects on request.
+    """
 
     def __init__(self, rules: Iterable[MergeRule] = ()):
-        self._rules: list[MergeRule] = list(rules)
+        rules = list(rules)
+        self._left = tuple(map(attrgetter("left_id"), rules))
+        self._right = tuple(map(attrgetter("right_id"), rules))
+        self._new = tuple(map(attrgetter("new_id"), rules))
         self._ranks: tuple[dict[int, int], dict[int, list[int]]] | None = None
 
+    @classmethod
+    def from_columns(cls, left_ids: Iterable[int], right_ids: Iterable[int], new_ids: Iterable[int]) -> "MergeRuleList":
+        """The list whose rule at rank i is MergeRule(left_ids[i], right_ids[i], new_ids[i])."""
+        rules = cls()
+        rules._left, rules._right, rules._new = tuple(left_ids), tuple(right_ids), tuple(new_ids)
+        if not len(rules._left) == len(rules._right) == len(rules._new):
+            raise ValueError("merge rule columns differ in length")
+        return rules
+
+    @property
+    def new_ids(self) -> tuple[int, ...]:
+        """The new_id of every rule, by rank."""
+        return self._new
+
     def __len__(self) -> int:
-        return len(self._rules)
+        return len(self._new)
 
     def __iter__(self):
-        return iter(self._rules)
+        return map(MergeRule, self._left, self._right, self._new)
 
-    def __getitem__(self, i: int) -> MergeRule:
-        return self._rules[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(MergeRule, self._left[i], self._right[i], self._new[i]))
+        return MergeRule(self._left[i], self._right[i], self._new[i])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MergeRuleList) and self._rules == other._rules
+        return (
+            isinstance(other, MergeRuleList)
+            and self._left == other._left
+            and self._right == other._right
+            and self._new == other._new
+        )
 
     def rank_index(self) -> tuple[dict[int, int], dict[int, list[int]]]:
         """Ranks by pair, keyed by (left_id << 32) | right_id (ids < 2**32).
@@ -131,19 +161,20 @@ class MergeRuleList:
         changes, so the index cannot go stale.
         """
         if self._ranks is None:
-            first: dict[int, int] = {}
+            n = len(self._new)
+            keys = [left << 32 | right for left, right in zip(self._left, self._right)]
+            # Filled from the last rank down, so each pair keeps its lowest.
+            first = dict(zip(reversed(keys), reversed(range(n))))
             later: dict[int, list[int]] = {}
-            for rank, rule in enumerate(self._rules):
-                key = rule.left_id << 32 | rule.right_id
-                if key in first:
-                    later.setdefault(key, []).append(rank)
-                else:
-                    first[key] = rank
+            if len(first) < n:
+                for rank, key in enumerate(keys):
+                    if first[key] != rank:
+                        later.setdefault(key, []).append(rank)
             self._ranks = (first, later)
         return self._ranks
 
     def as_pairs(self, vocab: Vocabulary) -> list[tuple[bytes, bytes]]:
-        return [(vocab.token(r.left_id), vocab.token(r.right_id)) for r in self._rules]
+        return list(zip(map(vocab.token, self._left), map(vocab.token, self._right)))
 
 
 def save_vocab(vocab: Vocabulary, path: str) -> None:
@@ -186,7 +217,8 @@ def load_vocab(path: str) -> Vocabulary:
             _reject_first_bad_id(obj)
         if min(by_id, default=0) != 0 or max(by_id, default=-1) != len(by_id) - 1:
             raise ToolkitError("token ids are not dense 0..n-1")
-        return Vocabulary([str_to_token(by_id[i]) for i in range(len(by_id))])
+        strs = map(by_id.__getitem__, range(len(by_id)))
+        return Vocabulary(list(map(str.encode, strs, repeat("utf-8"), repeat("surrogateescape"))))
 
 
 def _reject_first_bad_id(obj: dict) -> None:
@@ -214,17 +246,21 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
     Plaintext follows the common merges.txt convention: one space-separated
     pair per line. A "#version" header line is skipped; any other line
     starting with "#" is a comment unless it splits into exactly two tokens,
-    because "# #" and "#x y" are real merges in byte-level vocabularies.
-    Every referenced token, including each merged concatenation, must exist
-    in vocab.
+    because "# #" and "#x y" are real merges in byte-level vocabularies. A
+    file opening with "[" is plaintext unless it parses as JSON ("[ a" is a
+    merge of "[" and "a"). Every referenced token, including each merged
+    concatenation, must exist in vocab.
     """
     with reading(path):
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
             content = f.read()
+        arr = None
         if content.lstrip().startswith("["):
-            arr = json.loads(content)
-            if not isinstance(arr, list):
-                raise ToolkitError("merges JSON must be an array")
+            try:
+                arr = json.loads(content)
+            except ValueError:
+                pass
+        if arr is not None:
             for entry in arr:
                 if not isinstance(entry, list) or [type(s) for s in entry] != [str, str]:
                     raise ToolkitError("each merge must be a [left, right] pair of strings")
@@ -235,15 +271,16 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
             # that encode to 0x0A and 0x20. A line splits into exactly two
             # tokens when it holds exactly one space.
             lines = str_to_token(content).split(b"\n")
-            bad = [
-                lineno
-                for lineno, ln in enumerate(lines, 1)
-                if ln.count(b" ") != 1 and ln and not ln.startswith(b"#")
-            ]
-            if bad:
-                raise ToolkitError(f"line {bad[0]}: expected 'left right'")
-            kept = [ln for ln in lines if ln.count(b" ") == 1 and not ln.startswith(b"#version")]
-            words = b" ".join(kept).split(b" ") if kept else []
+            if not lines[-1]:
+                del lines[-1]  # the empty text after a final line end
+            spaces = list(map(bytes.count, lines, repeat(b" ")))
+            if spaces.count(1) < len(lines):
+                for lineno, (ln, n) in enumerate(zip(lines, spaces), 1):
+                    if n != 1 and ln and not ln.startswith(b"#"):
+                        raise ToolkitError(f"line {lineno}: expected 'left right'")
+                lines = list(compress(lines, map((1).__eq__, spaces)))
+            lines = list(compress(lines, map(not_, map(bytes.startswith, lines, repeat(b"#version")))))
+            words = b" ".join(lines).split(b" ") if lines else []
             lefts, rights = words[0::2], words[1::2]
         get = vocab._ids.get
         lids, rids = list(map(get, lefts)), list(map(get, rights))
@@ -252,4 +289,4 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
             i = min(ids.index(None) for ids in (lids, rids, nids) if None in ids)
             missing = lefts[i] if lids[i] is None else rights[i] if rids[i] is None else lefts[i] + rights[i]
             raise ToolkitError(f"merge references unknown token {token_to_str(missing)!r}")
-    return MergeRuleList(list(map(MergeRule, lids, rids, nids)))
+    return MergeRuleList.from_columns(lids, rids, nids)

@@ -786,7 +786,8 @@ class TestMalformedFiles:
             ('{"a": 0}', "[[1, 2]]", "pair of strings"),
             ('{"a": true, "b": false}', "[]", "is not an integer"),
             ('{"a": 0,', "[]", "v.json: Expecting property name"),
-            ('{"a": 0, "b": 1, "ab": 2}', '[["a", "b"],', "m.json: Expecting value"),
+            # A merges file opening with "[" that is not JSON is read as plaintext.
+            ('{"a": 0, "b": 1, "ab": 2}', '[["a", "b"],', "m.json: merge references unknown token '[[\"a\",'"),
             ("a\nb\na\n", "[]", "v.json: duplicate token 'a'"),
             ('{"": 0, "a": 1}', "[]", "v.json: empty tokens are not allowed"),
         ],

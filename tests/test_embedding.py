@@ -135,6 +135,29 @@ def oracle_toy_encode(enc, states, layer):
     return h
 
 
+def oracle_prefix_mean_encode(enc, states, layer):
+    """The toy encoder's in-place loop with its prefix-mean step run at every
+    layer, whatever the sequence length."""
+    h = np.array(states, dtype=np.float64, copy=True)
+    for w, b in enc.layers[:layer]:
+        prefix_mean = np.cumsum(h, axis=-2)
+        prefix_mean /= np.arange(1, h.shape[-2] + 1)[:, None]
+        prefix_mean *= 0.5
+        h *= 0.5
+        h += prefix_mean
+        del prefix_mean
+        h = h @ w.T
+        h += b
+        np.tanh(h, out=h)
+    return h
+
+
+# _EDGE_FLOATS plus infinities and NaNs, one with a payload.
+_SPECIAL_FLOATS = _EDGE_FLOATS | st.sampled_from(
+    [math.inf, -math.inf, math.nan, -math.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]]
+)
+
+
 @st.composite
 def toy_stacks(draw):
     """(encoder, (batch, n, dim) stack, layer), dims across BLAS kernel sizes."""
@@ -243,6 +266,45 @@ class TestToyEncoder:
             formula = [oracle_toy_encode(enc, seq, layer) for seq in stack]
         assert_bitwise(batched, np.stack(single))
         assert_bitwise(batched, np.stack(formula))
+
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 70), st.integers(1, 5), st.data())
+    def test_one_position_matches_prefix_mean_loop(self, seed, depth, dim, batch, data):
+        # A one-position sequence skips the cumsum and the divide; every bit
+        # stays.
+        enc = toy_encoder(seed, depth, dim)
+        layer = data.draw(st.integers(1, depth))
+        seq = data.draw(hnp.arrays(np.float64, (1, dim), elements=_SPECIAL_FLOATS))
+        stack = data.draw(hnp.arrays(np.float64, (batch, 1, dim), elements=_SPECIAL_FLOATS))
+        with np.errstate(all="ignore"):
+            assert_bitwise(enc.encode_to_layer(seq, layer), oracle_prefix_mean_encode(enc, seq, layer))
+            assert_bitwise(enc.encode_to_layer(stack, layer), oracle_prefix_mean_encode(enc, stack, layer))
+
+    @given(st.integers(1, 8), st.integers(1, 3), st.data())
+    def test_one_position_mixing_bits_show(self, dim, batch, data):
+        # With identity layers the output is tanh of the mixed states, and
+        # tanh keeps subnormals, so a mixing step other than
+        # fl(0.5*h) + fl(0.5*h) shows in the bits: 0.5 * 5e-324 rounds to 0.
+        # Tried in a scratch copy, one-position mixing steps of "nothing"
+        # and of "h += 0.0" each fail here; with random layers they do not,
+        # because adding b swamps a subnormal.
+        enc = toy_encoder(0, 2, dim)
+        enc.layers = [(np.eye(dim), np.zeros(dim))] * 2
+        tiny = st.sampled_from([5e-324, -5e-324, 1.5e-323, 1e-310, -0.0, 0.0]) | st.floats(-4.0, 4.0)
+        stack = data.draw(hnp.arrays(np.float64, (batch, 1, dim), elements=tiny))
+        assert_bitwise(enc.encode_to_layer(stack, 1), oracle_prefix_mean_encode(enc, stack, 1))
+        assert_bitwise(enc.encode_to_layer(stack, 2), oracle_prefix_mean_encode(enc, stack, 2))
+        assert_bitwise(enc.encode_to_layer(stack[0], 2), oracle_prefix_mean_encode(enc, stack[0], 2))
+
+    def test_one_position_special_values(self):
+        enc = toy_encoder(seed=3, depth=2, dim=8)
+        nan_payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]
+        row = [5e-324, -5e-324, -0.0, 0.0, 1.7e308, -math.inf, math.nan, nan_payload]
+        stack = np.array([[row], [row[::-1]], [[1e-310] * 8]])
+        with np.errstate(all="ignore"):
+            for layer in (1, 2):
+                assert_bitwise(enc.encode_to_layer(stack, layer), oracle_prefix_mean_encode(enc, stack, layer))
+                assert_bitwise(enc.encode_to_layer(stack[0], layer), oracle_prefix_mean_encode(enc, stack[0], layer))
 
 
 class TestLookupEncoder:

@@ -174,10 +174,13 @@ def oracle_load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
             content = f.read()
         pairs: list[tuple[str, str]] = []
+        arr = None
         if content.lstrip().startswith("["):
-            arr = json.loads(content)
-            if not isinstance(arr, list):
-                raise ToolkitError("merges JSON must be an array")
+            try:
+                arr = json.loads(content)
+            except ValueError:
+                pass  # plaintext whose first token starts with "["
+        if arr is not None:
             for entry in arr:
                 if not isinstance(entry, list) or [type(s) for s in entry] != [str, str]:
                     raise ToolkitError("each merge must be a [left, right] pair of strings")
@@ -244,23 +247,30 @@ def vocab_files(draw):
     return json.dumps(dict(zip(map(token_to_str, tokens), ids)), ensure_ascii=True).encode()
 
 
-_MERGE_VOCAB = Vocabulary([b"a", b"b", b"ab", b"#", b"##", b"#a", b"\xff", b"a\xff", "क".encode()])
+_MERGE_VOCAB = Vocabulary(
+    [b"a", b"b", b"ab", b"#", b"##", b"#a", b"\xff", b"a\xff", "क".encode(), b"[", b"[a", b"[[", b"[[a"]
+)
 
 
 @st.composite
 def merges_files(draw):
     """Plaintext merges: pairs of vocabulary tokens (or not), "#version"
     headers, "#" comments and "#" merges, lines of one or three tokens, empty
-    lines and mixed line ends. Or a JSON array of pairs and malformed entries."""
-    word = st.sampled_from([b"a", b"b", b"ab", b"#", b"#a", b"\xff", b"\xa4", "क".encode(), b""])
+    lines and mixed line ends; a plaintext file may open with "[" (and may
+    then still parse as JSON). Or a JSON array of pairs and malformed
+    entries, whole or cut short."""
+    word = st.sampled_from([b"a", b"b", b"ab", b"#", b"#a", b"\xff", b"\xa4", "क".encode(), b"[", b"[[", b""])
     if draw(st.integers(0, 3)) == 0:
         entry = st.lists(word.map(token_to_str), min_size=2, max_size=2) | st.sampled_from([["a"], [1, "a"], "ab"])
-        return json.dumps(draw(st.lists(entry, max_size=6)), ensure_ascii=True).encode()
-    pair = st.sampled_from([b"a b", b"# #", b"# a", b"a \xff"])  # rules of _MERGE_VOCAB
+        data = json.dumps(draw(st.lists(entry, max_size=6)), ensure_ascii=True).encode()
+        return data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+    # rules of _MERGE_VOCAB; "[ a" opens a plaintext file with "[", and
+    # "[[ a" opens one with "[[" (neither is JSON)
+    pair = st.sampled_from([b"a b", b"# #", b"# a", b"a \xff", b"[ a", b"[[ a", b"[ [a"])
     line = (
         pair
         | pair
-        | st.sampled_from([b"#version: 0.2", b"#version a", b"# comment here", b""])
+        | st.sampled_from([b"#version: 0.2", b"#version a", b"# comment here", b"", b"[]", b"[ ]"])
         | st.lists(word, min_size=1, max_size=3).map(b" ".join)
     )
     lines = draw(st.lists(st.tuples(line, _LINE_END), max_size=8))
@@ -281,6 +291,14 @@ class TestLoadersMatchOracles:
     def test_load_merges(self, data):
         got, expected = file_outcomes(load_merges, oracle_load_merges, data, _MERGE_VOCAB)
         assert got == expected
+        if isinstance(got, MergeRuleList):
+            # loaded as columns; rebuilt from MergeRule objects
+            rebuilt = MergeRuleList(list(got))
+            assert rebuilt == got
+            assert list(rebuilt) == list(got) == [got[i] for i in range(len(got))]
+            assert [rebuilt[i] for i in range(len(got))] == list(got)
+            assert all(type(rule) is MergeRule for rule in got)
+            assert got.rank_index() == oracle_rank_index(got)
 
 
 class TestVocabFiles:
@@ -402,6 +420,13 @@ class TestMergeFiles:
         with pytest.raises(ToolkitError, match=r"\[left, right\] pair of strings"):
             load_merges(path, vocab)
 
+    def test_plaintext_opening_with_bracket(self, tmp_path):
+        vocab = Vocabulary([b"[", b"a", b"b", b"c", b"[a", b"bc"])
+        path = str(tmp_path / "merges.txt")
+        with open(path, "w") as f:
+            f.write("[ a\nb c\n")
+        assert load_merges(path, vocab) == MergeRuleList([MergeRule(0, 1, 4), MergeRule(2, 3, 5)])
+
     def test_malformed_line_rejected(self, tmp_path, trained):
         vocab, _ = trained
         path = str(tmp_path / "merges.txt")
@@ -415,3 +440,68 @@ class TestMergeFiles:
         assert rules[0] == MergeRule(0, 1, 2)
         assert len(rules) == 2
         assert list(rules)[1].new_id == 3
+
+    def test_rule_list_slicing(self, trained):
+        _, rules = trained
+        assert rules[1:] == [MergeRule(2, 2, 3)]
+        assert rules[-1] == MergeRule(2, 2, 3)
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            MergeRuleList.from_columns([0, 1], [1, 0], [2])
+
+
+def oracle_rank_index(rules: MergeRuleList) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """MergeRuleList.rank_index one rule at a time: the first rank of each
+    pair, and the later ranks of repeated pairs in ascending order."""
+    first: dict[int, int] = {}
+    later: dict[int, list[int]] = {}
+    for rank, rule in enumerate(rules):
+        key = rule.left_id << 32 | rule.right_id
+        if key in first:
+            later.setdefault(key, []).append(rank)
+        else:
+            first[key] = rank
+    return first, later
+
+
+@st.composite
+def rule_lists(draw):
+    """Rules over a few ids, drawn from a pool of at most four pairs so most
+    pairs repeat at several ranks, in no order, with a new_id that is often
+    one of the operands; ids may be as large as the 32-bit key allows."""
+    ids = st.integers(0, 3) | st.sampled_from([2**31, 2**32 - 1])
+    pool = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=4))
+    rules = []
+    for _ in range(draw(st.integers(0, 24))):
+        left, right = draw(st.sampled_from(pool))
+        new_id = draw(st.sampled_from([left, right]) if draw(st.booleans()) else ids)
+        rules.append(MergeRule(left, right, new_id))
+    return rules
+
+
+# Tried in a scratch copy, each of these rank_index mutants fails
+# test_rank_index_matches_oracle: the first dict filled in rank order, so
+# that each pair keeps its highest rank, and the later dict left empty
+# whenever some pair repeats.
+class TestMergeRuleListColumns:
+    @given(rule_lists())
+    def test_rank_index_matches_oracle(self, rules):
+        assert MergeRuleList(rules).rank_index() == oracle_rank_index(MergeRuleList(rules))
+
+    @given(rule_lists())
+    def test_rules_round_trip(self, rules):
+        built = MergeRuleList(rules)
+        assert list(built) == rules
+        assert [built[i] for i in range(len(rules))] == rules
+        assert len(built) == len(rules)
+        assert built.new_ids == tuple(r.new_id for r in rules)
+        columns = [[r.left_id for r in rules], [r.right_id for r in rules], [r.new_id for r in rules]]
+        assert MergeRuleList.from_columns(*columns) == built
+
+    def test_equality_is_by_ordered_rules(self):
+        a = MergeRuleList([MergeRule(0, 1, 2), MergeRule(1, 0, 2)])
+        assert a == MergeRuleList([MergeRule(0, 1, 2), MergeRule(1, 0, 2)])
+        assert a != MergeRuleList([MergeRule(1, 0, 2), MergeRule(0, 1, 2)])
+        assert a != MergeRuleList([MergeRule(0, 1, 2), MergeRule(1, 0, 3)])
+        assert a != [MergeRule(0, 1, 2), MergeRule(1, 0, 2)]
