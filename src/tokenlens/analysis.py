@@ -9,12 +9,12 @@ tokenizer families become comparable.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .errors import ToolkitError
 from .parallel import ordered_map
 from .text import char_byte_len, recover_utf8_chars, unicode_block, write_table
-from .vocab import Vocabulary
 
 __all__ = [
     "NormalizationRules",
@@ -41,13 +41,6 @@ class NormalizationRules:
     stand for a space wherever they appear, not only at the front).
     strip_continuation markers are removed from the front of the token,
     repeated to a fixpoint. No marker may be empty.
-
-    DEFAULT_RULES are idempotent: a replacement puts a space between the
-    bytes on either side of a marker, so no new marker forms, and stripping
-    leaves no marker at the front. Custom rules need not be: a replacement
-    can join the bytes around a marker into a new one, so ((b"ab", b""),)
-    turns b"aabb" into b"ab" and a second pass into b"", and a space marker
-    " x" turns b" xx" into b" x" and a second pass into b" ".
     """
 
     prefix_markers: tuple[tuple[bytes, bytes], ...] = ()
@@ -56,19 +49,6 @@ class NormalizationRules:
     def __post_init__(self):
         if any(m == b"" for m, _ in self.prefix_markers) or b"" in self.strip_continuation:
             raise ToolkitError("normalization markers must not be empty")
-
-    def apply(self, token: bytes) -> bytes:
-        for marker, repl in self.prefix_markers:
-            if marker in token:
-                token = token.replace(marker, repl)
-        changed = True
-        while changed:
-            changed = False
-            for marker in self.strip_continuation:
-                if token.startswith(marker):
-                    token = token[len(marker) :]
-                    changed = True
-        return token
 
 
 DEFAULT_RULES = NormalizationRules(
@@ -82,14 +62,14 @@ DEFAULT_RULES = NormalizationRules(
 
 @dataclass
 class NormalizeResult:
-    vocab: Vocabulary
+    tokens: frozenset[bytes]
     n_collapsed: int
     n_dropped: int
 
 
 def _strip_front(token: bytes, markers: tuple[bytes, ...]) -> bytes:
-    """NormalizationRules.apply's strip loop: remove markers from the front
-    of token, each in turn, until none is left there."""
+    """Remove markers from the front of token, each in turn, until none is
+    left there."""
     while token.startswith(markers):
         for marker in markers:
             if token.startswith(marker):
@@ -97,16 +77,24 @@ def _strip_front(token: bytes, markers: tuple[bytes, ...]) -> bytes:
     return token
 
 
-def normalize_vocab(vocab: Vocabulary, rules: NormalizationRules = DEFAULT_RULES) -> NormalizeResult:
-    """Apply rules to every token; tokens that collide afterwards collapse to
-    one (set semantics), tokens that normalize to empty are dropped. Both
-    events are counted. Normalizing the result again with DEFAULT_RULES is
-    a no-op; with custom rules it need not be (see NormalizationRules).
+def normalize_vocab(tokens: Collection[bytes], rules: NormalizationRules = DEFAULT_RULES) -> NormalizeResult:
+    """The set that tokens form under rules. Each marker is replaced
+    everywhere in every token, then the continuation markers are stripped
+    from the front; tokens that collide afterwards collapse to one, tokens
+    that normalize to empty are dropped, and both events are counted.
 
-    Each token comes out as rules.apply(token), but each rule runs as one
-    pass over all tokens, and the strip loop runs only for the tokens that
-    start with a continuation marker."""
-    normalized = vocab.tokens()
+    Each rule runs as one pass over all tokens, and the strip loop runs only
+    for the tokens that start with a continuation marker.
+
+    Normalizing the result again with DEFAULT_RULES is a no-op: a
+    replacement puts a space between the bytes on either side of a marker,
+    so no new marker forms, and stripping leaves no marker at the front.
+    With custom rules it need not be: a replacement can join the bytes
+    around a marker into a new one, so ((b"ab", b""),) turns b"aabb" into
+    b"ab" and a second pass into b"", and a space marker " x" turns b" xx"
+    into b" x" and a second pass into b" ".
+    """
+    normalized = list(tokens)
     for marker, repl in rules.prefix_markers:
         normalized = [token.replace(marker, repl) for token in normalized]
     strip = rules.strip_continuation
@@ -114,11 +102,12 @@ def normalize_vocab(vocab: Vocabulary, rules: NormalizationRules = DEFAULT_RULES
         normalized = [
             _strip_front(token, strip) if token.startswith(strip) else token for token in normalized
         ]
-    unique = dict.fromkeys(normalized)  # first-occurrence order
-    unique.pop(b"", None)
+    unique = frozenset(normalized)
     dropped = normalized.count(b"")
+    if dropped:
+        unique -= {b""}
     return NormalizeResult(
-        vocab=Vocabulary(unique),
+        tokens=unique,
         n_collapsed=len(normalized) - dropped - len(unique),
         n_dropped=dropped,
     )
@@ -156,8 +145,8 @@ class VocabBreakdownRow:
 _ESCAPES = frozenset(map(chr, range(0xDC80, 0xDD00)))
 
 
-def vocab_breakdown(vocab: Vocabulary, label: str = "") -> VocabBreakdownRow:
-    """Byte-length histograms and script coverage of a vocabulary.
+def vocab_breakdown(tokens: Collection[bytes], label: str = "") -> VocabBreakdownRow:
+    """Byte-length histograms and script coverage of a set of tokens.
 
     Tokens are bucketed by byte length (1..7, then one >7 bucket). The
     character set is collected from tokens directly when they decode as
@@ -169,13 +158,13 @@ def vocab_breakdown(vocab: Vocabulary, label: str = "") -> VocabBreakdownRow:
     UTF-8 never decodes to a surrogate, so the escapes pick out exactly the
     tokens that need recover_utf8_chars.
     """
-    by_len = Counter(map(len, vocab))
+    by_len = Counter(map(len, tokens))
     tokens_by_len = {n: by_len[n] for n in range(1, 8)}
-    decoded = [token.decode("utf-8", "surrogateescape") for token in vocab]
+    decoded = [token.decode("utf-8", "surrogateescape") for token in tokens]
     chars = set("".join(decoded))
     if not _ESCAPES.isdisjoint(chars):
         chars = set("".join(text for text in decoded if _ESCAPES.isdisjoint(text)))
-        for token, text in zip(vocab, decoded):
+        for token, text in zip(tokens, decoded):
             if not _ESCAPES.isdisjoint(text):
                 chars.update(recover_utf8_chars(token))
     chars_by_len = {n: 0 for n in range(1, 5)}
@@ -184,11 +173,11 @@ def vocab_breakdown(vocab: Vocabulary, label: str = "") -> VocabBreakdownRow:
     blocks = {unicode_block(ch) for ch in chars}
     return VocabBreakdownRow(
         label=label,
-        clean_vocab_size=len(vocab),
+        clean_vocab_size=len(tokens),
         distinct_blocks=len(blocks),
         chars_by_byte_len=chars_by_len,
         tokens_by_byte_len=tokens_by_len,
-        tokens_gt7=len(vocab) - sum(tokens_by_len.values()),
+        tokens_gt7=len(tokens) - sum(tokens_by_len.values()),
     )
 
 

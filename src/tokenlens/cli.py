@@ -276,15 +276,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ToolkitError("need at least two --vocab NAME=PATH arguments")
     named = [_parse_named(v, "vocab") for v in args.vocab]
     _distinct([name for name, _ in named], "vocab name")
+    # Each marker option replaces its own default only.
     if args.no_normalize:
         rules = analysis.NormalizationRules()
-    elif args.space_marker or args.strip_prefix:
-        rules = analysis.NormalizationRules(
-            prefix_markers=tuple((m.encode("utf-8"), b" ") for m in args.space_marker),
-            strip_continuation=tuple(s.encode("utf-8") for s in args.strip_prefix),
-        )
     else:
-        rules = analysis.DEFAULT_RULES
+        rules = analysis.NormalizationRules(
+            prefix_markers=tuple((m.encode("utf-8"), b" ") for m in args.space_marker)
+            or analysis.DEFAULT_RULES.prefix_markers,
+            strip_continuation=tuple(s.encode("utf-8") for s in args.strip_prefix)
+            or analysis.DEFAULT_RULES.strip_continuation,
+        )
     flags = {"metric": args.metric, "breakdown": bool(args.breakdown)}
     manifest = RunManifest(
         "compare",
@@ -297,8 +298,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name, path in named:
         raw = vocab_mod.load_vocab(path)
         result = analysis.normalize_vocab(raw, rules)
-        normalized.append((name, result.vocab.token_set()))
-        rows.append(analysis.vocab_breakdown(result.vocab, label=name))
+        normalized.append((name, result.tokens))
+        rows.append(analysis.vocab_breakdown(result.tokens, label=name))
     matrix = analysis.comparison_matrix(normalized, metric=args.metric)
     analysis.write_matrix_csv(matrix, args.out, manifest_digest=manifest.digest())
     if args.breakdown:
@@ -310,18 +311,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_premium(args: argparse.Namespace) -> int:
     named = [_parse_named(t, "tokenizer") for t in args.tokenizer]
     _distinct([name for name, _ in named], "tokenizer name")
+    pairs = [p.split(":") for p in args.pair]
+    for p, bits in zip(args.pair, pairs):
+        if len(bits) != 4:
+            raise ToolkitError(f"--pair must be LANG:SCRIPT:ENGPATH:TGTPATH, got {p!r}")
+    _distinct([f"{lang}:{script}" for lang, script, _, _ in pairs], "pair language")
     loaded = [_load_tokenizer(name, spec) for name, spec in named]
     toks = [tok for tok, _ in loaded]
     tok_inputs = [path for _, paths in loaded for path in paths]
-    corpora = []
-    pair_inputs: list[str] = []
-    for p in args.pair:
-        bits = p.split(":")
-        if len(bits) != 4:
-            raise ToolkitError(f"--pair must be LANG:SCRIPT:ENGPATH:TGTPATH, got {p!r}")
-        lang, script, eng, tgt = bits
-        corpora.append(load_parallel_corpus(eng, tgt, lang, script))
-        pair_inputs.extend([eng, tgt])
+    corpora = [load_parallel_corpus(eng, tgt, lang, script) for lang, script, eng, tgt in pairs]
+    pair_inputs = [path for _, _, eng, tgt in pairs for path in (eng, tgt)]
     flags = {
         "tokenizers": sorted(args.tokenizer),
         "pairs": list(args.pair),

@@ -486,13 +486,13 @@ class UnigramVocab:
         self._log_probs = dict(log_probs)
         self._tokens = list(self._log_probs)
         self._ids = {t: i for i, t in enumerate(self._tokens)}
-        self._units = {t: _log_prob_units(lp) for t, lp in self._log_probs.items()}
         self._max_len = max(len(t) for t in self._tokens)
         # Every prefix of a token -> its units if it is a token too, else None.
         self._prefixes: dict[str, int | float | None] = {
             t[:k]: None for t in self._tokens for k in range(1, len(t))
         }
-        self._prefixes.update(self._units)
+        for t, lp in self._log_probs.items():
+            self._prefixes[t] = _log_prob_units(lp)
         if check:
             total = math.fsum(math.exp(lp) for lp in self._log_probs.values())
             if abs(total - 1.0) > 1e-9:
@@ -575,12 +575,11 @@ def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     The DP runs over the text's lattice of token edges (_lattice), which
     ulm_prune shares: one DP serves both.
     """
-    units = vocab._units
     score, _, back = _forward(text, _lattice(text, vocab._prefixes))
     n = len(text)
     if score[n] is None:
         p = max(i for i in range(n) if score[i] is not None)
-        if text[p] not in units:
+        if text[p] not in vocab:
             raise OovCharacterError(text[p], p)
         raise UnsegmentableError(text, p)
     return _path(text, back, n)

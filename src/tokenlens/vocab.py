@@ -79,9 +79,6 @@ class Vocabulary:
     def tokens(self) -> list[bytes]:
         return list(self._tokens)
 
-    def token_set(self) -> frozenset[bytes]:
-        return frozenset(self._ids)
-
 
 def _reject_first_bad(tokens: list[bytes]) -> None:
     """Raise for the first token that is not bytes, empty or a repeat."""

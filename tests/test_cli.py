@@ -17,6 +17,17 @@ from tokenlens.training import bpe_train
 from tokenlens.vocab import MergeRuleList, Vocabulary, save_merges, save_vocab
 
 
+def load_perfbench_spans():
+    """The benchmark's tracing module, perfbench/spans.py, which is no package."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_spans", os.path.join(root, "perfbench", "spans.py")
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def write_text(path, content):
     with open(path, "w", encoding="utf-8") as f:
         f.write(content)
@@ -211,6 +222,22 @@ class TestCompareCommand:
             rows = list(csv.reader(f.read().splitlines()[1:]))
         assert float(rows[1][2]) == 1.0
 
+    # Each marker option replaces its own default and keeps the other one.
+    @pytest.mark.parametrize(
+        "option,marker,tokens",
+        [("--strip-prefix", "@@", ["Ġfoo", "@@ing"]), ("--space-marker", "X", ["Xfoo", "##ing"])],
+        ids=["strip-prefix-keeps-space-markers", "space-marker-keeps-strip-prefix"],
+    )
+    def test_one_marker_option_keeps_the_other_default(self, tmp_path, option, marker, tokens):
+        a = self.make_vocab(tmp_path, "a", [t.encode("utf-8") for t in tokens])
+        b = self.make_vocab(tmp_path, "b", [b" foo", b"ing"])
+        out = str(tmp_path / "m.csv")
+        rc = main(["compare", "--vocab", f"a={a}", "--vocab", f"b={b}", option, marker, "--out", out])
+        assert rc == 0
+        with open(out, encoding="utf-8") as f:
+            rows = list(csv.reader(f.read().splitlines()[1:]))
+        assert float(rows[1][2]) == 1.0
+
     def test_breakdown_written(self, tmp_path):
         a = self.make_vocab(tmp_path, "a", [b"a", b"ab"])
         b = self.make_vocab(tmp_path, "b", ["é".encode("utf-8")])
@@ -392,6 +419,26 @@ class TestPremiumCommand:
         rc = main(["premium", "--tokenizer", f"w=bpe:{vpath}:{mpath}",
                    "--pair", "xx:e:t", "--out", str(tmp_path / "p.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "pairs,needle",
+        [
+            (["xx:Latn:{eng}:{tgt}", "xx:Latn:{tgt}:{eng}"], "repeated pair language: xx:Latn"),
+            (["xx:Latn:{eng}:{tgt}", "xx:{eng}:{tgt}"], "--pair must be LANG:SCRIPT:ENGPATH:TGTPATH"),
+        ],
+        ids=["repeated-language", "malformed"],
+    )
+    def test_pair_errors_exit_one_before_any_read(self, tmp_path, capsys, pair_files, pairs, needle):
+        # The tokenizer files do not exist, so an error naming the pairs
+        # shows that they were checked before any file was read.
+        eng, tgt = pair_files
+        args = ["premium", "--tokenizer", f"w=bpe:{tmp_path}/none.vocab.json:{tmp_path}/none.merges.json"]
+        for pair in pairs:
+            args += ["--pair", pair.format(eng=eng, tgt=tgt)]
+        out = str(tmp_path / "p.csv")
+        assert main(args + ["--out", out]) == 1
+        assert needle in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_line_count_mismatch_exits_one(self, tmp_path, worked_files):
         vpath, mpath = worked_files
@@ -974,12 +1021,7 @@ class TestStartup:
         # perfbench/spans.py traces by module attribute and records a name
         # that is gone as missing, so a rename would silently drop its
         # per-layer metrics from the benchmark.
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        spec = importlib.util.spec_from_file_location(
-            "_perfbench_spans", os.path.join(root, "perfbench", "spans.py")
-        )
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = load_perfbench_spans()
         names = [(module, attr) for module, attr, _, _ in spans.PLAIN_WRAPS]
         names += [(module, "ordered_map") for module in spans.ORDERED_MAP_USERS]
         names += [("tokenlens.cli", attr) for attr in spans.HANDLE_FACTORIES]
@@ -989,6 +1031,47 @@ class TestStartup:
             if not hasattr(importlib.import_module(module), attr)
         ]
         assert missing == []
+
+    def test_traced_commands_take_every_count(self, tmp_path, byte_level_files):
+        # A count that raises is recorded, not raised, and drops its
+        # per-layer metric from the benchmark, so every command runs here
+        # under the benchmark's tracing and every counted span must appear.
+        spans = load_perfbench_spans()
+        p = str(tmp_path)
+        bf = byte_level_files
+        corpus = write_text(tmp_path / "c.txt", "she_shakes_shoes\nshe_sells\n")
+        eng = write_text(tmp_path / "eng.txt", "shoes\n")
+        tgt = write_text(tmp_path / "tgt.txt", "shakes\n")
+        model = ["--tokenizer", bf["tok"], "--embeddings", bf["embeddings"], "--encoder", "toy:0:1:3"]
+        runs = [
+            ["train", "--algorithm", "bpe", "--corpus", corpus, "--min-pair-freq", "2",
+             "--out-prefix", f"{p}/bpe"],
+            ["train", "--algorithm", "wordpiece", "--corpus", corpus, "--target-size", "14",
+             "--out-prefix", f"{p}/wp"],
+            ["train", "--algorithm", "ulm", "--corpus", corpus, "--seed-size", "16",
+             "--target-size", "12", "--out-prefix", f"{p}/ulm"],
+            ["compare", "--vocab", f"bpe={p}/bpe.vocab.json", "--vocab", f"ulm={p}/ulm.vocab.json",
+             "--breakdown", f"{p}/b.tsv", "--out", f"{p}/m.csv"],
+            ["premium", "--tokenizer", f"bpe=bpe:{p}/bpe.vocab.json:{p}/bpe.merges.json",
+             "--tokenizer", f"ulm=ulm:{p}/ulm.probs.json", "--pair", f"xx:Latn:{eng}:{tgt}",
+             "--out", f"{p}/p.csv"],
+            ["augment", *model, "--grid", "knn:1@1,linreg@1,local:3@1", "--corpus", bf["corpus"],
+             "--out", f"{p}/plan.json"],
+            ["eval", *model, "--plan", f"{p}/plan.knn1-l1.json", "--last-layer", "1",
+             "--corpus", f"c={bf['corpus']}", "--out", f"{p}/sim.csv"],
+        ]
+        tracer = spans.Tracer(run_id="test")
+        undo = spans.install(tracer)
+        try:
+            codes = [main(argv) for argv in runs]
+        finally:
+            for module, attr, original in reversed(undo):
+                setattr(module, attr, original)
+        assert codes == [0] * len(runs)
+        assert tracer.missing == {}
+        assert [span for span in tracer.spans if span[5] and "count_error" in span[5]] == []
+        counted = {name for _, _, name, counts in spans.PLAIN_WRAPS if counts is not None}
+        assert counted - {span[2] for span in tracer.spans} == set()
 
     def test_lazy_embedding_names_match_the_module(self):
         import tokenlens.embedding

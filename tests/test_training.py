@@ -17,6 +17,7 @@ from tokenlens.errors import OovCharacterError, ToolkitError, UnsegmentableError
 from tokenlens.training import (
     UnigramVocab,
     _LazyArgmax,
+    _log_prob_units,
     bpe_encode,
     bpe_train,
     count_adjacent_pairs,
@@ -232,7 +233,7 @@ def oracle_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     (score, n_tokens, tokens) key and compare it in full."""
     if text == "":
         return []
-    units = vocab._units
+    units = {t: _log_prob_units(vocab.log_prob(t)) for t in vocab}
     neg_inf = float("-inf")
     best: list = [None] * (len(text) + 1)
     best[0] = (0, 0, ())

@@ -129,10 +129,6 @@ class TestVocabulary:
             v.id_of(b"z")
         assert v.get(b"z") is None
 
-    def test_token_set(self):
-        v = Vocabulary([b"a", b"b"])
-        assert v.token_set() == frozenset({b"a", b"b"})
-
     def test_equality_is_by_ordered_tokens(self):
         assert Vocabulary([b"a", b"b"]) == Vocabulary([b"a", b"b"])
         assert Vocabulary([b"a", b"b"]) != Vocabulary([b"b", b"a"])
