@@ -122,9 +122,9 @@ def _parse_encoder(
 ) -> tuple[dict, list[str], Callable[[np.ndarray], embedding.LayerEncoder]]:
     """toy:SEED:DEPTH:DIM[:linear], or matrices:LAYER=PATH[,LAYER=PATH...].
 
-    Checks the spec's syntax and reads nothing. Returns the encoder's
-    manifest flags, the paths it will read, and a function building it from
-    V0 (the toy spec's dim is checked against V0 there)."""
+    Checks the spec and reads nothing: a toy encoder needs no file, so it is
+    built here. Returns the encoder's manifest flags, the paths it will read,
+    and a function building it from V0 (the toy's dim is checked there)."""
     from . import embedding
 
     parts = spec.split(":")
@@ -141,10 +141,12 @@ def _parse_encoder(
         except ValueError:
             raise ToolkitError(f"toy encoder spec needs integers, got {spec!r}") from None
 
+        toy = embedding.toy_encoder(seed, depth, dim, linear=linear)
+
         def build_toy(v0: np.ndarray) -> embedding.LayerEncoder:
             if dim != v0.shape[1]:
                 raise ToolkitError(f"encoder dim {dim} does not match embeddings dim {v0.shape[1]}")
-            return embedding.toy_encoder(seed, depth, dim, linear=linear)
+            return toy
 
         return {"encoder": spec}, [], build_toy
     if parts[0] == "matrices":
@@ -463,9 +465,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", parents=[threads], help="vocabulary overlap matrix and composition breakdown")
     p.add_argument("--vocab", action="append", default=[], metavar="NAME=PATH")
     p.add_argument("--metric", choices=["jaccard", "containment"], default="jaccard")
-    p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--space-marker", action="append", default=[], help="marker rewritten to a space")
-    p.add_argument("--strip-prefix", action="append", default=[], help="continuation marker stripped from token fronts")
+    raw = p.add_mutually_exclusive_group()
+    no_normalize = raw.add_argument(
+        "--no-normalize", action="store_true", help="compare raw tokens; not allowed with --space-marker or --strip-prefix"
+    )
+    raw.add_argument("--space-marker", action="append", default=[], help="marker rewritten to a space")
+    strip = p.add_mutually_exclusive_group()
+    strip.add_argument("--strip-prefix", action="append", default=[], help="continuation marker stripped from token fronts")
+    # argparse has no public way to put one option in two groups; the two
+    # marker options stay usable together.
+    strip._group_actions.append(no_normalize)
     p.add_argument("--breakdown", default=None, metavar="TSV_PATH")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_compare)

@@ -113,10 +113,12 @@ class ToyEncoder:
     """
 
     def __init__(self, seed: int, depth: int, dim: int, linear: bool = False):
+        if seed < 0:
+            raise ToolkitError(f"seed must be >= 0, got {seed}")
         if depth < 1:
-            raise ToolkitError("depth must be >= 1")
+            raise ToolkitError(f"depth must be >= 1, got {depth}")
         if dim < 1:
-            raise ToolkitError("dim must be >= 1")
+            raise ToolkitError(f"dim must be >= 1, got {dim}")
         self.seed = seed
         self.depth = depth
         self.dim = dim

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import eq
+from operator import eq, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import OovCharacterError, ToolkitError, UnsegmentableError, reading
@@ -103,9 +103,9 @@ def _merge_in_place(seq: list[int], left: int, right: int, new_id: int) -> list[
 class _LazyArgmax:
     """The exact argmax of score(key(item)) over live items, kept in lazy heaps.
 
-    key(item) is a live item's (bucket, p), and must match no pushed entry
-    once the item is gone; within a bucket, score(bucket, p) must not
-    increase as p grows. Each bucket is a min-heap of (p, label, item)
+    key(item) is a live item's (bucket, p), with p an int, and must match no
+    pushed entry once the item is gone; within a bucket, score(bucket, p)
+    must not increase as p grows. Each bucket is a min-heap of (p, label, item)
     entries, with one label per item. Push an item again whenever its key
     changes: an entry whose key has moved is stale, and is dropped when it
     reaches the top of its heap, or at the next compaction: once the heaps
@@ -134,9 +134,9 @@ class _LazyArgmax:
         """(score, label, item) of the highest score, ties going to the
         smallest label; None when no item is live.
 
-        Scores only the top of each bucket, then pops each bucket in order
-        while its score equals the best and pushes those entries back: that
-        collects exactly the items a scan of every item would find tied."""
+        A bucket's top live entry is its smallest (p, label), so it is the
+        bucket's candidate unless the score is flat at p + 1: only then are
+        the entries at its score popped, and the live ones pushed back."""
         key, score = self._key, self._score
         if len(self) > self._limit:
             for bucket, heap in self._buckets.items():
@@ -151,30 +151,20 @@ class _LazyArgmax:
             if not heap:
                 del self._buckets[bucket]
                 continue
-            s = score(bucket, heap[0][0])
-            if best is None or s > best:
-                best = s
-        if best is None:
-            return None
-        chosen = None
-        for bucket, heap in self._buckets.items():
-            tied = []
-            while heap:
-                entry = heap[0]
-                if key(entry[2]) != (bucket, entry[0]):
-                    heappop(heap)
-                    continue
-                if score(bucket, entry[0]) != best:
-                    break
-                heappop(heap)
-                if tied and tied[-1] == entry:
-                    continue  # a second live entry of the same item
-                tied.append(entry)
-                if chosen is None or entry[1] < chosen[1]:
-                    chosen = entry
-            for entry in tied:
-                heappush(heap, entry)
-        return best, chosen[1], chosen[2]
+            top = heap[0]
+            s = score(bucket, top[0])
+            if score(bucket, top[0] + 1) == s:
+                tied = []
+                while heap and score(bucket, heap[0][0]) == s:
+                    entry = heappop(heap)
+                    if key(entry[2]) == (bucket, entry[0]) and (not tied or tied[-1] != entry):
+                        tied.append(entry)  # live, and not a repeat of the last
+                top = min(tied, key=itemgetter(1))
+                for entry in tied:
+                    heappush(heap, entry)
+            if best is None or s > best[0] or (s == best[0] and top[1] < best[1]):
+                best = s, top[1], top[2]
+        return best
 
 
 def _train(
@@ -195,8 +185,8 @@ def _train(
     product of its two tokens' counts) for the likelihood scorer, whose score
     does not increase with the product at a fixed count (see
     wordpiece_train). After a merge, only the pairs whose count or product
-    moved are pushed again, and a step scores one entry per distinct count
-    (plus the ties), not every pair.
+    moved are pushed again, and a step scores two products per distinct
+    count (its top's and the next), not every pair.
     """
     if (target_vocab_size is None) == (min_pair_freq is None):
         raise ToolkitError("exactly one of target_vocab_size and min_pair_freq is required")
@@ -484,12 +474,10 @@ class UnigramVocab:
             if lp != _NEG_INF and not math.isfinite(lp):
                 raise ToolkitError(f"log-prob of {tok!r} is {lp!r}, not finite or -inf")
         self._log_probs = dict(log_probs)
-        self._tokens = list(self._log_probs)
-        self._ids = {t: i for i, t in enumerate(self._tokens)}
-        self._max_len = max(len(t) for t in self._tokens)
+        self._ids = {t: i for i, t in enumerate(self._log_probs)}
         # Every prefix of a token -> its units if it is a token too, else None.
         self._prefixes: dict[str, int | float | None] = {
-            t[:k]: None for t in self._tokens for k in range(1, len(t))
+            t[:k]: None for t in self._log_probs for k in range(1, len(t))
         }
         for t, lp in self._log_probs.items():
             self._prefixes[t] = _log_prob_units(lp)
@@ -522,25 +510,22 @@ class UnigramVocab:
         return cls(lps)
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return len(self._log_probs)
 
     def __contains__(self, token: str) -> bool:
         return token in self._log_probs
 
     def __iter__(self):
-        return iter(self._tokens)
+        return iter(self._log_probs)
 
     def tokens(self) -> list[str]:
-        return list(self._tokens)
+        return list(self._log_probs)
 
     def log_prob(self, token: str) -> float:
         return self._log_probs[token]
 
     def id_of(self, token: str) -> int:
         return self._ids[token]
-
-    def max_token_len(self) -> int:
-        return self._max_len
 
 
 def save_probs(vocab: UnigramVocab, path: str) -> None:

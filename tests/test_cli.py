@@ -238,6 +238,44 @@ class TestCompareCommand:
             rows = list(csv.reader(f.read().splitlines()[1:]))
         assert float(rows[1][2]) == 1.0
 
+    # --no-normalize would silently drop a marker option, in either order.
+    @pytest.mark.parametrize(
+        "options,later,earlier",
+        [
+            (["--no-normalize", "--space-marker", "X"], "--space-marker", "--no-normalize"),
+            (["--no-normalize", "--strip-prefix", "X"], "--strip-prefix", "--no-normalize"),
+            (["--space-marker", "X", "--no-normalize"], "--no-normalize", "--space-marker"),
+            (["--strip-prefix", "X", "--no-normalize"], "--no-normalize", "--strip-prefix"),
+        ],
+        ids=["space-marker", "strip-prefix", "space-marker-first", "strip-prefix-first"],
+    )
+    def test_no_normalize_with_a_marker_is_usage_error(self, tmp_path, capsys, options, later, earlier):
+        a = self.make_vocab(tmp_path, "a", ["Xfoo".encode("utf-8")])
+        b = self.make_vocab(tmp_path, "b", [b" foo"])
+        out = str(tmp_path / "m.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--vocab", f"a={a}", "--vocab", f"b={b}", *options, "--out", out])
+        assert exc.value.code == 2
+        assert f"argument {later}: not allowed with argument {earlier}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_help_states_the_no_normalize_rule(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--help"])
+        assert exc.value.code == 0
+        assert "not allowed with --space-marker or --strip-prefix" in " ".join(capsys.readouterr().out.split())
+
+    def test_both_marker_options_together(self, tmp_path):
+        a = self.make_vocab(tmp_path, "a", ["Xfoo".encode("utf-8"), b"@@ing"])
+        b = self.make_vocab(tmp_path, "b", [b" foo", b"ing"])
+        out = str(tmp_path / "m.csv")
+        rc = main(["compare", "--vocab", f"a={a}", "--vocab", f"b={b}",
+                   "--space-marker", "X", "--strip-prefix", "@@", "--out", out])
+        assert rc == 0
+        with open(out, encoding="utf-8") as f:
+            rows = list(csv.reader(f.read().splitlines()[1:]))
+        assert float(rows[1][2]) == 1.0
+
     def test_breakdown_written(self, tmp_path):
         a = self.make_vocab(tmp_path, "a", [b"a", b"ab"])
         b = self.make_vocab(tmp_path, "b", ["é".encode("utf-8")])
@@ -982,6 +1020,26 @@ class TestBadSpecs:
                        "--encoder", spec, "--strategy", "knn:1@0",
                        "--corpus", bf["corpus"], "--out", str(tmp_path / "p.json")])
             assert rc == 1, spec
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("toy:-1:4:64", "seed must be >= 0, got -1"),
+            ("toy:1:0:64", "depth must be >= 1, got 0"),
+            ("toy:1:4:0", "dim must be >= 1, got 0"),
+        ],
+        ids=["seed", "depth", "dim"],
+    )
+    def test_toy_spec_out_of_range_exits_one_before_any_read(self, tmp_path, capsys, spec, message):
+        # No input exists, so the error is the spec's only if nothing was read.
+        missing = str(tmp_path / "missing")
+        rc = main(["augment", "--tokenizer", f"t=bpe:{missing}.vocab:{missing}.merges",
+                   "--embeddings", f"{missing}.mat", "--encoder", spec, "--strategy", "knn:1@0",
+                   "--corpus", f"{missing}.txt", "--out", str(tmp_path / "p.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "missing" not in err
 
 
 class TestStartup:

@@ -234,12 +234,13 @@ def oracle_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     if text == "":
         return []
     units = {t: _log_prob_units(vocab.log_prob(t)) for t in vocab}
+    max_len = max(map(len, vocab))
     neg_inf = float("-inf")
     best: list = [None] * (len(text) + 1)
     best[0] = (0, 0, ())
     for j in range(1, len(text) + 1):
         cand = None
-        for i in range(max(0, j - vocab.max_token_len()), j):
+        for i in range(max(0, j - max_len), j):
             prev = best[i]
             piece = text[i:j]
             if prev is None or piece not in vocab:
@@ -572,11 +573,9 @@ def merge_corpora(draw):
 # counted pair not added to having. When an index misses a document, the
 # min_pair_freq stop merges the same top pair forever, so run such mutants
 # under a timeout; the target-size tests fail at once on a duplicate token.
-# Three mutants of the tie collection pass here and fail TestLazyArgmax
-# instead: not dropping stale entries met while collecting ties, collecting
-# from one bucket only, and stopping at the first change of product.
-# Wordpiece scores tie exactly across counts or products only at token
-# counts far beyond these corpora.
+# Mutants of _LazyArgmax.best's flat-score loop pass here and fail
+# TestLazyArgmax instead (listed there): wordpiece scores tie exactly across
+# counts or products only at token counts far beyond these corpora.
 class TestMergeTrainersMatchFullRecount:
     """The incremental merge loop against oracle_train, step for step."""
 
@@ -633,13 +632,28 @@ class _EagerCompaction(_LazyArgmax):
     _FLOOR = 2
 
 
-class TestLazyArgmax:
-    """The trainers' argmax against a scan of every live item, under a score
-    that ties across buckets and across products within a bucket."""
+def flat_runs(bucket: int, p: int) -> int:
+    return bucket % 2 - p // 3  # ties across buckets, and within a bucket over runs of three
 
-    @staticmethod
-    def score(bucket: int, p: int) -> int:
-        return bucket % 2 - p // 3  # does not increase as p grows
+
+def strict(bucket: int, p: int) -> int:
+    return -p  # bpe's score: never flat
+
+
+def wordpiece_at_scale(bucket: int, p: int) -> float:
+    # wordpiece's formula at a corpus length where x*ln(x) swamps the gap
+    # between neighbouring products, so real floats are flat at some of them
+    cab, product, corpus_len = bucket + 1, 998 + p, 10**12
+    return cab * math.log(cab / product) - (corpus_len - cab) * math.log(corpus_len - cab)
+
+
+# Each of these mutants of _LazyArgmax.best, tried in a scratch copy, fails
+# a test of this class: the top taken without the flat check; the flat loop
+# not pushing its entries back; the flat check at p - 1 instead of p + 1; and
+# a tie across buckets going to the first bucket, not to the smaller label.
+class TestLazyArgmax:
+    """The trainers' argmax against a scan of every live item, under scores
+    that tie across buckets and within a bucket, and one that never ties."""
 
     _OPS = st.lists(
         st.tuples(st.integers(0, 3), st.none() | st.tuples(st.integers(0, 2), st.integers(0, 5))),
@@ -649,15 +663,21 @@ class TestLazyArgmax:
 
     @given(_OPS)
     def test_matches_scan(self, ops):
-        self.check_against_scan(_LazyArgmax, ops)
+        for score in (flat_runs, strict, wordpiece_at_scale):
+            self.check_against_scan(_LazyArgmax, score, ops)
 
     @given(_OPS)
     def test_matches_scan_compacting_at_every_step(self, ops):
-        self.check_against_scan(_EagerCompaction, ops)
+        for score in (flat_runs, strict, wordpiece_at_scale):
+            self.check_against_scan(_EagerCompaction, score, ops)
 
-    def check_against_scan(self, argmax_class, ops):
+    def test_wordpiece_at_scale_is_flat_only_in_places(self):
+        steps = [wordpiece_at_scale(b, p) == wordpiece_at_scale(b, p + 1) for b in range(3) for p in range(5)]
+        assert any(steps) and not all(steps)
+
+    def check_against_scan(self, argmax_class, score, ops):
         live: dict[int, tuple[int, int]] = {}
-        argmax = argmax_class(lambda item: live.get(item, (-1, 0)), self.score)
+        argmax = argmax_class(lambda item: live.get(item, (-1, 0)), score)
         for item, key in ops:
             if key is None:
                 live.pop(item, None)
@@ -666,10 +686,35 @@ class TestLazyArgmax:
                 argmax.push(b"%d" % item, item)  # also when the key is unchanged
             expected = None
             if live:
-                best = max(self.score(*k) for k in live.values())
-                winner = min((i for i, k in live.items() if self.score(*k) == best), key=lambda i: b"%d" % i)
+                best = max(score(*k) for k in live.values())
+                winner = min((i for i, k in live.items() if score(*k) == best), key=lambda i: b"%d" % i)
                 expected = (best, b"%d" % winner, winner)
             assert argmax.best() == expected
+
+    @pytest.mark.parametrize("train", [bpe_train, wordpiece_train])
+    def test_best_pushes_nothing_back_where_no_score_is_flat(self, monkeypatch, train):
+        # Every pair of these documents ties at the top count, over and over.
+        # bpe's score is never flat, and wordpiece's is not at this corpus
+        # size, so best() reads each top and calls heappush only via push().
+        training = sys.modules["tokenlens.training"]
+        calls = Counter()
+        real_heappush = training.heappush
+
+        def heappush(heap, entry):
+            calls["heappush"] += 1
+            real_heappush(heap, entry)
+
+        class Recorder(_LazyArgmax):
+            def push(self, label, item):
+                calls["push"] += 1
+                super().push(label, item)
+
+        monkeypatch.setattr(training, "heappush", heappush)
+        monkeypatch.setattr(training, "_LazyArgmax", Recorder)
+        docs = ["ab cd ef gh"] * 30 + ["gh ef cd ab"] * 30
+        _, rules = train(docs, target_vocab_size=len(set("".join(docs))) + 10)
+        assert len(rules) == 10
+        assert calls["heappush"] == calls["push"]
 
     def test_entries_track_live_items_over_a_long_run(self, monkeypatch):
         # Wordpiece pushes a pair again whenever a merge moves either
