@@ -32,7 +32,6 @@ from .premium import (
     bpe_tokenizer,
     premium,
     premium_matrix,
-    sentence_ratio,
     ulm_tokenizer,
     write_premium_csv,
     write_premium_json,

@@ -348,7 +348,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     _distinct(labels, "grid strategy")
     tok, v0, enc, enc_flags, model_paths = _load_model(args)
     corpus = load_corpus(args.corpus)
-    if args.chars:
+    if args.chars is not None:
         chars = set(args.chars)
     else:
         chars = embedding.select_oov_chars(corpus, tok)
@@ -440,6 +440,12 @@ def _at_least_one(text: str) -> int:
     return n
 
 
+def _nonempty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tokenlens",
@@ -496,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     how.add_argument("--strategy", metavar="knn:K@L | linreg@L | local:K@L")
     how.add_argument("--grid", help="comma-separated strategies; one plan file per cell")
     p.add_argument("--corpus", required=True, help="source of candidate characters")
-    p.add_argument("--chars", default=None, help="explicit characters instead of corpus scan")
+    p.add_argument("--chars", type=_nonempty, default=None, help="explicit characters instead of corpus scan")
     p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
     p.add_argument("--out", required=True, help="plan path (grid runs add a strategy tag)")
     p.set_defaults(fn=cmd_augment)

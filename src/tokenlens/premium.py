@@ -23,7 +23,6 @@ __all__ = [
     "TokenizerHandle",
     "bpe_tokenizer",
     "ulm_tokenizer",
-    "sentence_ratio",
     "premium",
     "premium_matrix",
     "PremiumReport",
@@ -101,14 +100,6 @@ def ulm_tokenizer(name: str, vocab: UnigramVocab) -> TokenizerHandle:
     return TokenizerHandle(name=name, encode=encode)
 
 
-def sentence_ratio(tok: TokenizerHandle, target: str, english: str) -> float:
-    """Token-count ratio of one sentence pair."""
-    n_eng = len(tok.encode(english))
-    if n_eng == 0:
-        raise ToolkitError("english sentence encodes to zero tokens")
-    return len(tok.encode(target)) / n_eng
-
-
 @dataclass
 class PremiumReport:
     target_lang: str
@@ -127,9 +118,11 @@ class PremiumReport:
 def premium(tok: TokenizerHandle, pc: ParallelCorpus) -> PremiumReport:
     """Mean per-sentence ratio over a parallel corpus.
 
-    Pairs are skipped (and counted) when either side encodes to zero tokens
-    or contains characters the tokenizer cannot represent. All pairs skipped
-    is an error: the corpus says nothing about this tokenizer.
+    This is the one place that decides which pairs count. A pair is skipped
+    and counted in n_skipped when either side holds a character the tokenizer
+    cannot represent, or encodes to zero tokens, as an empty line does; so
+    n_pairs + n_skipped is the number of pairs in pc. All pairs skipped is an
+    error: the corpus says nothing about this tokenizer.
     """
 
     def counts(pair: tuple[str, str]) -> tuple[int, int] | None:

@@ -2,7 +2,9 @@
 
 Corpora are plain text, one document per line, UTF-8 only. There is no
 whitespace pre-tokenization anywhere in this package: spaces, underscores and
-other separator-looking characters are ordinary characters.
+other separator-looking characters are ordinary characters. A single corpus
+drops its empty lines; a parallel corpus keeps every line pair, and premium
+decides which pairs count.
 
 Every table the toolkit writes (overlap matrix, composition breakdown,
 premium matrix, similarity table) goes through write_table, so the manifest
@@ -38,13 +40,6 @@ class ParallelCorpus:
     pairs: tuple[tuple[str, str], ...]
     target_lang: str
     target_script: str = ""
-    n_skipped: int = 0
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 def _decode_lines(path: str) -> list[str]:
@@ -71,29 +66,17 @@ def load_parallel_corpus(
     target_lang: str,
     target_script: str = "",
 ) -> ParallelCorpus:
-    """Zip two line-aligned files into sentence pairs.
+    """Zip two line-aligned files into sentence pairs, one per line in file
+    order, empty sides included.
 
-    The files must have the same line count. Pairs whose English side is empty
-    are skipped and counted in n_skipped; an empty target side is kept (it is
-    the premium computation's job to decide what to do with it).
+    The files must have the same line count. Every pair is kept: which pairs
+    count is premium's decision.
     """
     eng = _decode_lines(english_path)
     tgt = _decode_lines(target_path)
     if len(eng) != len(tgt):
         raise LineCountMismatchError(english_path, target_path, len(eng), len(tgt))
-    pairs = []
-    skipped = 0
-    for e, t in zip(eng, tgt):
-        if e == "":
-            skipped += 1
-            continue
-        pairs.append((e, t))
-    return ParallelCorpus(
-        pairs=tuple(pairs),
-        target_lang=target_lang,
-        target_script=target_script,
-        n_skipped=skipped,
-    )
+    return ParallelCorpus(pairs=tuple(zip(eng, tgt)), target_lang=target_lang, target_script=target_script)
 
 
 def write_table(path: str, rows: Iterable[Sequence], manifest_digest: str = "", delimiter: str = ",") -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, not_
 from typing import Iterable
 
@@ -257,12 +257,19 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
                 arr = json.loads(content)
             except ValueError:
                 pass
-        if arr is not None:
-            for entry in arr:
-                if not isinstance(entry, list) or [type(s) for s in entry] != [str, str]:
-                    raise ToolkitError("each merge must be a [left, right] pair of strings")
-            lefts = [str_to_token(left) for left, _ in arr]
-            rights = [str_to_token(right) for _, right in arr]
+        if arr == []:
+            lefts = rights = []  # zip(*[]) has no columns to unpack
+        elif arr is not None:
+            if not (
+                {list}.issuperset(map(type, arr))
+                and {2}.issuperset(map(len, arr))
+                and {str}.issuperset(map(type, chain.from_iterable(arr)))
+            ):
+                raise ToolkitError("each merge must be a [left, right] pair of strings")
+            lefts, rights = zip(*arr)
+            utf8 = repeat("utf-8"), repeat("surrogateescape")
+            lefts = list(map(str.encode, lefts, *utf8))
+            rights = list(map(str.encode, rights, *utf8))
         else:
             # Split the encoded text: "\n" and " " are the only characters
             # that encode to 0x0A and 0x20. A line splits into exactly two

@@ -369,6 +369,19 @@ class TestPremiumCommand:
         assert cell["ratios"] == [4 / 3, 3.0, 1.0]
         assert doc["manifest"]["command"] == "premium"
 
+    def test_every_line_pair_counted_in_json(self, tmp_path, worked_files):
+        vpath, mpath = worked_files
+        eng = write_text(tmp_path / "eng.txt", "shoes\n\nshe\nshoes\n")
+        tgt = write_text(tmp_path / "tgt.txt", "shakes\nshe_sells\nshe\n\n")
+        jout = str(tmp_path / "p.json")
+        rc = main(["premium", "--tokenizer", f"work=bpe:{vpath}:{mpath}",
+                   "--pair", f"xx:Latn:{eng}:{tgt}", "--json", jout,
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 0
+        with open(jout, encoding="utf-8") as f:
+            cell = json.load(f)["rows"][0]["cells"]["work"]
+        assert (cell["n_pairs"], cell["n_skipped"]) == (2, 2)
+
     def test_self_pair_is_exactly_one(self, tmp_path, worked_files, pair_files):
         vpath, mpath = worked_files
         eng, _ = pair_files
@@ -529,6 +542,16 @@ class TestAugmentCommand:
         with open(out, encoding="utf-8") as f:
             doc = json.load(f)
         assert [e["token"] for e in doc["entries"]] == ["é"]
+
+    def test_empty_chars_is_usage_error(self, tmp_path, capsys, byte_level_files):
+        bf = byte_level_files
+        with pytest.raises(SystemExit) as exc:
+            main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                  "--encoder", "toy:0:1:3", "--strategy", "linreg@0",
+                  "--corpus", bf["corpus"], "--chars", "", "--out", str(tmp_path / "plan.json")])
+        assert exc.value.code == 2
+        assert "argument --chars: must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "plan.json").exists()
 
     def test_grid_writes_tagged_files(self, tmp_path, byte_level_files):
         bf = byte_level_files

@@ -11,12 +11,11 @@ from tokenlens.premium import (
     bpe_tokenizer,
     premium,
     premium_matrix,
-    sentence_ratio,
     ulm_tokenizer,
     write_premium_csv,
     write_premium_json,
 )
-from tokenlens.text import ParallelCorpus
+from tokenlens.text import ParallelCorpus, load_parallel_corpus
 from tokenlens.training import UnigramVocab, bpe_train
 from tokenlens.vocab import MergeRuleList, Vocabulary
 
@@ -91,15 +90,6 @@ class TestByteInput:
         assert (exc.value.char, exc.value.offset) == (char, offset)
 
 
-class TestSentenceRatio:
-    def test_worked_pair(self, worked_tok):
-        assert sentence_ratio(worked_tok, "shakes", "shoes") == 4 / 3
-
-    def test_zero_english_tokens_is_error(self, worked_tok):
-        with pytest.raises(ToolkitError):
-            sentence_ratio(worked_tok, "shoes", "")
-
-
 class TestPremium:
     def test_hand_corpus_mean_and_totals(self, worked_tok):
         pc = corpus([("shoes", "shakes"), ("sho", "shoe_shoe"), ("he", "ash")])
@@ -128,6 +118,15 @@ class TestPremium:
         rep = premium(worked_tok, pc)
         assert (rep.n_pairs, rep.n_skipped) == (1, 1)
         assert rep.ratios == [4 / 3]
+
+    def test_empty_english_line_skipped_and_counted(self, tmp_path, worked_tok):
+        eng = tmp_path / "eng.txt"
+        tgt = tmp_path / "tgt.txt"
+        eng.write_text("shoes\n\nhe\n", encoding="utf-8")
+        tgt.write_text("shakes\nshoe\nash\n", encoding="utf-8")
+        rep = premium(worked_tok, load_parallel_corpus(str(eng), str(tgt), "xx"))
+        assert (rep.n_pairs, rep.n_skipped) == (2, 1)
+        assert rep.ratios == [4 / 3, 1.0]
 
     def test_all_pairs_skipped_is_error(self, worked_tok):
         pc = corpus([("xyz", "shoe"), ("shoe", "qqq")])

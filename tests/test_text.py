@@ -49,7 +49,6 @@ class TestLoadParallelCorpus:
         pc = load_parallel_corpus(str(e), str(t), "fra", "Latn")
         assert pc.pairs == (("hello", "salut"), ("world", "monde"))
         assert pc.target_lang == "fra"
-        assert pc.n_skipped == 0
 
     def test_line_count_mismatch(self, tmp_path):
         e = tmp_path / "eng.txt"
@@ -61,14 +60,13 @@ class TestLoadParallelCorpus:
         assert exc.value.n_english == 2
         assert exc.value.n_target == 1
 
-    def test_empty_english_side_skipped_and_counted(self, tmp_path):
+    def test_every_pair_kept_in_file_order(self, tmp_path):
         e = tmp_path / "eng.txt"
         t = tmp_path / "tgt.txt"
-        e.write_text("a\n\nc\n", encoding="utf-8")
-        t.write_text("x\ny\nz\n", encoding="utf-8")
+        e.write_text("a\n\nc\n\n", encoding="utf-8")
+        t.write_text("x\ny\n\n\n", encoding="utf-8")
         pc = load_parallel_corpus(str(e), str(t), "fra")
-        assert pc.pairs == (("a", "x"), ("c", "z"))
-        assert pc.n_skipped == 1
+        assert pc.pairs == (("a", "x"), ("", "y"), ("c", ""), ("", ""))
 
     def test_empty_target_side_kept(self, tmp_path):
         e = tmp_path / "eng.txt"

@@ -407,7 +407,19 @@ class TestMergeFiles:
         with pytest.raises(ToolkitError):
             load_merges(path, vocab)
 
-    @pytest.mark.parametrize("text", ["[[1, 2]]", '[["a", null]]', '[["a", "b", "c"]]', '["ab"]'])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[1, 2]]",
+            '[["a", null]]',
+            '[["a", "b", "c"]]',
+            '["ab"]',
+            '[["a"]]',
+            '[[true, "a"]]',
+            '[{"a": "b"}]',
+            '[["a", "b"], "cd"]',
+        ],
+    )
     def test_json_entry_must_be_two_strings(self, tmp_path, trained, text):
         vocab, _ = trained
         path = str(tmp_path / "merges.json")
@@ -415,6 +427,13 @@ class TestMergeFiles:
             f.write(text)
         with pytest.raises(ToolkitError, match=r"\[left, right\] pair of strings"):
             load_merges(path, vocab)
+
+    def test_json_empty_list_is_no_rules(self, tmp_path, trained):
+        vocab, _ = trained
+        path = str(tmp_path / "merges.json")
+        with open(path, "w") as f:
+            f.write("[]\n")
+        assert load_merges(path, vocab) == MergeRuleList([])
 
     def test_plaintext_opening_with_bracket(self, tmp_path):
         vocab = Vocabulary([b"[", b"a", b"b", b"c", b"[a", b"bc"])
