@@ -330,6 +330,18 @@ def cmd_premium(args: argparse.Namespace) -> int:
     }
     manifest = RunManifest("premium", flags, _digests(tok_inputs + pair_inputs))
     matrix = premium_matrix(toks, corpora, aggregate=args.aggregate)
+    for i, ((lang, script), row) in enumerate(zip(matrix.languages, matrix.cells)):
+        for j, (name, rep) in enumerate(zip(matrix.tokenizers, row)):
+            cell = f"premium: {lang}:{script}/{name}"
+            if rep is None:
+                print(f"{cell} is NA: {matrix.na[i, j]}", file=sys.stderr)
+            elif rep.n_skipped:
+                print(
+                    f"{cell} skipped {rep.n_skipped} of {rep.n_pairs + rep.n_skipped} pairs "
+                    f"({rep.n_unencodable} unencodable, "
+                    f"{rep.n_skipped - rep.n_unencodable} empty)",
+                    file=sys.stderr,
+                )
     write_premium_csv(matrix, args.out, manifest_digest=manifest.digest())
     if args.json:
         write_premium_json(

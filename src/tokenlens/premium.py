@@ -34,7 +34,11 @@ __all__ = [
 
 @dataclass
 class TokenizerHandle:
-    """A named encode function: text in, token ids out."""
+    """A named encode function: text in, token ids out.
+
+    encode must be a pure function of its text: the same text always gives
+    the same ids, or the same OovCharacterError or UnsegmentableError. premium
+    relies on this to encode each distinct line once per run."""
 
     name: str
     encode: Callable[[str], list[int]]
@@ -102,6 +106,10 @@ def ulm_tokenizer(name: str, vocab: UnigramVocab) -> TokenizerHandle:
 
 @dataclass
 class PremiumReport:
+    """One cell. Of the n_skipped pairs, n_unencodable held a character the
+    tokenizer cannot encode on some side; the rest had a side that encodes
+    to zero tokens, as an empty line does."""
+
     target_lang: str
     target_script: str
     tokenizer: str
@@ -110,12 +118,31 @@ class PremiumReport:
     n_pairs: int
     n_skipped: int
     ratios: list[float] = field(default_factory=list)
+    n_unencodable: int = 0
 
     def value(self, aggregate: str = "ratios") -> float:
         return self.mean_ratio if aggregate == "ratios" else self.totals_ratio
 
 
-def premium(tok: TokenizerHandle, pc: ParallelCorpus) -> PremiumReport:
+def _token_lengths(tok: TokenizerHandle, texts: list[str]) -> dict[str, int | None]:
+    """Token count of each distinct text, encoded once in first-seen order;
+    None where the tokenizer cannot encode it."""
+
+    def length(text: str) -> int | None:
+        try:
+            return len(tok.encode(text))
+        except (OovCharacterError, UnsegmentableError):
+            return None
+
+    distinct = list(dict.fromkeys(texts))
+    return dict(zip(distinct, ordered_map(length, distinct)))
+
+
+def premium(
+    tok: TokenizerHandle,
+    pc: ParallelCorpus,
+    lengths: dict[str, int | None] | None = None,
+) -> PremiumReport:
     """Mean per-sentence ratio over a parallel corpus.
 
     This is the one place that decides which pairs count. A pair is skipped
@@ -123,35 +150,33 @@ def premium(tok: TokenizerHandle, pc: ParallelCorpus) -> PremiumReport:
     cannot represent, or encodes to zero tokens, as an empty line does; so
     n_pairs + n_skipped is the number of pairs in pc. All pairs skipped is an
     error: the corpus says nothing about this tokenizer.
+
+    Each distinct line is encoded once. lengths, tok's token count of every
+    line of pc (None where it cannot encode one), lets premium_matrix share
+    one table across the corpora; without it premium builds its own.
     """
-
-    def counts(pair: tuple[str, str]) -> tuple[int, int] | None:
-        eng, tgt = pair
-        try:
-            n_eng = len(tok.encode(eng))
-            n_tgt = len(tok.encode(tgt))
-        except (OovCharacterError, UnsegmentableError):
-            return None
-        if n_eng == 0 or n_tgt == 0:
-            return None
-        return n_tgt, n_eng
-
-    results = ordered_map(counts, pc.pairs)
+    if lengths is None:
+        lengths = _token_lengths(tok, [text for pair in pc.pairs for text in pair])
     ratios = []
     tgt_total = 0
     eng_total = 0
     skipped = 0
-    for r in results:
-        if r is None:
+    unencodable = 0
+    for eng, tgt in pc.pairs:
+        n_eng = lengths[eng]
+        n_tgt = lengths[tgt]
+        if not n_eng or not n_tgt:
             skipped += 1
+            if n_eng is None or n_tgt is None:
+                unencodable += 1
             continue
-        n_tgt, n_eng = r
         ratios.append(n_tgt / n_eng)
         tgt_total += n_tgt
         eng_total += n_eng
     if not ratios:
         raise ToolkitError(
-            f"all {len(pc.pairs)} pairs were skipped for tokenizer {tok.name!r}"
+            f"all {len(pc.pairs)} pairs were skipped for tokenizer {tok.name!r} "
+            f"({unencodable} unencodable, {skipped - unencodable} empty)"
         )
     return PremiumReport(
         target_lang=pc.target_lang,
@@ -162,18 +187,21 @@ def premium(tok: TokenizerHandle, pc: ParallelCorpus) -> PremiumReport:
         n_pairs=len(ratios),
         n_skipped=skipped,
         ratios=ratios,
+        n_unencodable=unencodable,
     )
 
 
 @dataclass
 class PremiumMatrix:
     """Languages down the rows (input order), tokenizers across the columns.
-    A cell is None when every pair was skipped for that combination."""
+    A cell is None when every pair was skipped for that combination; na
+    holds the reason, keyed by (row, column)."""
 
     languages: list[tuple[str, str]]
     tokenizers: list[str]
     cells: list[list[PremiumReport | None]]
     aggregate: str = "ratios"
+    na: dict[tuple[int, int], str] = field(default_factory=dict)
 
 
 def premium_matrix(
@@ -181,26 +209,35 @@ def premium_matrix(
     corpora: list[ParallelCorpus],
     aggregate: str = "ratios",
 ) -> PremiumMatrix:
+    """premium for every (corpus, tokenizer) cell. Each tokenizer encodes
+    each distinct line of all the corpora once, so an English file shared by
+    several languages, or a language paired with itself, costs one encode
+    per line."""
     if not tokenizers:
         raise ToolkitError("no tokenizers given")
     if not corpora:
         raise ToolkitError("no parallel corpora given")
     if aggregate not in ("ratios", "totals"):
         raise ToolkitError(f"unknown aggregate {aggregate!r}")
+    texts = [text for pc in corpora for pair in pc.pairs for text in pair]
+    tables = [_token_lengths(tok, texts) for tok in tokenizers]
     cells: list[list[PremiumReport | None]] = []
-    for pc in corpora:
+    na: dict[tuple[int, int], str] = {}
+    for i, pc in enumerate(corpora):
         row: list[PremiumReport | None] = []
-        for tok in tokenizers:
+        for j, (tok, lengths) in enumerate(zip(tokenizers, tables)):
             try:
-                row.append(premium(tok, pc))
-            except ToolkitError:
+                row.append(premium(tok, pc, lengths))
+            except ToolkitError as exc:
                 row.append(None)
+                na[i, j] = str(exc)
         cells.append(row)
     return PremiumMatrix(
         languages=[(pc.target_lang, pc.target_script) for pc in corpora],
         tokenizers=[t.name for t in tokenizers],
         cells=cells,
         aggregate=aggregate,
+        na=na,
     )
 
 

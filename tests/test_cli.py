@@ -460,6 +460,46 @@ class TestPremiumCommand:
         with open(out, encoding="utf-8") as f:
             assert f.read().splitlines()[2] == "xx,Latn,1.50"
 
+    def test_skips_explained_on_stderr(self, tmp_path, capsys):
+        import math
+
+        probs = write_text(tmp_path / "probs.json",
+                           json.dumps({t: math.log(0.25) for t in ["a", "b", "ab", " "]}))
+        eng = write_text(tmp_path / "e.txt", "ab\nab\n")
+        tgt = write_text(tmp_path / "t.txt", "a b\nक\n")
+        out = str(tmp_path / "p.csv")
+        rc = main(["premium", "--tokenizer", f"u=ulm:{probs}",
+                   "--pair", f"xx:Latn:{eng}:{tgt}", "--pair", f"eng:Latn:{eng}:{eng}",
+                   "--out", out])
+        assert rc == 0
+        captured = capsys.readouterr()
+        # The self-pair skipped nothing, so it has no line.
+        assert captured.err.splitlines() == [
+            "premium: xx:Latn/u skipped 1 of 2 pairs (1 unencodable, 0 empty)"
+        ]
+        assert len(captured.out.splitlines()) == 1
+        with open(out, encoding="utf-8") as f:
+            assert f.read().splitlines()[2:] == ["xx,Latn,3.00", "eng,Latn,1.00"]
+
+    def test_na_cells_and_empty_lines_explained_on_stderr(
+        self, tmp_path, capsys, worked_files
+    ):
+        vpath, mpath = worked_files
+        probs = write_text(tmp_path / "probs.json", '{"s": 0.0}\n')
+        eng = write_text(tmp_path / "e.txt", "shoes\n\nshe\n")
+        tgt = write_text(tmp_path / "t.txt", "shakes\nshe\n\n")
+        rc = main(["premium", "--tokenizer", f"work=bpe:{vpath}:{mpath}",
+                   "--tokenizer", f"narrow=ulm:{probs}",
+                   "--pair", f"xx:Latn:{eng}:{tgt}", "--out", str(tmp_path / "p.csv")])
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "premium: xx:Latn/work skipped 2 of 3 pairs (0 unencodable, 2 empty)",
+            # A pair with a side that cannot be encoded counts as unencodable,
+            # whatever its other side.
+            "premium: xx:Latn/narrow is NA: all 3 pairs were skipped for tokenizer 'narrow'"
+            " (3 unencodable, 0 empty)",
+        ]
+
     def test_missing_tokenizer_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["premium", "--pair", "xx:Y:e:t", "--out", "p.csv"])

@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tokenlens.errors import OovCharacterError, ToolkitError
+from tokenlens.errors import OovCharacterError, ToolkitError, UnsegmentableError
 from tokenlens.premium import (
     PremiumReport,
+    TokenizerHandle,
     _byte_aliases,
     bpe_tokenizer,
     premium,
@@ -28,6 +31,55 @@ def worked_tok():
 
 def corpus(pairs, lang="xx", script="Test"):
     return ParallelCorpus(pairs=tuple(pairs), target_lang=lang, target_script=script)
+
+
+def oracle_premium(tok, pc):
+    """The spec of premium: each pair encodes both of its sides, and a pair
+    that cannot be encoded, or has a side of zero tokens, is skipped.
+    Returns (mean_ratio, totals_ratio, n_pairs, n_skipped, n_unencodable,
+    ratios), or None when every pair was skipped."""
+
+    def counts(pair):
+        eng, tgt = pair
+        try:
+            n_eng = len(tok.encode(eng))
+            n_tgt = len(tok.encode(tgt))
+        except (OovCharacterError, UnsegmentableError):
+            return "unencodable"
+        if n_eng == 0 or n_tgt == 0:
+            return "empty"
+        return n_tgt, n_eng
+
+    results = [counts(pair) for pair in pc.pairs]
+    kept = [r for r in results if isinstance(r, tuple)]
+    if not kept:
+        return None
+    ratios = [n_tgt / n_eng for n_tgt, n_eng in kept]
+    return (
+        sum(ratios) / len(ratios),
+        sum(n_tgt for n_tgt, _ in kept) / sum(n_eng for _, n_eng in kept),
+        len(kept),
+        len(results) - len(kept),
+        results.count("unencodable"),
+        ratios,
+    )
+
+
+def observed(rep):
+    if rep is None:
+        return None
+    return (rep.mean_ratio, rep.totals_ratio, rep.n_pairs, rep.n_skipped,
+            rep.n_unencodable, rep.ratios)
+
+
+def counting(tok, calls):
+    """tok with every text it encodes appended to calls."""
+
+    def encode(text):
+        calls.append(text)
+        return tok.encode(text)
+
+    return TokenizerHandle(tok.name, encode)
 
 
 class TestTokenizerHandles:
@@ -212,3 +264,106 @@ class TestPremiumFiles:
             doc = json.load(f)
         assert "ratios" not in doc["rows"][0]["cells"]["worked"]
         assert "manifest" not in doc
+
+
+def s_counter(text):
+    """A handle's encode that cannot segment any k and gives one token per
+    s, so a non-empty line without an s encodes to zero tokens."""
+    if "k" in text:
+        raise UnsegmentableError(text, text.index("k"))
+    return [0] * text.count("s")
+
+
+@pytest.fixture(scope="module")
+def oracle_toks(worked_tok):
+    # k is only ever the start of "ke": a k before anything else cannot be
+    # segmented, and ULM names it as the character at fault.
+    uv = UnigramVocab.from_probs(
+        dict.fromkeys(["s", "h", "e", "_", "a", "o", "sh", "she", "ke", "sho"], 0.1)
+    )
+    return [worked_tok, ulm_tokenizer("ulm", uv), TokenizerHandle("s", s_counter)]
+
+
+# x is in no vocabulary; "" encodes to zero tokens everywhere.
+LINES = st.text(alphabet="she_akox", max_size=6)
+
+
+@st.composite
+def corpus_lists(draw):
+    """1-3 corpora over a small pool of lines, so lines repeat within and
+    across corpora. Each corpus pairs the shared English list with itself
+    or with a target list, or brings its own English list."""
+    pick = st.sampled_from(draw(st.lists(LINES, min_size=1, max_size=6)))
+    n = draw(st.integers(1, 5))
+    english = draw(st.lists(pick, min_size=n, max_size=n))
+    corpora = []
+    for k in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["shared", "self", "own"]))
+        eng = draw(st.lists(pick, min_size=n, max_size=n)) if kind == "own" else english
+        tgt = eng if kind == "self" else draw(st.lists(pick, min_size=n, max_size=n))
+        corpora.append(corpus(zip(eng, tgt), lang=f"l{k}"))
+    return corpora
+
+
+class TestPremiumMatchesOracle:
+    """Mutants these catch, each tried in a copy of premium.py: one table
+    shared across tokenizers; a side of zero tokens counted; a side that
+    cannot be encoded counted (its length stored as 0 or as its character
+    count)."""
+
+    @given(corpus_lists())
+    def test_matrix_cells(self, oracle_toks, corpora):
+        m = premium_matrix(oracle_toks, corpora)
+        for pc, row in zip(corpora, m.cells):
+            assert [observed(rep) for rep in row] == [oracle_premium(tok, pc) for tok in oracle_toks]
+
+    @given(corpus_lists())
+    def test_single_corpus(self, oracle_toks, corpora):
+        for tok in oracle_toks:
+            try:
+                got = observed(premium(tok, corpora[0]))
+            except ToolkitError:
+                got = None
+            assert got == oracle_premium(tok, corpora[0])
+
+    def test_na_reason_kept(self, oracle_toks):
+        corpora = [
+            corpus([("shoes", "she")], lang="aaa"),
+            corpus([("shoes", "sky"), ("", "she")], lang="bbb"),
+        ]
+        m = premium_matrix(oracle_toks, corpora)
+        assert m.cells[1][0] is None
+        assert m.na == {
+            (1, 0): "all 2 pairs were skipped for tokenizer 'worked' (1 unencodable, 1 empty)",
+            (1, 1): "all 2 pairs were skipped for tokenizer 'ulm' (1 unencodable, 1 empty)",
+            (1, 2): "all 2 pairs were skipped for tokenizer 's' (1 unencodable, 1 empty)",
+        }
+
+
+class TestEncodesEachLineOnce:
+    """Mutant this catches: one table shared across tokenizers (the second
+    tokenizer is then never called)."""
+
+    def test_matrix(self, oracle_toks):
+        eng = ["shoes", "she", "shoes", "", "box"]
+        corpora = [
+            corpus(zip(eng, ["shakes", "she", "ash", "he", "x"]), lang="aaa"),
+            corpus(zip(eng, eng), lang="eng"),
+            corpus(zip(eng, ["sho"] * 5), lang="bbb"),
+        ]
+        calls = {tok.name: [] for tok in oracle_toks}
+        premium_matrix([counting(tok, calls[tok.name]) for tok in oracle_toks], corpora)
+        first_seen = ["shoes", "shakes", "she", "ash", "", "he", "box", "x", "sho"]
+        assert calls == {tok.name: first_seen for tok in oracle_toks}
+
+    def test_single_corpus(self, worked_tok):
+        calls = []
+        premium(counting(worked_tok, calls), corpus([("she", "she"), ("she", "shoes")]))
+        assert calls == ["she", "shoes"]
+
+    def test_given_table_encodes_nothing(self, worked_tok):
+        calls = []
+        pc = corpus([("shoes", "shakes"), ("x", "she")])
+        rep = premium(counting(worked_tok, calls), pc, {"shoes": 3, "shakes": 4, "x": None, "she": 2})
+        assert calls == []
+        assert (rep.ratios, rep.n_skipped, rep.n_unencodable) == ([4 / 3], 1, 1)
