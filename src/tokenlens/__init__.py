@@ -23,7 +23,6 @@ from .errors import (
     LineCountMismatchError,
     OovCharacterError,
     ToolkitError,
-    UnsegmentableError,
 )
 from .premium import (
     PremiumMatrix,

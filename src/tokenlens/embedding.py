@@ -29,7 +29,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ToolkitError, reading
+from .errors import OovCharacterError, ToolkitError, reading
 from .parallel import ordered_map
 from .premium import TokenizerHandle
 
@@ -400,14 +400,15 @@ class AugmentationPlan:
 def select_oov_chars(corpus: Sequence[str], tok: TokenizerHandle) -> set[str]:
     """Characters of the corpus whose own encoding is 2 tokens or longer.
 
-    Characters the tokenizer cannot encode at all are not included: with no
-    constituent tokens there is nothing to derive from.
+    Characters the tokenizer cannot encode at all (OovCharacterError) are
+    not included: with no constituent tokens there is nothing to derive
+    from. Any other error propagates.
     """
     out = set()
     for ch in {c for doc in corpus for c in doc}:
         try:
             n = len(tok.encode(ch))
-        except ToolkitError:
+        except OovCharacterError:
             continue
         if n >= 2:
             out.add(ch)

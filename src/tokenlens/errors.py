@@ -54,10 +54,3 @@ class OovCharacterError(ToolkitError):
         self.offset = offset
         super().__init__(f"character {char!r} (U+{ord(char):04X}) at offset {offset} is not in the vocabulary")
 
-
-class UnsegmentableError(ToolkitError):
-    """No token sequence in the vocabulary covers the text."""
-
-    def __init__(self, text: str, offset: int):
-        self.offset = offset
-        super().__init__(f"no segmentation covers offset {offset} of {text!r}")

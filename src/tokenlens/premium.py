@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import OovCharacterError, ToolkitError, UnsegmentableError
+from .errors import OovCharacterError, ToolkitError
 from .parallel import ordered_map
 from .text import ParallelCorpus, write_table
 from .training import bpe_encode, ulm_viterbi_segment, UnigramVocab
@@ -36,9 +36,12 @@ __all__ = [
 class TokenizerHandle:
     """A named encode function: text in, token ids out.
 
+    encode returns ids or raises OovCharacterError(char, offset), the one way
+    an encode fails: premium counts such a pair as unencodable and augment's
+    character scan skips such a character. Any other exception propagates.
     encode must be a pure function of its text: the same text always gives
-    the same ids, or the same OovCharacterError or UnsegmentableError. premium
-    relies on this to encode each distinct line once per run."""
+    the same ids or the same error. premium relies on this to encode each
+    distinct line once per run."""
 
     name: str
     encode: Callable[[str], list[int]]
@@ -131,7 +134,7 @@ def _token_lengths(tok: TokenizerHandle, texts: list[str]) -> dict[str, int | No
     def length(text: str) -> int | None:
         try:
             return len(tok.encode(text))
-        except (OovCharacterError, UnsegmentableError):
+        except OovCharacterError:
             return None
 
     distinct = list(dict.fromkeys(texts))

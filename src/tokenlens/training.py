@@ -22,7 +22,7 @@ from itertools import compress
 from operator import eq, itemgetter
 from typing import Iterable, Mapping
 
-from .errors import OovCharacterError, ToolkitError, UnsegmentableError, reading
+from .errors import OovCharacterError, ToolkitError, reading
 from .vocab import MergeRule, MergeRuleList, Vocabulary
 
 __all__ = [
@@ -554,8 +554,8 @@ def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     Ties break toward fewer tokens, then toward the lexicographically
     smallest token sequence. A position that no token ends at is only an
     error when the whole text cannot be reached: then the furthest reachable
-    position p names the fault, as OovCharacterError for text[p] when that
-    character is not a token, UnsegmentableError otherwise.
+    position p names the fault as OovCharacterError for text[p]. text[p] is
+    never a token, since as one it would make p + 1 reachable.
 
     The DP runs over the text's lattice of token edges (_lattice), which
     ulm_prune shares: one DP serves both.
@@ -564,9 +564,7 @@ def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     n = len(text)
     if score[n] is None:
         p = max(i for i in range(n) if score[i] is not None)
-        if text[p] not in vocab:
-            raise OovCharacterError(text[p], p)
-        raise UnsegmentableError(text, p)
+        raise OovCharacterError(text[p], p)
     return _path(text, back, n)
 
 
@@ -736,12 +734,9 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
                 best_token = t
                 best_ll = ll
                 best_counts = new_counts
-        if best_token is None:
-            raise ToolkitError(
-                f"only single-character tokens remain at size {len(current)}; "
-                f"target_size {target_size} is unreachable"
-            )
-        assert best_counts is not None
+        # target_size >= n_required and single characters are never
+        # removed, so a multi-character candidate is left.
+        assert best_token is not None and best_counts is not None
         survivors = [t for t in current.tokens() if t != best_token]
         current = UnigramVocab.from_frequencies(best_counts, tokens=survivors)
     return current

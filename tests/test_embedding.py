@@ -35,8 +35,8 @@ from tokenlens.embedding import (
     write_matrix,
 )
 from tokenlens.embedding import _distances, _nearest
-from tokenlens.errors import ToolkitError
-from tokenlens.premium import bpe_tokenizer
+from tokenlens.errors import OovCharacterError, ToolkitError
+from tokenlens.premium import TokenizerHandle, bpe_tokenizer
 from tokenlens.vocab import MergeRuleList, Vocabulary
 
 
@@ -487,6 +487,10 @@ class TestDistances:
         with np.errstate(all="ignore"):
             assert_bitwise(_distances(h, vl, "euclidean"), oracle_euclidean(h, vl))
 
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ToolkitError, match="unknown distance metric 'manhattan'"):
+            _distances(np.zeros(2), np.zeros((3, 2)), "manhattan")
+
 
 class TestDeriveKnn:
     @pytest.fixture()
@@ -679,6 +683,19 @@ class TestSelectOovChars:
         corpus = ("でé",)
         assert select_oov_chars(corpus, tok) == {"é"}
 
+    def test_other_errors_propagate(self):
+        def encode(text):
+            if text == "b":
+                raise ToolkitError("encoder backend failed")
+            if text == "c":
+                raise OovCharacterError(text, 0)
+            return [0, 1]
+
+        tok = TokenizerHandle("flaky", encode)
+        assert select_oov_chars(("ac",), tok) == {"a"}
+        with pytest.raises(ToolkitError, match="encoder backend failed"):
+            select_oov_chars(("abc",), tok)
+
 
 class TestAugment:
     @pytest.fixture()
@@ -814,6 +831,12 @@ class TestEvalSimilarity:
         with pytest.raises(ToolkitError):
             eval_similarity(enc, v0, "", tok, plan, 1)
 
+    def test_zero_token_encoding_is_error(self, linear_setting):
+        _, enc, v0, plan = linear_setting
+        tok = TokenizerHandle("nothing", lambda text: [])
+        with pytest.raises(ToolkitError, match="sentence encodes to zero tokens"):
+            eval_similarity(enc, v0, "ab", tok, plan, 1)
+
     def test_zero_pooled_vector_is_error(self, linear_setting):
         tok, _, v0, plan = linear_setting
 
@@ -855,6 +878,14 @@ class TestCorpusLevelMetrics:
     def test_fraction_zero_when_untouched(self, setting):
         tok, _, _, plan = setting
         assert fraction_new_tokens(("ab",), tok, plan) == 0.0
+
+    @pytest.mark.parametrize(
+        "corpus,message", [((), "corpus is empty"), (("",), "corpus produced no tokens")]
+    )
+    def test_fraction_without_tokens_is_error(self, setting, corpus, message):
+        tok, _, _, plan = setting
+        with pytest.raises(ToolkitError, match=message):
+            fraction_new_tokens(corpus, tok, plan)
 
 
 class TestPlanFiles:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokenlens.errors import OovCharacterError, ToolkitError, UnsegmentableError
+from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.premium import (
     PremiumReport,
     TokenizerHandle,
@@ -44,7 +44,7 @@ def oracle_premium(tok, pc):
         try:
             n_eng = len(tok.encode(eng))
             n_tgt = len(tok.encode(tgt))
-        except (OovCharacterError, UnsegmentableError):
+        except OovCharacterError:
             return "unencodable"
         if n_eng == 0 or n_tgt == 0:
             return "empty"
@@ -267,10 +267,10 @@ class TestPremiumFiles:
 
 
 def s_counter(text):
-    """A handle's encode that cannot segment any k and gives one token per
+    """A handle's encode that cannot encode any k and gives one token per
     s, so a non-empty line without an s encodes to zero tokens."""
     if "k" in text:
-        raise UnsegmentableError(text, text.index("k"))
+        raise OovCharacterError("k", text.index("k"))
     return [0] * text.count("s")
 
 

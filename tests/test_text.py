@@ -130,6 +130,10 @@ class TestCharByteLen:
             assert char_byte_len(ch) == len(ch.encode("utf-8"))
             assert 1 <= char_byte_len(ch) <= 4
 
+    def test_rejects_strings(self):
+        with pytest.raises(ValueError):
+            char_byte_len("ab")
+
 
 class TestRecoverUtf8Chars:
     def test_already_valid(self):

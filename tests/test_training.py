@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tokenlens
-from tokenlens.errors import OovCharacterError, ToolkitError, UnsegmentableError
+from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.training import (
     UnigramVocab,
     _LazyArgmax,
@@ -259,9 +259,8 @@ def oracle_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
         best[j] = cand
     if best[-1] is None:
         p = max(i for i in range(len(text)) if best[i] is not None)
-        if text[p] not in vocab:
-            raise OovCharacterError(text[p], p)
-        raise UnsegmentableError(text, p)
+        assert text[p] not in vocab
+        raise OovCharacterError(text[p], p)
     return list(best[-1][2])
 
 
@@ -363,6 +362,10 @@ class TestBpeTrain:
     def test_empty_corpus_is_error(self):
         with pytest.raises(ToolkitError):
             bpe_train([], min_pair_freq=2)
+
+    def test_min_pair_freq_below_one_is_error(self):
+        with pytest.raises(ToolkitError, match="min_pair_freq must be at least 1"):
+            bpe_train(["ab"], min_pair_freq=0)
 
     def test_every_choice_matches_oracle_on_random_corpora(self):
         rng = random.Random(1234)
@@ -865,6 +868,14 @@ class TestUnigramVocab:
         with pytest.raises(ToolkitError):
             UnigramVocab({})
 
+    def test_empty_token_is_error(self):
+        with pytest.raises(ToolkitError, match="empty tokens are not allowed"):
+            UnigramVocab({"": -1.0}, check=False)
+
+    def test_from_zero_frequencies_is_error(self):
+        with pytest.raises(ToolkitError, match="no token frequencies"):
+            UnigramVocab.from_frequencies({"a": 0})
+
 
 class TestUlmViterbi:
     def test_prefers_higher_probability_single_token(self):
@@ -946,8 +957,6 @@ def outcome(fn, *args):
         return fn(*args)
     except OovCharacterError as exc:
         return ("oov", exc.char, exc.offset)
-    except UnsegmentableError as exc:
-        return ("unsegmentable", exc.offset)
 
 
 class TestUlmMatchesOracles:

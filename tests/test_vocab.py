@@ -129,6 +129,11 @@ class TestVocabulary:
             v.id_of(b"z")
         assert v.get(b"z") is None
 
+    def test_membership(self):
+        v = Vocabulary([b"a"])
+        assert b"a" in v
+        assert b"z" not in v
+
     def test_equality_is_by_ordered_tokens(self):
         assert Vocabulary([b"a", b"b"]) == Vocabulary([b"a", b"b"])
         assert Vocabulary([b"a", b"b"]) != Vocabulary([b"b", b"a"])
