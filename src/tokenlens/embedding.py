@@ -23,6 +23,7 @@ import base64
 import binascii
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
@@ -79,15 +80,25 @@ def write_matrix(path: str, matrix: np.ndarray, layer: int | None = None, proven
 
 
 def read_matrix(path: str) -> np.ndarray:
+    """The matrix a write_matrix file holds; its data must be exactly
+    n_tokens * dim float32 values.
+
+    The file's size is checked before the array is allocated, and the data
+    is read straight into the array, so it is held once (f.read() would
+    build a bytes object and join the reader's buffered head onto it)."""
     with reading(path), open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
             raise ToolkitError("truncated header")
         n, dim = _HEADER.unpack(head)
-        data = f.read()
-        if len(data) != n * dim * 4:
-            raise ToolkitError(f"expected {n * dim * 4} data bytes, found {len(data)}")
-        return np.frombuffer(data, dtype="<f4").reshape(n, dim)
+        found = os.fstat(f.fileno()).st_size - _HEADER.size
+        if found != n * dim * 4:
+            raise ToolkitError(f"expected {n * dim * 4} data bytes, found {found}")
+        arr = np.empty((n, dim), dtype="<f4")
+        got = f.readinto(arr.reshape(-1).view(np.uint8))
+        if got != found:  # the file shrank while it was read
+            raise ToolkitError(f"expected {found} data bytes, found {got}")
+        return arr
 
 
 class LayerEncoder(Protocol):
@@ -176,12 +187,17 @@ class LookupEncoder:
 
     It can only encode vectors that are exact rows of its V0, each position
     independently, so it supports reference building and augmentation but not
-    evaluation over derived vectors.
+    evaluation over derived vectors. A vector matches a row when their bytes
+    are equal; of byte-identical V0 rows, the last one's layer row is used.
     """
 
     def __init__(self, v0: np.ndarray, layer_matrices: dict[int, np.ndarray]):
         self._v0 = np.asarray(v0)
-        self._by_row = {self._v0[i].tobytes(): i for i in range(len(self._v0))}
+        # Each V0 row's index under the hash of its bytes, so the index holds
+        # no second copy of V0; _row_of confirms a match on the bytes.
+        self._rows_by_hash: dict[int, list[int]] = {}
+        for i, row in enumerate(self._v0):
+            self._rows_by_hash.setdefault(hash(row.tobytes()), []).append(i)
         self._layers = {0: self._v0}
         for layer, mat in layer_matrices.items():
             layer = int(layer)
@@ -195,6 +211,16 @@ class LookupEncoder:
             self._layers[layer] = m
         self.depth = max(self._layers)
 
+    def _row_of(self, key: bytes) -> int:
+        """The last V0 row whose bytes are key."""
+        for i in reversed(self._rows_by_hash.get(hash(key), ())):
+            if self._v0[i].tobytes() == key:
+                return i
+        raise ToolkitError(
+            "lookup encoder can only encode exact vocabulary embeddings; "
+            "evaluation needs a runnable encoder"
+        )
+
     def encode_to_layer(self, states: np.ndarray, layer: int) -> np.ndarray:
         if layer not in self._layers:
             raise ToolkitError(f"no exported matrix for layer {layer}")
@@ -204,13 +230,8 @@ class LookupEncoder:
         rows = arr.reshape(-1, arr.shape[-1])
         out = np.empty((len(rows), self._v0.shape[1]), dtype=self._layers[layer].dtype)
         for i, row in enumerate(rows):
-            idx = self._by_row.get(np.asarray(row, dtype=self._v0.dtype).tobytes())
-            if idx is None:
-                raise ToolkitError(
-                    "lookup encoder can only encode exact vocabulary embeddings; "
-                    "evaluation needs a runnable encoder"
-                )
-            out[i] = self._layers[layer][idx]
+            key = np.asarray(row, dtype=self._v0.dtype).tobytes()
+            out[i] = self._layers[layer][self._row_of(key)]
         return out.reshape(arr.shape[:-1] + (self._v0.shape[1],))
 
 
@@ -224,33 +245,57 @@ def pooled_hidden(enc: LayerEncoder, embeddings: np.ndarray, layer: int) -> np.n
     return enc.encode_to_layer(arr, layer).mean(axis=0)
 
 
+# Rows per block of build_reference and of the euclidean distance pass:
+# their temporaries are _ROW_BLOCK x dim, not n_tokens x dim.
+_ROW_BLOCK = 1024
+
+
 def build_reference(enc: LayerEncoder, v0: np.ndarray, layer: int) -> np.ndarray:
     """V_l: run each token's embedding through the encoder on its own.
 
-    One encoder call over the stack of length-1 sequences (n_tokens, 1, dim);
-    the encoder contract makes this bitwise equal to one call per token."""
+    The encoder runs over stacks of _ROW_BLOCK length-1 sequences,
+    (rows, 1, dim); the encoder contract makes this bitwise equal to one call
+    per token. Layer 0 copies v0. The rows go into one (n_tokens, dim + 1)
+    buffer of the encoder's output dtype whose last column is 1.0, and the
+    (n_tokens, dim) view of its first columns is returned: when that is
+    float64, _fit_affine uses the buffer, bias column included, as its design
+    matrix instead of a second copy of the reference."""
     arr = np.asarray(v0)
-    if layer == 0:
-        return np.array(arr, copy=True)
-    return enc.encode_to_layer(arr[:, None, :], layer)[:, 0, :]
+    if arr.ndim != 2:
+        raise ToolkitError("v0 must be a 2-D matrix")
 
+    def rows(start: int) -> np.ndarray:
+        block = arr[start : start + _ROW_BLOCK]
+        return block if layer == 0 else enc.encode_to_layer(block[:, None, :], layer)[:, 0, :]
 
-# Rows per block of the euclidean distance pass: its temporaries are
-# _DISTANCE_BLOCK x dim, not n_tokens x dim.
-_DISTANCE_BLOCK = 1024
+    first = rows(0)
+    dim = first.shape[1]
+    buf = np.empty((len(arr), dim + 1), dtype=first.dtype)
+    buf[:, dim] = 1.0
+    buf[: len(first), :dim] = first
+    for start in range(_ROW_BLOCK, len(arr), _ROW_BLOCK):
+        buf[start : start + _ROW_BLOCK, :dim] = rows(start)
+    return buf[:, :dim]
 
 
 def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
     if metric == "euclidean":
-        # Each row's distance is the same operations on the same row whatever
-        # block it falls in, so the result is bitwise
-        # np.linalg.norm(vl - h, axis=1).
+        # np.linalg.norm(vl - h, axis=1)'s operations on each row (subtract
+        # in float64, square, add.reduce, sqrt), run in place in one block
+        # buffer, so a float32 vl is converted a block at a time. Each row's
+        # distance is the same operations whatever block it falls in, so the
+        # result is bitwise that one pass over all rows.
         out = np.empty(len(vl))
-        for start in range(0, len(vl), _DISTANCE_BLOCK):
-            stop = start + _DISTANCE_BLOCK
-            out[start:stop] = np.linalg.norm(vl[start:stop] - h, axis=1)
-        return out
+        buf = np.empty((min(len(vl), _ROW_BLOCK), vl.shape[1]))
+        for start in range(0, len(vl), _ROW_BLOCK):
+            block = vl[start : start + _ROW_BLOCK]
+            diff = buf[: len(block)]
+            np.subtract(block, h, out=diff, dtype=np.float64)
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=1, out=out[start : start + len(block)])
+        return np.sqrt(out, out=out)
     if metric == "cosine":
+        vl = np.asarray(vl, dtype=np.float64)
         norms = np.linalg.norm(vl, axis=1) * np.linalg.norm(h)
         with np.errstate(invalid="ignore", divide="ignore"):
             sims = np.where(norms > 0, (vl @ h) / norms, 0.0)
@@ -259,7 +304,7 @@ def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
 
 
 def _nearest(h: np.ndarray, vl: np.ndarray, k: int, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    d = _distances(np.asarray(h, dtype=np.float64), np.asarray(vl, dtype=np.float64), metric)
+    d = _distances(np.asarray(h, dtype=np.float64), np.asarray(vl), metric)
     # Exact brute force; ties resolved by row index so results never depend
     # on sort internals. Only rows no farther than the k-th distance can be
     # among the first k of the full (distance, index) order, so only they are
@@ -293,13 +338,41 @@ def derive_knn(
     return (weights[:, None] * rows).sum(axis=0) / weights.sum()
 
 
+def _design_matrix(x: np.ndarray) -> np.ndarray:
+    """x with a bias column of ones, in float64.
+
+    A float64 build_reference result is the first columns of a C-ordered
+    buffer whose last column is the bias. When x is exactly that view (its
+    buffer's data pointer and strides, one column fewer) and the column
+    holds only ones, the buffer itself is returned. Any other x is written
+    into one fresh matrix."""
+    x = np.asarray(x)
+    buf = x.base
+    if (
+        isinstance(buf, np.ndarray)
+        and x.dtype == buf.dtype == np.float64
+        and buf.flags.c_contiguous
+        and buf.shape == (len(x), x.shape[1] + 1)
+        and buf.strides == x.strides
+        and buf.ctypes.data == x.ctypes.data
+        and np.all(buf[:, -1] == 1.0)
+    ):
+        return buf
+    design = np.empty((len(x), x.shape[1] + 1))
+    design[:, :-1] = x
+    design[:, -1] = 1.0
+    return design
+
+
 def _fit_affine(
     x: np.ndarray, y: np.ndarray, sample_weights: np.ndarray | None, ridge: float
 ) -> np.ndarray:
-    """Solve (X'WX + ridge*I) theta = X'WY for X with a bias column."""
-    x = np.asarray(x, dtype=np.float64)
+    """Solve (X'WX + ridge*I) theta = X'WY for X with a bias column.
+
+    The design matrix is _design_matrix(x): a float64 reference from
+    build_reference serves as its own, so the fit adds only y in float64."""
+    design = _design_matrix(x)
     y = np.asarray(y, dtype=np.float64)
-    design = np.hstack([x, np.ones((len(x), 1))])
     if sample_weights is None:
         gram = design.T @ design
         moment = design.T @ y
@@ -343,7 +416,8 @@ def derive_local_linreg(
     n = len(vl)
     if not 2 <= k <= n:
         raise ToolkitError(f"k must be in 2..{n}, got {k}")
-    idx, dists = _nearest(h, vl, k, metric)
+    hv = _finite_query(h)
+    idx, dists = _nearest(hv, vl, k, metric)
     weights = np.exp(-dists)
     mean_w = weights.mean()
     if mean_w > 0:
@@ -353,7 +427,7 @@ def derive_local_linreg(
     else:
         weights = np.ones_like(weights)  # all weights underflowed
     theta = _fit_affine(np.asarray(vl)[idx], np.asarray(v0)[idx], weights, ridge)
-    return _apply_affine(h, theta)
+    return _apply_affine(hv, theta)
 
 
 @dataclass(frozen=True)
@@ -431,7 +505,10 @@ def augment(
     the strategy. The layer-l reference matrix,
     build_reference(enc, v0, strat.layer), is built here unless passed as
     reference (a grid shares one per layer). For linreg the affine fit is
-    computed once per call.
+    computed once per call; a float64 reference from build_reference carries
+    the fit's bias column, so the fit adds only a float64 copy of v0. The
+    neighbor strategies read a float32 reference a block of rows at a time
+    (cosine converts it whole for each character).
     """
     v0 = np.asarray(v0)
     if v0.ndim != 2:

@@ -34,7 +34,7 @@ from tokenlens.embedding import (
     toy_encoder,
     write_matrix,
 )
-from tokenlens.embedding import _distances, _nearest
+from tokenlens.embedding import _design_matrix, _distances, _fit_affine, _nearest
 from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.premium import TokenizerHandle, bpe_tokenizer
 from tokenlens.vocab import MergeRuleList, Vocabulary
@@ -46,6 +46,23 @@ def oracle_build_reference(enc, v0, layer):
     if layer == 0:
         return np.array(arr, copy=True)
     return np.stack([enc.encode_to_layer(arr[t : t + 1], layer)[0] for t in range(len(arr))])
+
+
+def oracle_fit_affine(x, y, sample_weights, ridge):
+    """The affine fit with its design matrix built by np.hstack from a float64
+    copy of x."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    design = np.hstack([x, np.ones((len(x), 1))])
+    if sample_weights is None:
+        gram = design.T @ design
+        moment = design.T @ y
+    else:
+        weighted = design * sample_weights[:, None]
+        gram = design.T @ weighted
+        moment = weighted.T @ y
+    gram = gram + ridge * np.eye(gram.shape[0])
+    return np.linalg.solve(gram, moment)
 
 
 def oracle_nearest(h, vl, k, metric):
@@ -117,6 +134,34 @@ class TestMatrixIO:
             f.write(b"\x00" * 8)  # needs 16
         with pytest.raises(ToolkitError):
             read_matrix(path)
+
+    def test_trailing_data_rejected(self, tmp_path):
+        path = str(tmp_path / "bad.mat")
+        with open(path, "wb") as f:
+            f.write(struct.pack("<II", 2, 2))
+            f.write(b"\x00" * 20)  # needs 16
+        with pytest.raises(ToolkitError, match="expected 16 data bytes, found 20"):
+            read_matrix(path)
+
+    def test_huge_header_rejected_before_allocating(self, tmp_path):
+        # A header claiming 2**32 - 1 rows of 2**32 - 1 values is checked
+        # against the file size; no array of that size is attempted.
+        path = str(tmp_path / "bad.mat")
+        with open(path, "wb") as f:
+            f.write(struct.pack("<II", 2**32 - 1, 2**32 - 1))
+            f.write(b"\x00" * 16)
+        with pytest.raises(ToolkitError, match="found 16"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (1500, 7)])
+    def test_read_is_writable_and_exact(self, tmp_path, shape):
+        # (1500, 7) spans more than the reader's 8 KiB buffer.
+        path = str(tmp_path / "v.mat")
+        mat = np.random.default_rng(1).normal(size=shape).astype("<f4")
+        write_matrix(path, mat)
+        arr = read_matrix(path)
+        assert_bitwise(arr, mat)
+        assert arr.flags.writeable and arr.flags.c_contiguous
 
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ToolkitError):
@@ -362,6 +407,29 @@ class TestLookupEncoder:
         v0, m1, enc = exported
         assert np.array_equal(build_reference(enc, v0, 1), m1)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_duplicate_rows_map_to_the_last(self, dtype):
+        # Rows 0, 2 and 4 have the same bytes: each of them maps to row 4's
+        # layer row. Rows 1 and 3 differ only as 0.0 / -0.0, so they stay
+        # distinct.
+        v0 = np.array([[1.0, 2.0], [0.0, 5.0], [1.0, 2.0], [-0.0, 5.0], [1.0, 2.0]], dtype=dtype)
+        m1 = np.arange(10, 20, dtype=dtype).reshape(5, 2)
+        enc = LookupEncoder(v0, {1: m1})
+        assert_bitwise(enc.encode_to_layer(v0[[0]], 1), m1[[4]])
+        assert_bitwise(enc.encode_to_layer(v0[[2, 3, 1]], 1), m1[[4, 3, 1]])
+        assert_bitwise(build_reference(enc, v0, 1), m1[[4, 1, 4, 3, 4]])
+
+    def test_hash_collisions_confirmed_on_bytes(self, exported, monkeypatch):
+        # With every row under one hash, each lookup still finds its own row.
+        from tokenlens import embedding
+
+        v0, m1, _ = exported
+        monkeypatch.setattr(embedding, "hash", lambda key: 0, raising=False)
+        enc = LookupEncoder(v0, {1: m1})
+        assert_bitwise(enc.encode_to_layer(v0[[3, 0, 4]], 1), m1[[3, 0, 4]])
+        with pytest.raises(ToolkitError, match="exact vocabulary embeddings"):
+            enc.encode_to_layer(np.zeros((1, 3)), 1)
+
 
 class TestPooledHidden:
     def test_layer_zero_is_plain_mean(self):
@@ -412,6 +480,24 @@ class TestBuildReference:
         v0 = data.draw(hnp.arrays(dtype, shape, elements=st.floats(-4, 4, width=32)))
         layer = data.draw(st.integers(0, depth))
         assert_bitwise(build_reference(enc, v0, layer), oracle_build_reference(enc, v0, layer))
+
+    # Row counts around the block size: one row, one short of a block, one
+    # block, one past it, and three blocks with a short tail.
+    @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025, 3079])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_per_row_oracle(self, rows, dtype):
+        rng = np.random.default_rng(rows)
+        v0 = rng.normal(size=(rows, 3)).astype(dtype)
+        toy = toy_encoder(rows, 2, 3)
+        lookup = LookupEncoder(v0, {1: rng.normal(size=(rows, 3)).astype(dtype)})
+        for enc, layer in ((toy, 0), (toy, 2), (lookup, 1)):
+            ref = build_reference(enc, v0, layer)
+            assert_bitwise(ref, oracle_build_reference(enc, v0, layer))
+            assert_bitwise(ref.base[:, -1], np.ones(rows, dtype=ref.dtype))
+
+    def test_empty_vocabulary(self):
+        ref = build_reference(toy_encoder(0, 1, 3), np.zeros((0, 3)), 1)
+        assert ref.shape == (0, 3) and ref.dtype == np.float64
 
     @given(st.sampled_from([np.float32, np.float64]), st.data())
     def test_lookup_matches_per_row_oracle(self, dtype, data):
@@ -467,6 +553,21 @@ class TestNearest:
         assert_bitwise(got[0], want[0])
         assert_bitwise(got[1], want[1])
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 2100), st.sampled_from([1, 3, 64]))
+    def test_float32_reference_matches_float64_oracle(self, metric, seed, rows, dim):
+        # The distances are computed in float64 whatever the reference's
+        # dtype: a float32 cosine norm or a float32 difference would change
+        # their bits.
+        rng = np.random.default_rng(seed)
+        vl = rng.normal(size=(rows, dim)).astype(np.float32)
+        h = rng.normal(size=dim)
+        k = int(rng.integers(1, rows + 1))
+        got = _nearest(h, vl, k, metric)
+        want = oracle_nearest(h, vl, k, metric)
+        assert_bitwise(got[0], want[0])
+        assert_bitwise(got[1], want[1])
+
 
 def oracle_euclidean(h, vl):
     """The euclidean distances in one pass over every row."""
@@ -490,6 +591,70 @@ class TestDistances:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ToolkitError, match="unknown distance metric 'manhattan'"):
             _distances(np.zeros(2), np.zeros((3, 2)), "manhattan")
+
+
+class TestFitAffine:
+    @pytest.mark.parametrize("rows", [1, 5, 1025])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_hstack_oracle(self, rows, dtype, weighted):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 4)).astype(dtype)
+        y = rng.normal(size=(rows, 4)).astype(np.float32)
+        w = rng.uniform(0.1, 2.0, size=rows) if weighted else None
+        assert_bitwise(_fit_affine(x, y, w, 1e-8), oracle_fit_affine(x, y, w, 1e-8))
+        assert not np.shares_memory(_design_matrix(x), x)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_reference_is_its_own_design_matrix(self, layer, weighted):
+        rng = np.random.default_rng(3)
+        v0 = rng.normal(size=(1500, 4))
+        ref = build_reference(toy_encoder(3, 1, 4), v0, layer)
+        design = _design_matrix(ref)
+        assert np.shares_memory(design, ref) and design is ref.base
+        w = rng.uniform(0.1, 2.0, size=len(v0)) if weighted else None
+        assert_bitwise(_fit_affine(ref, v0, w, 1e-8), oracle_fit_affine(ref, v0, w, 1e-8))
+
+    @pytest.mark.parametrize("bias", [0.0, -1.0, 2.0, np.nan, 1.0 + 2**-52])
+    def test_changed_bias_column_is_not_used(self, bias):
+        rng = np.random.default_rng(4)
+        v0 = rng.normal(size=(40, 3))
+        ref = build_reference(toy_encoder(4, 1, 3), v0, 1)
+        ref.base[17, -1] = bias
+        assert not np.shares_memory(_design_matrix(ref), ref)
+        assert_bitwise(_fit_affine(ref, v0, None, 1e-8), oracle_fit_affine(ref, v0, None, 1e-8))
+
+    def test_other_views_of_the_buffer_are_copied(self):
+        # Each view differs from the reference in one of data pointer, shape,
+        # strides or dtype; each gets a fresh design matrix.
+        rng = np.random.default_rng(5)
+        v0 = rng.normal(size=(40, 3))
+        ref = build_reference(toy_encoder(5, 1, 3), v0, 1)
+        buf = ref.base
+        views = {
+            "rows from 1": buf[1:, :3],
+            "columns from 1": buf[:, 1:],
+            "one column fewer": buf[:, :2],
+            "every other row": buf[::2, :3],
+            "packed rows": np.ndarray((40, 3), dtype=np.float64, buffer=buf, strides=(24, 8)),
+        }
+        for name, x in views.items():
+            assert x.base is buf, name
+            assert not np.shares_memory(_design_matrix(x), buf), name
+            assert_bitwise(_fit_affine(x, x, None, 1e-8), oracle_fit_affine(x, x, None, 1e-8))
+        f32 = build_reference(LookupEncoder(v0, {1: ref.astype(np.float32)}), v0, 1)
+        assert f32.dtype == np.float32
+        assert not np.shares_memory(_design_matrix(f32), f32)
+        assert_bitwise(_fit_affine(f32, v0, None, 1e-8), oracle_fit_affine(f32, v0, None, 1e-8))
+
+    def test_fortran_ordered_buffer_is_copied(self):
+        rng = np.random.default_rng(6)
+        buf = np.asfortranarray(np.hstack([rng.normal(size=(30, 3)), np.ones((30, 1))]))
+        x = buf[:, :3]
+        assert x.base is buf and x.strides == buf.strides
+        assert not np.shares_memory(_design_matrix(x), buf)
+        assert_bitwise(_fit_affine(x, x, None, 1e-8), oracle_fit_affine(x, x, None, 1e-8))
 
 
 class TestDeriveKnn:
@@ -639,6 +804,18 @@ class TestDeriveLocalLinreg:
         vl = np.arange(10.0).reshape(5, 2)
         with pytest.raises(ToolkitError, match="non-finite"):
             derive_local_linreg(np.array([0.0, bad]), v0, vl, 3, metric=metric)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_nonfinite_query_rejected_before_distance_pass(self, monkeypatch, metric):
+        from tokenlens import embedding
+
+        def no_pass(*args):
+            raise AssertionError("distance pass ran on a non-finite query")
+
+        monkeypatch.setattr(embedding, "_distances", no_pass)
+        v0 = np.random.default_rng(2).normal(size=(5, 2))
+        with pytest.raises(ToolkitError, match="query vector contains non-finite values"):
+            derive_local_linreg(np.array([np.nan, 0.0]), v0, v0, 3, metric=metric)
 
     def test_weight_underflow_falls_back_to_uniform(self):
         vl = 20000.0 * np.eye(4)  # exp(-20000) underflows to zero
