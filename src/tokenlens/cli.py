@@ -180,13 +180,17 @@ def _parse_encoder(
 def _load_model(args: argparse.Namespace) -> tuple[TokenizerHandle, np.ndarray, embedding.LayerEncoder, dict, list[str]]:
     """Augment's and eval's tokenizer, V0 and encoder, with the encoder's
     manifest flags and the paths of every file they were read from. Both
-    specs are checked before any file is read."""
+    specs are checked before any file is read, and V0 must be finite."""
+    import numpy as np
+
     from . import embedding
 
     name, spec = _parse_named(args.tokenizer, "tokenizer")
     enc_flags, enc_paths, build_encoder = _parse_encoder(args.encoder)
     tok, tok_paths = _load_tokenizer(name, spec)
     v0 = embedding.read_matrix(args.embeddings)
+    if not np.all(np.isfinite(v0)):
+        raise ToolkitError("v0 contains non-finite values")
     enc = build_encoder(v0)
     return tok, v0, enc, enc_flags, [args.embeddings] + tok_paths + enc_paths
 
@@ -372,25 +376,18 @@ def cmd_augment(args: argparse.Namespace) -> int:
         **enc_flags,
     }
     manifest = RunManifest("augment", flags, _digests([args.corpus] + model_paths))
-    # One reference per distinct layer, all built before any plan is written,
-    # so a layer the encoder lacks fails before a file exists.
-    references = {
-        layer: embedding.build_reference(enc, v0, layer)
-        for layer in sorted({s.layer for s in strategies})
-    }
+    # Every plan is derived before any is written, so a failing cell leaves
+    # no file. The plans share their tokens, so they share the fraction too.
+    plans = embedding.augment(tok, v0, enc, chars, strategies, metric=args.metric)
+    fraction = embedding.fraction_new_tokens(corpus, tok, plans[0])
     outputs = []
-    for strat in strategies:
-        plan = embedding.augment(
-            tok, v0, enc, chars, strat, metric=args.metric, reference=references[strat.layer]
-        )
-        plan.stats = {
-            "fraction_new_tokens": {args.corpus: embedding.fraction_new_tokens(corpus, tok, plan)}
-        }
-        if len(strategies) == 1:
+    for plan in plans:
+        plan.stats = {"fraction_new_tokens": {args.corpus: fraction}}
+        if len(plans) == 1:
             out = args.out
         else:
             root, ext = os.path.splitext(args.out)
-            out = f"{root}.{_strategy_file_tag(strat)}{ext}"
+            out = f"{root}.{_strategy_file_tag(plan.strategy)}{ext}"
         embedding.save_plan(plan, out, manifest=manifest.report_dict())
         outputs.append(out)
     print(f"wrote {len(outputs)} plan(s): {', '.join(outputs)} (manifest {manifest.digest()[:12]})")

@@ -257,9 +257,9 @@ def build_reference(enc: LayerEncoder, v0: np.ndarray, layer: int) -> np.ndarray
     (rows, 1, dim); the encoder contract makes this bitwise equal to one call
     per token. Layer 0 copies v0. The rows go into one (n_tokens, dim + 1)
     buffer of the encoder's output dtype whose last column is 1.0, and the
-    (n_tokens, dim) view of its first columns is returned: when that is
-    float64, _fit_affine uses the buffer, bias column included, as its design
-    matrix instead of a second copy of the reference."""
+    (n_tokens, dim) view of its first columns is returned; the view's .base
+    is that buffer, which augment passes to _fit_affine as linreg's design
+    matrix, bias column included."""
     arr = np.asarray(v0)
     if arr.ndim != 2:
         raise ToolkitError("v0 must be a 2-D matrix")
@@ -338,26 +338,9 @@ def derive_knn(
     return (weights[:, None] * rows).sum(axis=0) / weights.sum()
 
 
-def _design_matrix(x: np.ndarray) -> np.ndarray:
-    """x with a bias column of ones, in float64.
-
-    A float64 build_reference result is the first columns of a C-ordered
-    buffer whose last column is the bias. When x is exactly that view (its
-    buffer's data pointer and strides, one column fewer) and the column
-    holds only ones, the buffer itself is returned. Any other x is written
-    into one fresh matrix."""
+def _with_bias(x: np.ndarray) -> np.ndarray:
+    """x with a bias column of ones, as one fresh float64 matrix."""
     x = np.asarray(x)
-    buf = x.base
-    if (
-        isinstance(buf, np.ndarray)
-        and x.dtype == buf.dtype == np.float64
-        and buf.flags.c_contiguous
-        and buf.shape == (len(x), x.shape[1] + 1)
-        and buf.strides == x.strides
-        and buf.ctypes.data == x.ctypes.data
-        and np.all(buf[:, -1] == 1.0)
-    ):
-        return buf
     design = np.empty((len(x), x.shape[1] + 1))
     design[:, :-1] = x
     design[:, -1] = 1.0
@@ -365,13 +348,15 @@ def _design_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def _fit_affine(
-    x: np.ndarray, y: np.ndarray, sample_weights: np.ndarray | None, ridge: float
+    design: np.ndarray, y: np.ndarray, sample_weights: np.ndarray | None, ridge: float
 ) -> np.ndarray:
-    """Solve (X'WX + ridge*I) theta = X'WY for X with a bias column.
+    """Solve (X'WX + ridge*I) theta = X'WY for a design matrix X whose last
+    column is the bias.
 
-    The design matrix is _design_matrix(x): a float64 reference from
-    build_reference serves as its own, so the fit adds only y in float64."""
-    design = _design_matrix(x)
+    X is taken as float64: a float64 design (a float64 build_reference
+    buffer, or _with_bias's result) is used as it is, and any other dtype is
+    converted in one copy."""
+    design = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if sample_weights is None:
         gram = design.T @ design
@@ -400,7 +385,7 @@ def derive_linreg(
 ) -> np.ndarray:
     """Global affine map from vl rows to v0 rows, fitted on every call,
     applied to h."""
-    return _apply_affine(h, _fit_affine(vl, v0, None, ridge))
+    return _apply_affine(h, _fit_affine(_with_bias(vl), v0, None, ridge))
 
 
 def derive_local_linreg(
@@ -426,7 +411,7 @@ def derive_local_linreg(
         weights = weights / mean_w
     else:
         weights = np.ones_like(weights)  # all weights underflowed
-    theta = _fit_affine(np.asarray(vl)[idx], np.asarray(v0)[idx], weights, ridge)
+    theta = _fit_affine(_with_bias(np.asarray(vl)[idx]), np.asarray(v0)[idx], weights, ridge)
     return _apply_affine(hv, theta)
 
 
@@ -494,21 +479,23 @@ def augment(
     v0: np.ndarray,
     enc: LayerEncoder,
     chars: set[str],
-    strat: DerivationStrategy,
+    strategies: Sequence[DerivationStrategy],
     metric: str = "euclidean",
-    reference: np.ndarray | None = None,
-) -> AugmentationPlan:
-    """Derive one input embedding per multi-token character.
+) -> list[AugmentationPlan]:
+    """Derive one input embedding per multi-token character with each
+    strategy; returns one plan per strategy, in the order given.
 
-    Per character: encode it, look up the constituent embeddings, pool their
-    layer-l hidden states, and map the pooled vector back to input space with
-    the strategy. The layer-l reference matrix,
-    build_reference(enc, v0, strat.layer), is built here unless passed as
-    reference (a grid shares one per layer). For linreg the affine fit is
-    computed once per call; a float64 reference from build_reference carries
-    the fit's bias column, so the fit adds only a float64 copy of v0. The
-    neighbor strategies read a float32 reference a block of rows at a time
-    (cosine converts it whole for each character).
+    Each character is encoded once, and one that encodes to a single token
+    fails before any reference is built. Then, one distinct layer at a time
+    in ascending order, the layer-l reference build_reference(enc, v0, l) is
+    built (it must be finite), each character's constituent embeddings are
+    pooled at that layer once, and every strategy at that layer maps the
+    pooled vectors back to input space. Only one reference is held at a
+    time. linreg fits once per strategy on the reference's buffer, whose
+    last column is the bias: a float64 reference is its own design matrix,
+    and a float32 one is converted once. The neighbor strategies read a
+    float32 reference a block of rows at a time (cosine converts it whole
+    for each character).
     """
     v0 = np.asarray(v0)
     if v0.ndim != 2:
@@ -516,34 +503,34 @@ def augment(
     if not np.all(np.isfinite(v0)):
         raise ToolkitError("v0 contains non-finite values")
     ordered_chars = sorted(set(chars))
-    vl = build_reference(enc, v0, strat.layer) if reference is None else reference
-    if vl.shape != v0.shape:
-        raise ToolkitError(f"reference shape {vl.shape} does not match v0 {v0.shape}")
-    if strat.kind == "linreg":
-        theta = _fit_affine(vl, v0, None, RIDGE_EPS)
-
-    def derive_one(ch: str) -> np.ndarray:
+    char_ids = []
+    for ch in ordered_chars:
         ids = tok.encode(ch)
         if len(ids) < 2:
-            raise ToolkitError(
-                f"character {ch!r} encodes to a single token; nothing to derive"
-            )
-        pooled = pooled_hidden(enc, v0[ids], strat.layer)
-        if strat.kind == "knn":
-            vec = derive_knn(pooled, v0, vl, strat.k, metric)
-        elif strat.kind == "linreg":
-            vec = _apply_affine(pooled, theta)
-        else:
-            vec = derive_local_linreg(pooled, v0, vl, strat.k, metric=metric)
-        return vec
-
-    rows = ordered_map(derive_one, ordered_chars)
-    return AugmentationPlan(
-        tokens=tuple(ordered_chars),
-        vectors=np.array(rows, dtype=np.float64).reshape(len(rows), v0.shape[1]),
-        strategy=strat,
-        distance_metric=metric,
-    )
+            raise ToolkitError(f"character {ch!r} encodes to a single token; nothing to derive")
+        char_ids.append(ids)
+    vectors: list[np.ndarray | None] = [None] * len(strategies)
+    for layer in sorted({s.layer for s in strategies}):
+        vl = build_reference(enc, v0, layer)
+        if not np.all(np.isfinite(vl)):
+            raise ToolkitError(f"reference at layer {layer} contains non-finite values")
+        pooled = ordered_map(lambda ids: pooled_hidden(enc, v0[ids], layer), char_ids)
+        for i, strat in enumerate(strategies):
+            if strat.layer != layer:
+                continue
+            if strat.kind == "linreg":
+                theta = _fit_affine(vl.base, v0, None, RIDGE_EPS)
+                rows = [_apply_affine(h, theta) for h in pooled]
+            elif strat.kind == "knn":
+                rows = ordered_map(lambda h: derive_knn(h, v0, vl, strat.k, metric), pooled)
+            else:
+                rows = ordered_map(lambda h: derive_local_linreg(h, v0, vl, strat.k, metric=metric), pooled)
+            vectors[i] = np.array(rows, dtype=np.float64).reshape(len(rows), v0.shape[1])
+        del vl  # before the next layer's reference is built
+    return [
+        AugmentationPlan(tokens=tuple(ordered_chars), vectors=vec, strategy=strat, distance_metric=metric)
+        for strat, vec in zip(strategies, vectors)
+    ]
 
 
 def encode_augmented(
@@ -696,6 +683,8 @@ def _plan_from_doc(doc: object) -> AugmentationPlan:
         if len(raw) != 4 * dim:
             raise ToolkitError(f"entry {token!r} has {len(raw)} vector bytes, expected {4 * dim} (dim {dim})")
         rows[token] = np.frombuffer(raw, dtype="<f4")
+        if not np.all(np.isfinite(rows[token])):
+            raise ToolkitError(f"entry {token!r} vector is not finite")
     metric = _plan_field(doc, "distance_metric", str) if "distance_metric" in doc else "euclidean"
     if metric not in ("euclidean", "cosine"):
         raise ToolkitError(f"plan field 'distance_metric' is {metric!r}, not euclidean or cosine")

@@ -418,14 +418,14 @@ def test_criterion_10_toy_encoder_end_to_end():
     )
 
     linear = toy_encoder(seed=5, depth=1, dim=8, linear=True)
-    plan = augment(tok, v0, linear, set(oov_chars), DerivationStrategy("linreg", 0))
+    plan = augment(tok, v0, linear, set(oov_chars), [DerivationStrategy("linreg", 0)])[0]
     worst = max(
         abs(eval_similarity(linear, v0, s, tok, plan, 1) - 1.0) for s in sentences
     )
     linear_ok = worst <= 1e-6
 
     nonlinear = toy_encoder(seed=6, depth=2, dim=8)
-    derived_plan = augment(tok, v0, nonlinear, set(oov_chars), DerivationStrategy("linreg", 0))
+    derived_plan = augment(tok, v0, nonlinear, set(oov_chars), [DerivationStrategy("linreg", 0)])[0]
     baseline = AugmentationPlan(
         tokens=derived_plan.tokens,
         vectors=rng.normal(size=(12, 8)),

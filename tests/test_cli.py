@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import base64
 import csv
 import importlib.util
 import json
@@ -669,6 +670,45 @@ class TestAugmentCommand:
                 with open(single + ".mat", "rb") as f2:
                     assert f1.read() == f2.read()
 
+    def test_single_token_char_exits_one_before_any_reference(self, tmp_path, capsys, byte_level_files,
+                                                                monkeypatch):
+        from tokenlens import embedding
+
+        def no_reference(*args):
+            raise AssertionError("build_reference called")
+
+        monkeypatch.setattr(embedding, "build_reference", no_reference)
+        bf = byte_level_files
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--strategy", "knn:1@1", "--chars", "aé",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert "character 'a' encodes to a single token" in capsys.readouterr().err
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    @pytest.mark.parametrize("layer", ["0", "1"])
+    def test_grid_failing_second_cell_writes_no_plan(self, tmp_path, capsys, byte_level_files, layer):
+        bf = byte_level_files
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", f"knn:1@{layer},knn:99999@{layer}",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert "k must be in 1..5, got 99999" in capsys.readouterr().err
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    def test_non_finite_reference_exits_one_with_no_plan(self, tmp_path, capsys, byte_level_files):
+        bf = byte_level_files
+        m4 = np.random.default_rng(5).normal(size=read_matrix(bf["embeddings"]).shape)
+        m4[2] = np.nan
+        m4path = str(tmp_path / "layer4.mat")
+        write_matrix(m4path, m4, layer=4)
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", f"matrices:4={m4path}", "--grid", "linreg@4,knn:4@4",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: reference at layer 4 contains non-finite values\n"
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
     def test_strategy_and_grid_is_usage_error(self, byte_level_files):
         bf = byte_level_files
         with pytest.raises(SystemExit) as exc:
@@ -888,6 +928,40 @@ class TestEvalCommand:
                    "--corpus", f"c={bf['corpus']}", "--out", out])
         assert rc == 1
         assert f"{plan}: plan dim 3 does not match embeddings dim 4" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_non_finite_v0_exits_one_as_augment_does(self, tmp_path, capsys, planned):
+        bf, plan = planned
+        v0 = read_matrix(bf["embeddings"])
+        v0[:2] = np.inf
+        bad = str(tmp_path / "bad.mat")
+        write_matrix(bad, v0)
+        out = str(tmp_path / "sim.csv")
+        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"], "--embeddings", bad,
+                   "--encoder", "toy:2:1:3:linear", "--last-layer", "1",
+                   "--corpus", f"c={bf['corpus']}", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: v0 contains non-finite values\n"
+        assert not os.path.exists(out)
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bad,
+                   "--encoder", "toy:2:1:3:linear", "--strategy", "linreg@0",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: v0 contains non-finite values\n"
+
+    def test_non_finite_plan_vector_names_the_plan(self, tmp_path, capsys, planned):
+        bf, plan = planned
+        with open(plan, encoding="utf-8") as f:
+            doc = json.load(f)
+        doc["entries"][1]["vector_b64"] = base64.b64encode(np.full(3, np.nan, dtype="<f4").tobytes()).decode()
+        with open(plan, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        out = str(tmp_path / "sim.csv")
+        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"],
+                   "--embeddings", bf["embeddings"], "--encoder", "toy:2:1:3:linear",
+                   "--last-layer", "1", "--corpus", f"c={bf['corpus']}", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {plan}: entry 'é' vector is not finite\n"
         assert not os.path.exists(out)
 
     def test_missing_plan_is_usage_error(self, byte_level_files):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from tokenlens.embedding import (
     toy_encoder,
     write_matrix,
 )
-from tokenlens.embedding import _design_matrix, _distances, _fit_affine, _nearest
+from tokenlens import embedding
+from tokenlens.embedding import _distances, _fit_affine, _nearest, _with_bias
 from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.premium import TokenizerHandle, bpe_tokenizer
 from tokenlens.vocab import MergeRuleList, Vocabulary
@@ -602,8 +604,8 @@ class TestFitAffine:
         x = rng.normal(size=(rows, 4)).astype(dtype)
         y = rng.normal(size=(rows, 4)).astype(np.float32)
         w = rng.uniform(0.1, 2.0, size=rows) if weighted else None
-        assert_bitwise(_fit_affine(x, y, w, 1e-8), oracle_fit_affine(x, y, w, 1e-8))
-        assert not np.shares_memory(_design_matrix(x), x)
+        assert_bitwise(_fit_affine(_with_bias(x), y, w, 1e-8), oracle_fit_affine(x, y, w, 1e-8))
+        assert not np.shares_memory(_with_bias(x), x)
 
     @pytest.mark.parametrize("layer", [0, 1])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -611,23 +613,25 @@ class TestFitAffine:
         rng = np.random.default_rng(3)
         v0 = rng.normal(size=(1500, 4))
         ref = build_reference(toy_encoder(3, 1, 4), v0, layer)
-        design = _design_matrix(ref)
-        assert np.shares_memory(design, ref) and design is ref.base
+        assert ref.base.dtype == np.float64 and ref.base.shape == (1500, 5)
         w = rng.uniform(0.1, 2.0, size=len(v0)) if weighted else None
-        assert_bitwise(_fit_affine(ref, v0, w, 1e-8), oracle_fit_affine(ref, v0, w, 1e-8))
+        assert_bitwise(_fit_affine(ref.base, v0, w, 1e-8), oracle_fit_affine(ref, v0, w, 1e-8))
 
     @pytest.mark.parametrize("bias", [0.0, -1.0, 2.0, np.nan, 1.0 + 2**-52])
     def test_changed_bias_column_is_not_used(self, bias):
+        # derive_linreg builds its own design matrix, whatever the buffer
+        # behind its reference holds.
         rng = np.random.default_rng(4)
         v0 = rng.normal(size=(40, 3))
         ref = build_reference(toy_encoder(4, 1, 3), v0, 1)
         ref.base[17, -1] = bias
-        assert not np.shares_memory(_design_matrix(ref), ref)
-        assert_bitwise(_fit_affine(ref, v0, None, 1e-8), oracle_fit_affine(ref, v0, None, 1e-8))
+        h = rng.normal(size=3)
+        theta = oracle_fit_affine(ref, v0, None, 1e-8)
+        assert_bitwise(derive_linreg(h, v0, ref), np.append(h, 1.0) @ theta)
 
     def test_other_views_of_the_buffer_are_copied(self):
         # Each view differs from the reference in one of data pointer, shape,
-        # strides or dtype; each gets a fresh design matrix.
+        # strides or dtype; _with_bias writes each into a fresh matrix.
         rng = np.random.default_rng(5)
         v0 = rng.normal(size=(40, 3))
         ref = build_reference(toy_encoder(5, 1, 3), v0, 1)
@@ -641,20 +645,13 @@ class TestFitAffine:
         }
         for name, x in views.items():
             assert x.base is buf, name
-            assert not np.shares_memory(_design_matrix(x), buf), name
-            assert_bitwise(_fit_affine(x, x, None, 1e-8), oracle_fit_affine(x, x, None, 1e-8))
+            assert not np.shares_memory(_with_bias(x), buf), name
+            assert_bitwise(_fit_affine(_with_bias(x), x, None, 1e-8), oracle_fit_affine(x, x, None, 1e-8))
+        # A float32 reference's buffer (a matrices: one) is converted to
+        # float64 once, with the values the oracle's copy has.
         f32 = build_reference(LookupEncoder(v0, {1: ref.astype(np.float32)}), v0, 1)
-        assert f32.dtype == np.float32
-        assert not np.shares_memory(_design_matrix(f32), f32)
-        assert_bitwise(_fit_affine(f32, v0, None, 1e-8), oracle_fit_affine(f32, v0, None, 1e-8))
-
-    def test_fortran_ordered_buffer_is_copied(self):
-        rng = np.random.default_rng(6)
-        buf = np.asfortranarray(np.hstack([rng.normal(size=(30, 3)), np.ones((30, 1))]))
-        x = buf[:, :3]
-        assert x.base is buf and x.strides == buf.strides
-        assert not np.shares_memory(_design_matrix(x), buf)
-        assert_bitwise(_fit_affine(x, x, None, 1e-8), oracle_fit_affine(x, x, None, 1e-8))
+        assert f32.base.dtype == np.float32
+        assert_bitwise(_fit_affine(f32.base, v0, None, 1e-8), oracle_fit_affine(f32, v0, None, 1e-8))
 
 
 class TestDeriveKnn:
@@ -884,7 +881,7 @@ class TestAugment:
 
     def test_knn_layer0_entries(self, setting):
         tok, v0 = setting
-        plan = augment(tok, v0, toy_encoder(0, 1, 3), {"é"}, DerivationStrategy("knn", 0, 2))
+        plan = augment(tok, v0, toy_encoder(0, 1, 3), {"é"}, [DerivationStrategy("knn", 0, 2)])[0]
         assert plan.tokens == ("é",)
         pooled = (v0[2] + v0[3]) / 2  # constituents Ã ©
         expected = derive_knn(pooled, v0, v0, 2)
@@ -895,54 +892,115 @@ class TestAugment:
     def test_entries_sorted_by_codepoint(self, setting):
         tok, v0 = setting
         plan = augment(
-            tok, v0, toy_encoder(0, 1, 3), {"é", "è"}, DerivationStrategy("knn", 0, 1)
-        )
+            tok, v0, toy_encoder(0, 1, 3), {"é", "è"}, [DerivationStrategy("knn", 0, 1)]
+        )[0]
         assert plan.tokens == ("è", "é")
 
-    def test_single_token_char_is_error(self, setting):
+    def test_single_token_char_is_error(self, setting, monkeypatch):
+        # It fails before any reference is built.
         tok, v0 = setting
-        with pytest.raises(ToolkitError):
-            augment(tok, v0, toy_encoder(0, 1, 3), {"a"}, DerivationStrategy("knn", 0, 1))
+
+        def no_reference(*args):
+            raise AssertionError("build_reference called")
+
+        monkeypatch.setattr(embedding, "build_reference", no_reference)
+        with pytest.raises(ToolkitError, match="character 'a' encodes to a single token"):
+            augment(tok, v0, toy_encoder(0, 1, 3), {"a", "é"}, [DerivationStrategy("knn", 0, 1)])
 
     def test_works_with_exported_matrices(self, setting):
         tok, v0 = setting
         m1 = np.random.default_rng(9).normal(size=v0.shape)
         enc = LookupEncoder(v0, {1: m1})
-        plan = augment(tok, v0, enc, {"é"}, DerivationStrategy("knn", 1, 2))
+        plan = augment(tok, v0, enc, {"é"}, [DerivationStrategy("knn", 1, 2)])[0]
         pooled = (m1[2] + m1[3]) / 2
         expected = derive_knn(pooled, v0, m1, 2)
         assert np.allclose(plan.vectors[0], expected, rtol=1e-15)
 
-    @pytest.mark.parametrize(
-        "strat",
-        [
-            DerivationStrategy("knn", 1, 2),
-            DerivationStrategy("linreg", 1),
-            DerivationStrategy("local_linreg", 1, 3),
-        ],
-    )
-    def test_passed_reference_gives_the_same_plan(self, setting, strat):
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("lookup", [False, True])
+    def test_grid_equals_one_call_per_strategy(self, setting, lookup, metric):
         tok, v0 = setting
-        enc = toy_encoder(0, 1, 3)
+        m1 = np.random.default_rng(9).normal(size=v0.shape)
+        enc = LookupEncoder(v0, {1: m1}) if lookup else toy_encoder(0, 1, 3)
+        strategies = [
+            DerivationStrategy(kind, layer, k)
+            for layer in (1, 0)
+            for kind, k in (("knn", 2), ("linreg", None), ("local_linreg", 3))
+        ]
         chars = {"é", "è"}
-        built = augment(tok, v0, enc, chars, strat)
-        passed = augment(tok, v0, enc, chars, strat, reference=build_reference(enc, v0, 1))
-        assert built.tokens == passed.tokens
-        assert_bitwise(built.vectors, passed.vectors)
+        grid = augment(tok, v0, enc, chars, strategies, metric)
+        assert [p.strategy for p in grid] == strategies
+        for plan, strat in zip(grid, strategies):
+            single = augment(tok, v0, enc, chars, [strat], metric)[0]
+            assert plan.tokens == single.tokens == ("è", "é")
+            assert plan.distance_metric == metric
+            assert_bitwise(plan.vectors, single.vectors)
+            # The public one-query functions over the same reference agree.
+            vl = oracle_build_reference(enc, v0, strat.layer)
+            pooled = [pooled_hidden(enc, v0[tok.encode(ch)], strat.layer) for ch in plan.tokens]
+            if strat.kind == "knn":
+                rows = [derive_knn(h, v0, vl, strat.k, metric) for h in pooled]
+            elif strat.kind == "linreg":
+                rows = [derive_linreg(h, v0, vl) for h in pooled]
+            else:
+                rows = [derive_local_linreg(h, v0, vl, strat.k, metric=metric) for h in pooled]
+            assert_bitwise(plan.vectors, np.array(rows))
 
-    def test_reference_shape_mismatch_rejected(self, setting):
+    def test_linreg_fits_on_the_reference_buffer(self, setting, monkeypatch):
         tok, v0 = setting
-        with pytest.raises(ToolkitError):
-            augment(tok, v0, toy_encoder(0, 1, 3), {"é"}, DerivationStrategy("knn", 1, 1),
-                    reference=v0[:-1])
+        refs, designs = [], []
+        build, fit = embedding.build_reference, embedding._fit_affine
+
+        def recording_build(*args):
+            refs.append(build(*args))
+            return refs[-1]
+
+        def recording_fit(design, *args):
+            designs.append(design)
+            return fit(design, *args)
+
+        monkeypatch.setattr(embedding, "build_reference", recording_build)
+        monkeypatch.setattr(embedding, "_fit_affine", recording_fit)
+        augment(tok, v0, toy_encoder(0, 1, 3), {"é"}, [DerivationStrategy("linreg", 1)])
+        assert len(refs) == len(designs) == 1
+        assert refs[0].dtype == np.float64
+        assert designs[0] is refs[0].base
+
+    def test_one_reference_per_layer_held_one_at_a_time(self, setting, monkeypatch):
+        tok, v0 = setting
+        built, alive = [], []
+        build = embedding.build_reference
+
+        def tracking(enc, v0, layer):
+            ref = build(enc, v0, layer)
+            alive.append(sum(r() is not None for r in built))
+            built.append(weakref.ref(ref.base))
+            return ref
+
+        monkeypatch.setattr(embedding, "build_reference", tracking)
+        strategies = [DerivationStrategy("knn", 1, 2), DerivationStrategy("linreg", 0),
+                      DerivationStrategy("local_linreg", 1, 3)]
+        augment(tok, v0, toy_encoder(0, 1, 3), {"é", "è"}, strategies)
+        assert len(built) == 2
+        assert alive == [0, 0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reference_rejected(self, setting, bad):
+        tok, v0 = setting
+        m1 = np.random.default_rng(9).normal(size=v0.shape)
+        m1[4, 1] = bad
+        enc = LookupEncoder(v0, {1: m1})
+        strategies = [DerivationStrategy("linreg", 1), DerivationStrategy("knn", 1, 2)]
+        with pytest.raises(ToolkitError, match="reference at layer 1 contains non-finite values"):
+            augment(tok, v0, enc, {"é"}, strategies)
 
     def test_bad_v0_rejected(self, setting):
         tok, _ = setting
         with pytest.raises(ToolkitError):
-            augment(tok, np.zeros(3), toy_encoder(0, 1, 3), {"é"}, DerivationStrategy("knn", 0, 1))
+            augment(tok, np.zeros(3), toy_encoder(0, 1, 3), {"é"}, [DerivationStrategy("knn", 0, 1)])
         bad = np.full((5, 3), np.nan)
         with pytest.raises(ToolkitError):
-            augment(tok, bad, toy_encoder(0, 1, 3), {"é"}, DerivationStrategy("knn", 0, 1))
+            augment(tok, bad, toy_encoder(0, 1, 3), {"é"}, [DerivationStrategy("knn", 0, 1)])
 
 
 class TestEncodeAugmented:
@@ -951,8 +1009,8 @@ class TestEncodeAugmented:
         vocab, tok = byte_tok
         v0 = np.random.default_rng(12).normal(size=(len(vocab), 3))
         plan = augment(
-            tok, v0, toy_encoder(0, 1, 3), {"é", "è"}, DerivationStrategy("knn", 0, 1)
-        )
+            tok, v0, toy_encoder(0, 1, 3), {"é", "è"}, [DerivationStrategy("knn", 0, 1)]
+        )[0]
         return tok, plan
 
     def test_substitution_and_runs(self, planned):
@@ -981,7 +1039,7 @@ class TestEvalSimilarity:
         rng = np.random.default_rng(21)
         v0 = rng.normal(size=(len(vocab), 3))
         enc = toy_encoder(seed=2, depth=1, dim=3, linear=True)
-        plan = augment(tok, v0, enc, {"é", "è"}, DerivationStrategy("linreg", 0))
+        plan = augment(tok, v0, enc, {"é", "è"}, [DerivationStrategy("linreg", 0)])[0]
         return tok, enc, v0, plan
 
     def test_untouched_sentence_is_exactly_one(self, linear_setting):
@@ -999,7 +1057,7 @@ class TestEvalSimilarity:
         rng = np.random.default_rng(22)
         v0 = rng.normal(size=(len(vocab), 3))
         enc = toy_encoder(seed=3, depth=2, dim=3)
-        plan = augment(tok, v0, enc, {"é"}, DerivationStrategy("knn", 0, 1))
+        plan = augment(tok, v0, enc, {"é"}, [DerivationStrategy("knn", 0, 1)])[0]
         sim = eval_similarity(enc, v0, "aéb", tok, plan, 2)
         assert -1.0 <= sim < 1.0
 
@@ -1033,7 +1091,7 @@ class TestCorpusLevelMetrics:
         vocab, tok = byte_tok
         v0 = np.random.default_rng(30).normal(size=(len(vocab), 3))
         enc = toy_encoder(seed=4, depth=1, dim=3)
-        plan = augment(tok, v0, enc, {"é"}, DerivationStrategy("knn", 0, 2))
+        plan = augment(tok, v0, enc, {"é"}, [DerivationStrategy("knn", 0, 2)])[0]
         return tok, enc, v0, plan
 
     def test_corpus_similarity_is_mean(self, setting):
@@ -1075,8 +1133,8 @@ class TestPlanFiles:
     def plan(self, byte_tok, v0):
         _, tok = byte_tok
         p = augment(
-            tok, v0, toy_encoder(5, 1, 3), {"é", "è"}, DerivationStrategy("local_linreg", 1, 3)
-        )
+            tok, v0, toy_encoder(5, 1, 3), {"é", "è"}, [DerivationStrategy("local_linreg", 1, 3)]
+        )[0]
         p.stats = {"fraction_new": 0.25}
         return p
 
@@ -1140,11 +1198,15 @@ class TestPlanFiles:
             (lambda doc: doc["entries"][0].update(vector_b64=base64.b64encode(b"x" * 13).decode()),
              "has 13 vector bytes, expected 12"),
             (lambda doc: json.dumps(doc)[:-1], "Expecting ',' delimiter"),
+            (lambda doc: doc["entries"][0].update(vector_b64=base64.b64encode(
+                struct.pack("<3f", 0.0, math.nan, 0.0)).decode()), "entry 'è' vector is not finite"),
+            (lambda doc: doc["entries"][1].update(vector_b64=base64.b64encode(
+                struct.pack("<3f", 0.0, 0.0, -math.inf)).decode()), "entry 'é' vector is not finite"),
         ],
         ids=["empty-strategy", "list-strategy", "no-k", "bool-layer", "str-k", "no-dim",
              "dict-entries", "int-entry", "null-vector", "two-char-token", "empty-token",
              "int-metric", "unknown-metric", "list-stats", "unknown-kind", "repeated-token",
-             "negative-dim", "bad-base64", "ragged-vector", "json-syntax"],
+             "negative-dim", "bad-base64", "ragged-vector", "json-syntax", "nan-vector", "inf-vector"],
     )
     def test_malformed_plan_rejected(self, plan, tmp_path, edit, field):
         path = str(tmp_path / "plan.json")
