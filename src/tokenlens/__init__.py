@@ -18,12 +18,7 @@ from .analysis import (
     normalize_vocab,
     vocab_breakdown,
 )
-from .errors import (
-    CorpusDecodeError,
-    LineCountMismatchError,
-    OovCharacterError,
-    ToolkitError,
-)
+from .errors import OovCharacterError, ToolkitError
 from .premium import (
     PremiumMatrix,
     PremiumReport,

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
 from . import analysis, training, vocab as vocab_mod
-from .errors import ToolkitError
+from .errors import ToolkitError, reading
 from .premium import (
     TokenizerHandle,
     bpe_tokenizer,
@@ -368,6 +368,12 @@ def cmd_augment(args: argparse.Namespace) -> int:
         chars = set(args.chars)
     else:
         chars = embedding.select_oov_chars(corpus, tok)
+        if not chars:
+            print(
+                f"augment: no character of {args.corpus} encodes to two or more tokens "
+                f"under {tok.name}; every plan is empty",
+                file=sys.stderr,
+            )
     flags = {
         "tokenizer": args.tokenizer,
         "strategies": labels,
@@ -404,8 +410,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ToolkitError(f"--last-layer {args.last_layer} outside 0..{enc.depth}")
     plans = [embedding.load_plan(p) for p in args.plan]
     for path, pl in zip(args.plan, plans):
-        if pl.dim != v0.shape[1]:
-            raise ToolkitError(f"{path}: plan dim {pl.dim} does not match embeddings dim {v0.shape[1]}")
+        with reading(path):
+            if pl.dim != v0.shape[1]:
+                raise ToolkitError(f"plan dim {pl.dim} does not match embeddings dim {v0.shape[1]}")
     plan_labels = [pl.strategy.label() for pl in plans]
     _distinct(plan_labels, "plan label")
     corpora = [(label, load_corpus(path)) for label, path in named]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._blocks import _NAMES, _STARTS, UNICODE_VERSION
-from .errors import CorpusDecodeError, LineCountMismatchError
+from .errors import ToolkitError, reading
 
 __all__ = [
     "UNICODE_VERSION",
@@ -43,12 +43,11 @@ class ParallelCorpus:
 
 
 def _decode_lines(path: str) -> list[str]:
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusDecodeError(path, exc.start, exc.reason) from None
+    with reading(path), open(path, "rb") as f:
+        try:
+            text = f.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ToolkitError(f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -75,7 +74,9 @@ def load_parallel_corpus(
     eng = _decode_lines(english_path)
     tgt = _decode_lines(target_path)
     if len(eng) != len(tgt):
-        raise LineCountMismatchError(english_path, target_path, len(eng), len(tgt))
+        raise ToolkitError(
+            f"parallel line counts differ: {english_path} has {len(eng)}, {target_path} has {len(tgt)}"
+        )
     return ParallelCorpus(pairs=tuple(zip(eng, tgt)), target_lang=target_lang, target_script=target_script)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import tokenlens
 from tokenlens.cli import main
-from tokenlens.embedding import read_matrix, write_matrix
+from tokenlens.embedding import AugmentationPlan, DerivationStrategy, read_matrix, save_plan, write_matrix
 from tokenlens.training import bpe_train
 from tokenlens.vocab import MergeRuleList, Vocabulary, save_merges, save_vocab
 
@@ -540,6 +540,17 @@ class TestPremiumCommand:
                    "--pair", f"xx:Latn:{eng}:{tgt}", "--out", str(tmp_path / "p.csv")])
         assert rc == 1
 
+    def test_non_utf8_target_file_names_that_file(self, tmp_path, capsys, worked_files):
+        vpath, mpath = worked_files
+        eng = write_text(tmp_path / "e.txt", "shoes\nhe\n")
+        tgt = write_bytes(tmp_path / "t.txt", b"sh\n\xff\n")
+        out = str(tmp_path / "p.csv")
+        rc = main(["premium", "--tokenizer", f"w=bpe:{vpath}:{mpath}",
+                   "--pair", f"xx:Latn:{eng}:{tgt}", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {tgt}: invalid UTF-8 at byte offset 3: invalid start byte\n"
+        assert not os.path.exists(out)
+
     def test_thread_count_is_byte_neutral(self, tmp_path, worked_files, pair_files):
         vpath, mpath = worked_files
         eng, tgt = pair_files
@@ -583,6 +594,28 @@ class TestAugmentCommand:
         with open(out, encoding="utf-8") as f:
             doc = json.load(f)
         assert [e["token"] for e in doc["entries"]] == ["é"]
+
+    def test_empty_scan_explained_on_stderr(self, tmp_path, capsys, byte_level_files):
+        bf = byte_level_files
+        latin = write_text(tmp_path / "latin.txt", "ab\n")  # each char is one token
+        out = str(tmp_path / "plan.json")
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", "knn:2@0,linreg@1",
+                   "--corpus", latin, "--out", out])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            f"augment: no character of {latin} encodes to two or more tokens under bytes; "
+            "every plan is empty\n"
+        )
+        for tag in ("knn2-l0", "linreg-l1"):
+            with open(str(tmp_path / f"plan.{tag}.json"), encoding="utf-8") as f:
+                assert json.load(f)["entries"] == []
+        # A scan that finds characters, or --chars, says nothing.
+        for extra in ([], ["--chars", "é"]):
+            assert main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                         "--encoder", "toy:0:1:3", "--strategy", "knn:2@0",
+                         "--corpus", bf["corpus"], "--out", out] + extra) == 0
+            assert capsys.readouterr().err == ""
 
     def test_empty_chars_is_usage_error(self, tmp_path, capsys, byte_level_files):
         bf = byte_level_files
@@ -962,6 +995,23 @@ class TestEvalCommand:
                    "--last-layer", "1", "--corpus", f"c={bf['corpus']}", "--out", out])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {plan}: entry 'é' vector is not finite\n"
+        assert not os.path.exists(out)
+
+    def test_unencodable_sentence_exits_one_with_no_table(self, tmp_path, capsys):
+        vpath = write_text(tmp_path / "v.json", '{"k": 0, "o": 1, "ok": 2}')
+        mpath = write_text(tmp_path / "m.json", '[["o", "k"]]')
+        v0 = str(tmp_path / "v0.mat")
+        write_matrix(v0, np.random.default_rng(5).normal(size=(3, 2)))
+        plan = str(tmp_path / "plan.json")
+        save_plan(AugmentationPlan(tokens=("é",), vectors=np.ones((1, 2)),
+                                   strategy=DerivationStrategy("knn", 0, k=1)), plan)
+        corpus = write_text(tmp_path / "c.txt", "ok\nox\n")
+        out = str(tmp_path / "sim.csv")
+        rc = main(["eval", "--plan", plan, "--tokenizer", f"t=bpe:{vpath}:{mpath}",
+                   "--embeddings", v0, "--encoder", "toy:0:1:2", "--last-layer", "1",
+                   "--corpus", f"c={corpus}", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: character 'x' (U+0078) at offset 1 is not in the vocabulary\n"
         assert not os.path.exists(out)
 
     def test_missing_plan_is_usage_error(self, byte_level_files):

@@ -4,7 +4,9 @@ import base64
 import dataclasses
 import json
 import math
+import re
 import struct
+import types
 import weakref
 
 import numpy as np
@@ -168,6 +170,20 @@ class TestMatrixIO:
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(ToolkitError):
             write_matrix(str(tmp_path / "bad.mat"), np.zeros(4))
+
+    def test_file_shrinking_while_read_rejected(self, tmp_path, monkeypatch):
+        # The header promises 16 data bytes and fstat agrees, but only 8 are
+        # left by the time they are read.
+        path = str(tmp_path / "v.mat")
+        with open(path, "wb") as f:
+            f.write(struct.pack("<II", 2, 2))
+            f.write(b"\x00" * 8)
+        def fstat(fd):
+            return types.SimpleNamespace(st_size=24)
+
+        monkeypatch.setattr(embedding, "os", types.SimpleNamespace(fstat=fstat))
+        with pytest.raises(ToolkitError, match=f"^{re.escape(path)}: expected 16 data bytes, found 8$"):
+            read_matrix(path)
 
 
 def oracle_toy_encode(enc, states, layer):
@@ -496,6 +512,11 @@ class TestBuildReference:
             ref = build_reference(enc, v0, layer)
             assert_bitwise(ref, oracle_build_reference(enc, v0, layer))
             assert_bitwise(ref.base[:, -1], np.ones(rows, dtype=ref.dtype))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+    def test_v0_not_2d_rejected(self, shape):
+        with pytest.raises(ToolkitError, match="^v0 must be a 2-D matrix$"):
+            build_reference(toy_encoder(0, 1, 3), np.zeros(shape), 0)
 
     def test_empty_vocabulary(self):
         ref = build_reference(toy_encoder(0, 1, 3), np.zeros((0, 3)), 1)

@@ -1,10 +1,11 @@
 """Corpus loading, table writing and Unicode character utilities."""
 
 import random
+import re
 
 import pytest
 
-from tokenlens.errors import CorpusDecodeError, LineCountMismatchError
+from tokenlens.errors import ToolkitError
 from tokenlens.text import (
     char_byte_len,
     load_corpus,
@@ -35,9 +36,9 @@ class TestLoadCorpus:
     def test_invalid_utf8_reports_byte_offset(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_bytes(b"ok\n\xff\xfe bad")
-        with pytest.raises(CorpusDecodeError) as exc:
+        msg = f"{p}: invalid UTF-8 at byte offset 3: invalid start byte"
+        with pytest.raises(ToolkitError, match=f"^{re.escape(msg)}$"):
             load_corpus(str(p))
-        assert exc.value.byte_offset == 3
 
 
 class TestLoadParallelCorpus:
@@ -55,10 +56,9 @@ class TestLoadParallelCorpus:
         t = tmp_path / "tgt.txt"
         e.write_text("a\nb\n", encoding="utf-8")
         t.write_text("x\n", encoding="utf-8")
-        with pytest.raises(LineCountMismatchError) as exc:
+        msg = f"parallel line counts differ: {e} has 2, {t} has 1"
+        with pytest.raises(ToolkitError, match=f"^{re.escape(msg)}$"):
             load_parallel_corpus(str(e), str(t), "fra")
-        assert exc.value.n_english == 2
-        assert exc.value.n_target == 1
 
     def test_every_pair_kept_in_file_order(self, tmp_path):
         e = tmp_path / "eng.txt"
