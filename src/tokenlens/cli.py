@@ -431,7 +431,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         header += [f"{lbl}_new_fraction" for lbl in plan_labels]
     rows = [header]
     for label, corpus in corpora:
-        sims = [embedding.corpus_similarity(enc, v0, corpus, tok, pl, args.last_layer) for pl in plans]
+        sims = embedding.corpus_similarity(enc, v0, corpus, tok, plans, args.last_layer)
         row = [label] + [f"{s:.6f}" for s in sims]
         if args.report_new_fraction:
             fracs = [embedding.fraction_new_tokens(corpus, tok, pl) for pl in plans]

@@ -561,37 +561,24 @@ def encode_augmented(
 def eval_similarity(
     enc: LayerEncoder,
     v0: np.ndarray,
-    sentence: str,
-    tok: TokenizerHandle,
+    before: np.ndarray | None,
+    items: Sequence[tuple[str, int]],
     plan: AugmentationPlan,
     last_layer: int,
 ) -> float:
     """Cosine similarity of a sentence's encodings before and after
-    augmentation: run both token-embedding sequences (rows of v0, plus the
-    plan's vectors after) to last_layer, average each run's states into one
-    vector, compare. Exactly 1.0 when the plan touches nothing in the
-    sentence."""
-    if sentence == "":
-        raise ToolkitError("sentence is empty")
-    v0 = np.asarray(v0)
-    original = tok.encode(sentence)
-    augmented = encode_augmented(sentence, tok, plan)
-    if not original:
-        raise ToolkitError("sentence encodes to zero tokens")
-    if all(kind == "old" for kind, _ in augmented):
+    augmentation: before is pooled_hidden over its tokens' rows of v0, and
+    items, its encode_augmented tokens under plan, are pooled the same way.
+    Exactly 1.0, with no encoder run, when no item is new (before may be None)."""
+    if all(kind == "old" for kind, _ in items):
         return 1.0
-    orig_rows = np.asarray(v0[original], dtype=np.float64)
-    aug_rows = np.stack(
-        [plan.vectors[i] if kind == "new" else np.asarray(v0[i], dtype=np.float64)
-         for kind, i in augmented]
-    )
-    u = enc.encode_to_layer(orig_rows, last_layer).mean(axis=0)
-    w = enc.encode_to_layer(aug_rows, last_layer).mean(axis=0)
-    nu = np.linalg.norm(u)
+    rows = np.stack([plan.vectors[i] if kind == "new" else v0[i] for kind, i in items])
+    w = pooled_hidden(enc, rows, last_layer)
+    nu = np.linalg.norm(before)
     nw = np.linalg.norm(w)
     if nu == 0.0 or nw == 0.0:
         raise ToolkitError("degenerate encoder produced a zero pooled vector")
-    return float((u @ w) / (nu * nw))
+    return float((before @ w) / (nu * nw))
 
 
 def corpus_similarity(
@@ -599,14 +586,25 @@ def corpus_similarity(
     v0: np.ndarray,
     corpus: Sequence[str],
     tok: TokenizerHandle,
-    plan: AugmentationPlan,
+    plans: Sequence[AugmentationPlan],
     last_layer: int,
-) -> float:
-    """Mean per-sentence similarity over a corpus."""
+) -> list[float]:
+    """Mean eval_similarity over a nonempty corpus, one mean per plan, in
+    order. Each sentence is encoded once, and its before side pooled once,
+    only when some plan touches it."""
     if len(corpus) == 0:
         raise ToolkitError("corpus is empty")
-    sims = ordered_map(lambda doc: eval_similarity(enc, v0, doc, tok, plan, last_layer), list(corpus))
-    return sum(sims) / len(sims)
+
+    def per_plan(text: str) -> list[float]:
+        original = tok.encode(text)
+        if not original:
+            raise ToolkitError("sentence encodes to zero tokens")
+        augmented = [encode_augmented(text, tok, plan) for plan in plans]
+        touched = any(kind == "new" for items in augmented for kind, _ in items)
+        before = pooled_hidden(enc, np.asarray(v0)[original], last_layer) if touched else None
+        return [eval_similarity(enc, v0, before, items, plan, last_layer) for items, plan in zip(augmented, plans)]
+
+    return [sum(sims) / len(sims) for sims in zip(*ordered_map(per_plan, list(corpus)))]
 
 
 def fraction_new_tokens(corpus: Sequence[str], tok: TokenizerHandle, plan: AugmentationPlan) -> float:

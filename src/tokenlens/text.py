@@ -3,8 +3,8 @@
 Corpora are plain text, one document per line, UTF-8 only. There is no
 whitespace pre-tokenization anywhere in this package: spaces, underscores and
 other separator-looking characters are ordinary characters. A single corpus
-drops its empty lines; a parallel corpus keeps every line pair, and premium
-decides which pairs count.
+drops its empty lines and must hold a nonempty one; a parallel corpus keeps
+every line pair, and premium decides which pairs count.
 
 Every table the toolkit writes (overlap matrix, composition breakdown,
 premium matrix, similarity table) goes through write_table, so the manifest
@@ -55,8 +55,13 @@ def _decode_lines(path: str) -> list[str]:
 
 
 def load_corpus(path: str) -> tuple[str, ...]:
-    """Read one document per line; empty lines are dropped, order is kept."""
-    return tuple(ln for ln in _decode_lines(path) if ln != "")
+    """Read one document per line; empty lines are dropped, order is kept,
+    and at least one nonempty line must be left."""
+    corpus = tuple(ln for ln in _decode_lines(path) if ln != "")
+    if not corpus:
+        with reading(path):
+            raise ToolkitError("corpus is empty")
+    return corpus
 
 
 def load_parallel_corpus(

@@ -1136,6 +1136,40 @@ class TestMalformedFiles:
                      "--last-layer", "1", "--corpus", f"c={bf['corpus']}",
                      "--out", str(tmp_path / "sim.csv")])
 
+    @pytest.mark.parametrize("content", ["", "\n\n"], ids=["zero-bytes", "blank-lines"])
+    @pytest.mark.parametrize("command", ["train", "augment-scan", "augment-chars", "eval"])
+    def test_empty_corpus_fails_once_naming_it(
+        self, tmp_path, capsys, monkeypatch, byte_level_files, command, content
+    ):
+        # It fails as it is read: augment prints no empty-scan notice and
+        # builds no reference first.
+        from tokenlens import embedding
+
+        def no_reference(*args):
+            raise AssertionError("build_reference ran")
+
+        monkeypatch.setattr(embedding, "build_reference", no_reference)
+        bf = byte_level_files
+        corpus = write_text(tmp_path / "blank.txt", content)
+        plan = str(tmp_path / "plan.json")
+        save_plan(AugmentationPlan(tokens=("é",), vectors=np.ones((1, 3)),
+                                   strategy=DerivationStrategy("knn", 0, k=1)), plan)
+        model = ["--tokenizer", bf["tok"], "--embeddings", bf["embeddings"], "--encoder", "toy:0:1:3"]
+        out = str(tmp_path / "out")
+        augment = ["augment", *model, "--strategy", "knn:1@0", "--corpus", corpus, "--out", out]
+        argv = {
+            "train": ["train", "--algorithm", "bpe", "--corpus", corpus, "--min-pair-freq", "2",
+                      "--out-prefix", out],
+            "augment-scan": augment,
+            "augment-chars": augment + ["--chars", "é"],
+            "eval": ["eval", *model, "--plan", plan, "--last-layer", "1", "--corpus", f"c={corpus}",
+                     "--out", out],
+        }[command]
+        files = sorted(os.listdir(tmp_path))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {corpus}: corpus is empty\n"
+        assert sorted(os.listdir(tmp_path)) == files
+
     def test_plan_without_strategy_fields(self, tmp_path, capsys, byte_level_files):
         plan = write_text(tmp_path / "plan.json", '{"strategy": {}}')
         rc = self.eval_plan(tmp_path, byte_level_files, plan)
@@ -1317,6 +1351,31 @@ class TestStartup:
         assert [span for span in tracer.spans if span[5] and "count_error" in span[5]] == []
         counted = {name for _, _, name, counts in spans.PLAIN_WRAPS if counts is not None}
         assert counted - {span[2] for span in tracer.spans} == set()
+
+    def test_traced_eval_counts_each_sentence_and_plan(self, tmp_path, byte_level_files):
+        # The benchmark reads embedding.eval_sentences as eval_similarity's
+        # calls and embedding.unchanged_sentences as those returning exactly
+        # 1.0, so eval must call it once per (sentence, plan), touched or not.
+        spans = load_perfbench_spans()
+        p = str(tmp_path)
+        bf = byte_level_files
+        model = ["--tokenizer", bf["tok"], "--embeddings", bf["embeddings"], "--encoder", "toy:0:1:3"]
+        assert main(["augment", *model, "--grid", "knn:1@1,linreg@1", "--corpus", bf["corpus"],
+                     "--out", f"{p}/plan.json"]) == 0
+        corpus = write_text(tmp_path / "c.txt", "aé\nab\n")  # both plans touch the first line only
+        tracer = spans.Tracer(run_id="test")
+        undo = spans.install(tracer)
+        try:
+            rc = main(["eval", *model, "--plan", f"{p}/plan.knn1-l1.json", "--plan", f"{p}/plan.linreg-l1.json",
+                       "--last-layer", "1", "--corpus", f"c={corpus}", "--out", f"{p}/sim.csv"])
+        finally:
+            for module, attr, original in reversed(undo):
+                setattr(module, attr, original)
+        assert rc == 0
+        stats = spans.SpanStats()
+        stats.add({"spans": tracer.spans, "missing": tracer.missing})
+        metrics, _ = spans.layer_metrics(stats)
+        assert (metrics["embedding.eval_sentences"], metrics["embedding.unchanged_sentences"]) == (4, 2)
 
     def test_lazy_embedding_names_match_the_module(self):
         import tokenlens.embedding

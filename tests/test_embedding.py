@@ -76,6 +76,31 @@ def oracle_nearest(h, vl, k, metric):
     return order, d[order]
 
 
+def oracle_sentence_similarity(enc, v0, sentence, tok, plan, last_layer):
+    """One sentence under one plan: both sides encoded and pooled inline,
+    each row converted to float64 on its own."""
+    augmented = encode_augmented(sentence, tok, plan)
+    if all(kind == "old" for kind, _ in augmented):
+        return 1.0
+    u = enc.encode_to_layer(np.asarray(v0[tok.encode(sentence)], dtype=np.float64), last_layer).mean(axis=0)
+    rows = [plan.vectors[i] if kind == "new" else np.asarray(v0[i], dtype=np.float64) for kind, i in augmented]
+    w = enc.encode_to_layer(np.stack(rows), last_layer).mean(axis=0)
+    return float((u @ w) / (np.linalg.norm(u) * np.linalg.norm(w)))
+
+
+class CountingEncoder:
+    """Passes every call on to an encoder and keeps the states it was given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.depth = inner.depth
+        self.calls = []
+
+    def encode_to_layer(self, states, layer):
+        self.calls.append(np.array(states))
+        return self.inner.encode_to_layer(states, layer)
+
+
 def assert_bitwise(a, b):
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
@@ -1065,12 +1090,13 @@ class TestEvalSimilarity:
 
     def test_untouched_sentence_is_exactly_one(self, linear_setting):
         tok, enc, v0, plan = linear_setting
-        assert eval_similarity(enc, v0, "ab", tok, plan, 1) == 1.0
+        assert eval_similarity(enc, v0, None, encode_augmented("ab", tok, plan), plan, 1) == 1.0
 
     def test_linear_encoder_equal_group_sizes_near_one(self, linear_setting):
         tok, enc, v0, plan = linear_setting
         # both planned chars have exactly two constituent tokens
-        sim = eval_similarity(enc, v0, "éè", tok, plan, 1)
+        before = pooled_hidden(enc, v0[tok.encode("éè")], 1)
+        sim = eval_similarity(enc, v0, before, encode_augmented("éè", tok, plan), plan, 1)
         assert sim == pytest.approx(1.0, abs=1e-6)
 
     def test_nonlinear_encoder_similarity_below_one(self, byte_tok):
@@ -1079,19 +1105,20 @@ class TestEvalSimilarity:
         v0 = rng.normal(size=(len(vocab), 3))
         enc = toy_encoder(seed=3, depth=2, dim=3)
         plan = augment(tok, v0, enc, {"é"}, [DerivationStrategy("knn", 0, 1)])[0]
-        sim = eval_similarity(enc, v0, "aéb", tok, plan, 2)
+        before = pooled_hidden(enc, v0[tok.encode("aéb")], 2)
+        sim = eval_similarity(enc, v0, before, encode_augmented("aéb", tok, plan), plan, 2)
         assert -1.0 <= sim < 1.0
 
     def test_empty_sentence_is_error(self, linear_setting):
         tok, enc, v0, plan = linear_setting
         with pytest.raises(ToolkitError):
-            eval_similarity(enc, v0, "", tok, plan, 1)
+            corpus_similarity(enc, v0, ("",), tok, [plan], 1)
 
     def test_zero_token_encoding_is_error(self, linear_setting):
         _, enc, v0, plan = linear_setting
         tok = TokenizerHandle("nothing", lambda text: [])
         with pytest.raises(ToolkitError, match="sentence encodes to zero tokens"):
-            eval_similarity(enc, v0, "ab", tok, plan, 1)
+            corpus_similarity(enc, v0, ("ab",), tok, [plan], 1)
 
     def test_zero_pooled_vector_is_error(self, linear_setting):
         tok, _, v0, plan = linear_setting
@@ -1103,7 +1130,7 @@ class TestEvalSimilarity:
                 return np.zeros_like(np.asarray(states, dtype=np.float64))
 
         with pytest.raises(ToolkitError):
-            eval_similarity(ZeroEnc(), v0, "éè", tok, plan, 1)
+            corpus_similarity(ZeroEnc(), v0, ("éè",), tok, [plan], 1)
 
 
 class TestCorpusLevelMetrics:
@@ -1118,13 +1145,13 @@ class TestCorpusLevelMetrics:
     def test_corpus_similarity_is_mean(self, setting):
         tok, enc, v0, plan = setting
         corpus = ("aéb", "ab")
-        per = [eval_similarity(enc, v0, doc, tok, plan, 1) for doc in corpus]
-        assert corpus_similarity(enc, v0, corpus, tok, plan, 1) == sum(per) / 2
+        per = [corpus_similarity(enc, v0, (doc,), tok, [plan], 1)[0] for doc in corpus]
+        assert corpus_similarity(enc, v0, corpus, tok, [plan], 1) == [sum(per) / 2]
 
     def test_empty_corpus_is_error(self, setting):
         tok, enc, v0, plan = setting
         with pytest.raises(ToolkitError):
-            corpus_similarity(enc, v0, (), tok, plan, 1)
+            corpus_similarity(enc, v0, (), tok, [plan], 1)
 
     def test_fraction_new_tokens_hand_value(self, setting):
         tok, _, _, plan = setting
@@ -1142,6 +1169,33 @@ class TestCorpusLevelMetrics:
         tok, _, _, plan = setting
         with pytest.raises(ToolkitError, match=message):
             fraction_new_tokens(corpus, tok, plan)
+
+
+class TestCorpusSimilarityGrid:
+    def test_grid_equals_one_plan_at_a_time_and_runs_each_side_once(self, byte_tok):
+        vocab, tok = byte_tok
+        v0 = np.random.default_rng(31).normal(size=(len(vocab), 3)).astype("<f4")
+        toy = toy_encoder(seed=7, depth=2, dim=3)
+        both = augment(tok, v0, toy, {"é", "è"}, [DerivationStrategy("knn", 1, 2)])[0]
+        acute = augment(tok, v0, toy, {"é"}, [DerivationStrategy("linreg", 1)])[0]
+        plans = [both, acute]
+        # "aéb" and "éè" are touched by both plans, "bè" by one, "ab" by none.
+        corpus = ("aéb", "ab", "bè", "éè")
+        enc = CountingEncoder(toy)
+        means = corpus_similarity(enc, v0, corpus, tok, plans, 2)
+        oracle = [
+            sum([oracle_sentence_similarity(toy, v0, s, tok, plan, 2) for s in corpus]) / len(corpus)
+            for plan in plans
+        ]
+        assert means == oracle
+        assert means == [corpus_similarity(toy, v0, corpus, tok, [plan], 2)[0] for plan in plans]
+        calls = [c.tobytes() for c in enc.calls]
+        before = [np.asarray(v0[tok.encode(s)], dtype=np.float64).tobytes() for s in corpus]
+        # The before side runs once per touched sentence, and "ab" runs no
+        # encoder, before or after; the after side runs once per touched
+        # (sentence, plan) pair: 2 + 1 + 2.
+        assert [calls.count(b) for b in before] == [1, 0, 1, 1]
+        assert len(calls) == 3 + 5
 
 
 class TestPlanFiles:
@@ -1188,7 +1242,7 @@ class TestPlanFiles:
         path = str(tmp_path / "plan.json")
         save_plan(plan, path)
         enc = toy_encoder(5, 1, 3)
-        sim = eval_similarity(enc, v0, "éè", tok, load_plan(path), 1)
+        [sim] = corpus_similarity(enc, v0, ("éè",), tok, [load_plan(path)], 1)
         assert -1.0 <= sim <= 1.0
 
     def test_plan_holds_what_its_file_holds(self):

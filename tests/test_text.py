@@ -41,6 +41,14 @@ class TestLoadCorpus:
             load_corpus(str(p))
 
 
+    @pytest.mark.parametrize("content", [b"", b"\n\r\n\n"])
+    def test_corpus_without_a_nonempty_line_names_the_file(self, tmp_path, content):
+        p = tmp_path / "c.txt"
+        p.write_bytes(content)
+        with pytest.raises(ToolkitError, match=f"^{re.escape(str(p))}: corpus is empty$"):
+            load_corpus(str(p))
+
+
 class TestLoadParallelCorpus:
     def test_pairs_align(self, tmp_path):
         e = tmp_path / "eng.txt"
