@@ -385,7 +385,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     # Every plan is derived before any is written, so a failing cell leaves
     # no file. The plans share their tokens, so they share the fraction too.
     plans = embedding.augment(tok, v0, enc, chars, strategies, metric=args.metric)
-    fraction = embedding.fraction_new_tokens(corpus, tok, plans[0])
+    fraction = embedding.fraction_new_tokens(embedding.encode_augmented(doc, tok, plans[0]) for doc in corpus)
     outputs = []
     for plan in plans:
         plan.stats = {"fraction_new_tokens": {args.corpus: fraction}}
@@ -431,11 +431,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         header += [f"{lbl}_new_fraction" for lbl in plan_labels]
     rows = [header]
     for label, corpus in corpora:
-        sims = embedding.corpus_similarity(enc, v0, corpus, tok, plans, args.last_layer)
-        row = [label] + [f"{s:.6f}" for s in sims]
+        columns = embedding.corpus_similarity(enc, v0, corpus, tok, plans, args.last_layer)
+        row = [label] + [f"{sim:.6f}" for sim, _ in columns]
         if args.report_new_fraction:
-            fracs = [embedding.fraction_new_tokens(corpus, tok, pl) for pl in plans]
-            row += [f"{fr:.6f}" for fr in fracs]
+            row += [f"{fr:.6f}" for _, fr in columns]
         rows.append(row)
     write_table(args.out, rows, manifest.digest())
     print(f"similarity table -> {args.out} (manifest {manifest.digest()[:12]})")

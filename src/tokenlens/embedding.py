@@ -26,7 +26,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -496,7 +496,13 @@ def augment(
     and a float32 one is converted once. The neighbor strategies read a
     float32 reference a block of rows at a time (cosine converts it whole
     for each character).
+
+    A strategy whose layer is above enc.depth fails first, before any
+    character is encoded, with an error naming the strategy.
     """
+    for strat in strategies:
+        if strat.layer > enc.depth:
+            raise ToolkitError(f"strategy {strat.label()}: layer {strat.layer} outside 0..{enc.depth}")
     v0 = np.asarray(v0)
     if v0.ndim != 2:
         raise ToolkitError("v0 must be a 2-D matrix")
@@ -588,39 +594,39 @@ def corpus_similarity(
     tok: TokenizerHandle,
     plans: Sequence[AugmentationPlan],
     last_layer: int,
-) -> list[float]:
-    """Mean eval_similarity over a nonempty corpus, one mean per plan, in
-    order. Each sentence is encoded once, and its before side pooled once,
-    only when some plan touches it."""
+) -> list[tuple[float, float]]:
+    """Mean eval_similarity over a nonempty corpus and fraction_new_tokens,
+    one (mean, fraction) per plan, in order; both are read from the same
+    encode_augmented items. Each sentence is encoded once, and its before
+    side pooled once, only when some plan touches it."""
     if len(corpus) == 0:
         raise ToolkitError("corpus is empty")
 
-    def per_plan(text: str) -> list[float]:
+    def per_plan(text: str) -> list[tuple[float, list[tuple[str, int]]]]:
         original = tok.encode(text)
         if not original:
             raise ToolkitError("sentence encodes to zero tokens")
         augmented = [encode_augmented(text, tok, plan) for plan in plans]
         touched = any(kind == "new" for items in augmented for kind, _ in items)
         before = pooled_hidden(enc, np.asarray(v0)[original], last_layer) if touched else None
-        return [eval_similarity(enc, v0, before, items, plan, last_layer) for items, plan in zip(augmented, plans)]
+        return [(eval_similarity(enc, v0, before, items, plan, last_layer), items) for items, plan in zip(augmented, plans)]
 
-    return [sum(sims) / len(sims) for sims in zip(*ordered_map(per_plan, list(corpus)))]
+    return [
+        (sum(sim for sim, _ in col) / len(col), fraction_new_tokens(items for _, items in col))
+        for col in zip(*ordered_map(per_plan, list(corpus)))
+    ]
 
 
-def fraction_new_tokens(corpus: Sequence[str], tok: TokenizerHandle, plan: AugmentationPlan) -> float:
-    """Share of plan tokens in the augmented encoding of a corpus."""
-    if len(corpus) == 0:
+def fraction_new_tokens(encodings: Iterable[Sequence[tuple[str, int]]]) -> float:
+    """Share of plan tokens among a corpus's encode_augmented items, given
+    one item list per document; no tokenizer runs here."""
+    docs = [[kind for kind, _ in items] for items in encodings]
+    if not docs:
         raise ToolkitError("corpus is empty")
-    new = 0
-    total = 0
-    for doc in corpus:
-        for kind, _ in encode_augmented(doc, tok, plan):
-            total += 1
-            if kind == "new":
-                new += 1
+    total = sum(map(len, docs))
     if total == 0:
         raise ToolkitError("corpus produced no tokens")
-    return new / total
+    return sum(kinds.count("new") for kinds in docs) / total
 
 
 def save_plan(plan: AugmentationPlan, path: str, manifest: dict | None = None) -> None:

@@ -419,7 +419,7 @@ def test_criterion_10_toy_encoder_end_to_end():
     linear = toy_encoder(seed=5, depth=1, dim=8, linear=True)
     plan = augment(tok, v0, linear, set(oov_chars), [DerivationStrategy("linreg", 0)])[0]
     worst = max(
-        abs(corpus_similarity(linear, v0, (s,), tok, [plan], 1)[0] - 1.0) for s in sentences
+        abs(corpus_similarity(linear, v0, (s,), tok, [plan], 1)[0][0] - 1.0) for s in sentences
     )
     linear_ok = worst <= 1e-6
 
@@ -430,7 +430,7 @@ def test_criterion_10_toy_encoder_end_to_end():
         vectors=rng.normal(size=(12, 8)),
         strategy=derived_plan.strategy,
     )
-    derived_mean, baseline_mean = corpus_similarity(nonlinear, v0, sentences, tok, [derived_plan, baseline], 2)
+    (derived_mean, _), (baseline_mean, _) = corpus_similarity(nonlinear, v0, sentences, tok, [derived_plan, baseline], 2)
     nonlinear_ok = derived_mean > baseline_mean
     report(10, "linear-encoder similarity 1.0 and derived beats random baseline",
            linear_ok and nonlinear_ok,

@@ -719,6 +719,22 @@ class TestAugmentCommand:
         assert "character 'a' encodes to a single token" in capsys.readouterr().err
         assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
 
+    def test_layer_above_encoder_depth_exits_one_before_any_reference(self, tmp_path, capsys, byte_level_files,
+                                                                       monkeypatch):
+        from tokenlens import embedding
+
+        def no_reference(*args):
+            raise AssertionError("build_reference called")
+
+        monkeypatch.setattr(embedding, "build_reference", no_reference)
+        bf = byte_level_files
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", "knn:1@0,linreg@1,knn:1@9",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: strategy knn:1@9: layer 9 outside 0..1\n"
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
     @pytest.mark.parametrize("layer", ["0", "1"])
     def test_grid_failing_second_cell_writes_no_plan(self, tmp_path, capsys, byte_level_files, layer):
         bf = byte_level_files
@@ -848,6 +864,35 @@ class TestEvalCommand:
                      "--encoder", "toy:2:1:3:linear", "--strategy", "linreg@0",
                      "--corpus", bf["corpus"], "--out", plan]) == 0
         return bf, plan
+
+    def test_new_fraction_adds_no_encode(self, tmp_path, byte_level_files, monkeypatch):
+        import tokenlens.cli as cli
+
+        bf = byte_level_files
+        model = ["--tokenizer", bf["tok"], "--embeddings", bf["embeddings"], "--encoder", "toy:0:1:3"]
+        assert main(["augment", *model, "--grid", "knn:1@1,linreg@1", "--corpus", bf["corpus"],
+                     "--out", str(tmp_path / "plan.json")]) == 0
+        corpus = write_text(tmp_path / "c.txt", "aé\nab\n")
+        factory = cli.bpe_tokenizer
+        encoded = []
+
+        def counting_tokenizer(*args, **kwargs):
+            handle = factory(*args, **kwargs)
+            encode = handle.encode
+            handle.encode = lambda text: encoded.append(text) or encode(text)
+            return handle
+
+        monkeypatch.setattr(cli, "bpe_tokenizer", counting_tokenizer)
+        counts = []
+        for extra in ([], ["--report-new-fraction"]):
+            encoded.clear()
+            assert main(["eval", *model, "--plan", str(tmp_path / "plan.knn1-l1.json"),
+                         "--plan", str(tmp_path / "plan.linreg-l1.json"), "--last-layer", "1",
+                         "--corpus", f"c={corpus}", *extra, "--out", str(tmp_path / "sim.csv")]) == 0
+            counts.append(len(encoded))
+        # Each sentence is encoded once, then its unplanned run ("a", "ab")
+        # once per plan; the fraction column reads those same items.
+        assert counts == [6, 6]
 
     def test_untouched_corpus_scores_one(self, tmp_path, planned):
         bf, plan = planned
@@ -1376,6 +1421,41 @@ class TestStartup:
         stats.add({"spans": tracer.spans, "missing": tracer.missing})
         metrics, _ = spans.layer_metrics(stats)
         assert (metrics["embedding.eval_sentences"], metrics["embedding.unchanged_sentences"]) == (4, 2)
+
+    def test_traced_new_fraction_runs_no_encode(self, tmp_path, byte_level_files):
+        # --report-new-fraction reads the items corpus_similarity encoded for
+        # the similarity column, so no bpe_encode runs under
+        # fraction_new_tokens.
+        spans = load_perfbench_spans()
+        p = str(tmp_path)
+        bf = byte_level_files
+        model = ["--tokenizer", bf["tok"], "--embeddings", bf["embeddings"], "--encoder", "toy:0:1:3"]
+        assert main(["augment", *model, "--grid", "knn:1@1,linreg@1", "--corpus", bf["corpus"],
+                     "--out", f"{p}/plan.json"]) == 0
+        corpus = write_text(tmp_path / "c.txt", "aé\nab\n")
+        tracer = spans.Tracer(run_id="test")
+        undo = spans.install(tracer)
+        try:
+            rc = main(["eval", *model, "--plan", f"{p}/plan.knn1-l1.json", "--plan", f"{p}/plan.linreg-l1.json",
+                       "--last-layer", "1", "--corpus", f"c={corpus}", "--report-new-fraction",
+                       "--out", f"{p}/sim.csv"])
+        finally:
+            for module, attr, original in reversed(undo):
+                setattr(module, attr, original)
+        assert rc == 0
+        by_id = {span[0]: span for span in tracer.spans}
+
+        def under_fraction(span):
+            while span[1]:
+                span = by_id[span[1]]
+                if span[2] == "embedding.fraction_new_tokens":
+                    return True
+            return False
+
+        encodes = [span for span in tracer.spans if span[2] == "training.bpe_encode"]
+        assert len(encodes) == 6
+        assert [span for span in encodes if under_fraction(span)] == []
+        assert [span[2] for span in tracer.spans].count("embedding.fraction_new_tokens") == 2
 
     def test_lazy_embedding_names_match_the_module(self):
         import tokenlens.embedding

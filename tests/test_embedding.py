@@ -11,7 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -41,7 +41,7 @@ from tokenlens import embedding
 from tokenlens.embedding import _distances, _fit_affine, _nearest, _with_bias
 from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.premium import TokenizerHandle, bpe_tokenizer
-from tokenlens.vocab import MergeRuleList, Vocabulary
+from tokenlens.vocab import MergeRule, MergeRuleList, Vocabulary
 
 
 def oracle_build_reference(enc, v0, layer):
@@ -86,6 +86,22 @@ def oracle_sentence_similarity(enc, v0, sentence, tok, plan, last_layer):
     rows = [plan.vectors[i] if kind == "new" else np.asarray(v0[i], dtype=np.float64) for kind, i in augmented]
     w = enc.encode_to_layer(np.stack(rows), last_layer).mean(axis=0)
     return float((u @ w) / (np.linalg.norm(u) * np.linalg.norm(w)))
+
+
+def oracle_fraction_new_tokens(corpus, tok, plan):
+    """Share of plan tokens, each document encoded again under plan."""
+    if len(corpus) == 0:
+        raise ToolkitError("corpus is empty")
+    new = 0
+    total = 0
+    for doc in corpus:
+        for kind, _ in encode_augmented(doc, tok, plan):
+            total += 1
+            if kind == "new":
+                new += 1
+    if total == 0:
+        raise ToolkitError("corpus produced no tokens")
+    return new / total
 
 
 class CountingEncoder:
@@ -953,6 +969,20 @@ class TestAugment:
         with pytest.raises(ToolkitError, match="character 'a' encodes to a single token"):
             augment(tok, v0, toy_encoder(0, 1, 3), {"a", "é"}, [DerivationStrategy("knn", 0, 1)])
 
+    def test_layer_above_depth_is_error_before_any_encode(self, setting, monkeypatch):
+        _, v0 = setting
+
+        def no_encode(text):
+            raise AssertionError("tokenizer called")
+
+        def no_reference(*args):
+            raise AssertionError("build_reference called")
+
+        monkeypatch.setattr(embedding, "build_reference", no_reference)
+        strategies = [DerivationStrategy("knn", 0, 1), DerivationStrategy("local_linreg", 2, 3)]
+        with pytest.raises(ToolkitError, match=re.escape("strategy local_linreg:3@2: layer 2 outside 0..1")):
+            augment(TokenizerHandle("never", no_encode), v0, toy_encoder(0, 1, 3), {"é"}, strategies)
+
     def test_works_with_exported_matrices(self, setting):
         tok, v0 = setting
         m1 = np.random.default_rng(9).normal(size=v0.shape)
@@ -1145,8 +1175,8 @@ class TestCorpusLevelMetrics:
     def test_corpus_similarity_is_mean(self, setting):
         tok, enc, v0, plan = setting
         corpus = ("aéb", "ab")
-        per = [corpus_similarity(enc, v0, (doc,), tok, [plan], 1)[0] for doc in corpus]
-        assert corpus_similarity(enc, v0, corpus, tok, [plan], 1) == [sum(per) / 2]
+        per = [corpus_similarity(enc, v0, (doc,), tok, [plan], 1)[0][0] for doc in corpus]
+        assert [mean for mean, _ in corpus_similarity(enc, v0, corpus, tok, [plan], 1)] == [sum(per) / 2]
 
     def test_empty_corpus_is_error(self, setting):
         tok, enc, v0, plan = setting
@@ -1156,19 +1186,53 @@ class TestCorpusLevelMetrics:
     def test_fraction_new_tokens_hand_value(self, setting):
         tok, _, _, plan = setting
         corpus = ("aé", "é")
-        assert fraction_new_tokens(corpus, tok, plan) == 2 / 3
+        assert fraction_new_tokens(encode_augmented(doc, tok, plan) for doc in corpus) == 2 / 3
 
     def test_fraction_zero_when_untouched(self, setting):
         tok, _, _, plan = setting
-        assert fraction_new_tokens(("ab",), tok, plan) == 0.0
+        assert fraction_new_tokens([encode_augmented("ab", tok, plan)]) == 0.0
 
     @pytest.mark.parametrize(
-        "corpus,message", [((), "corpus is empty"), (("",), "corpus produced no tokens")]
+        "corpus,message", [([], "corpus is empty"), ([[]], "corpus produced no tokens")]
     )
-    def test_fraction_without_tokens_is_error(self, setting, corpus, message):
-        tok, _, _, plan = setting
+    def test_fraction_without_tokens_is_error(self, corpus, message):
         with pytest.raises(ToolkitError, match=message):
-            fraction_new_tokens(corpus, tok, plan)
+            fraction_new_tokens(corpus)
+
+
+class TestFractionFromItems:
+    # Character-level bpe over a, b, c and x, with the merges ab, bc and xx,
+    # so a planned character inside a run changes how its neighbors merge.
+    # Plans draw their tokens from a, b and c; x is never planned.
+    TOK = bpe_tokenizer(
+        "chars",
+        Vocabulary([b"a", b"b", b"c", b"x", b"ab", b"bc", b"xx"]),
+        MergeRuleList([MergeRule(0, 1, 4), MergeRule(1, 2, 5), MergeRule(3, 3, 6)]),
+    )
+
+    @given(
+        st.lists(st.sets(st.sampled_from("abc"), min_size=1), min_size=1, max_size=3),
+        st.lists(st.text(alphabet="abcx", min_size=1, max_size=8), min_size=1, max_size=6),
+    )
+    # Planned characters at the start, at the end and next to each other,
+    # an untouched sentence, and two plans sharing b.
+    @example([{"a", "b"}, {"b", "c"}], ["axc", "xxab", "ba", "xx"])
+    def test_fraction_equals_reencoding_oracle(self, token_sets, corpus):
+        rng = np.random.default_rng(50)
+        v0 = rng.normal(size=(7, 3))
+        plans = [
+            AugmentationPlan(
+                tokens=tuple(sorted(chars)),
+                vectors=rng.normal(size=(len(chars), 3)),
+                strategy=DerivationStrategy("knn", 0, 1),
+            )
+            for chars in token_sets
+        ]
+        results = corpus_similarity(toy_encoder(8, 1, 3), v0, corpus, self.TOK, plans, 1)
+        for (_, fraction), plan in zip(results, plans):
+            oracle = oracle_fraction_new_tokens(corpus, self.TOK, plan)
+            assert fraction == oracle
+            assert fraction_new_tokens(encode_augmented(doc, self.TOK, plan) for doc in corpus) == oracle
 
 
 class TestCorpusSimilarityGrid:
@@ -1182,13 +1246,13 @@ class TestCorpusSimilarityGrid:
         # "aéb" and "éè" are touched by both plans, "bè" by one, "ab" by none.
         corpus = ("aéb", "ab", "bè", "éè")
         enc = CountingEncoder(toy)
-        means = corpus_similarity(enc, v0, corpus, tok, plans, 2)
+        means = [mean for mean, _ in corpus_similarity(enc, v0, corpus, tok, plans, 2)]
         oracle = [
             sum([oracle_sentence_similarity(toy, v0, s, tok, plan, 2) for s in corpus]) / len(corpus)
             for plan in plans
         ]
         assert means == oracle
-        assert means == [corpus_similarity(toy, v0, corpus, tok, [plan], 2)[0] for plan in plans]
+        assert means == [corpus_similarity(toy, v0, corpus, tok, [plan], 2)[0][0] for plan in plans]
         calls = [c.tobytes() for c in enc.calls]
         before = [np.asarray(v0[tok.encode(s)], dtype=np.float64).tobytes() for s in corpus]
         # The before side runs once per touched sentence, and "ab" runs no
@@ -1242,7 +1306,7 @@ class TestPlanFiles:
         path = str(tmp_path / "plan.json")
         save_plan(plan, path)
         enc = toy_encoder(5, 1, 3)
-        [sim] = corpus_similarity(enc, v0, ("éè",), tok, [load_plan(path)], 1)
+        [(sim, _)] = corpus_similarity(enc, v0, ("éè",), tok, [load_plan(path)], 1)
         assert -1.0 <= sim <= 1.0
 
     def test_plan_holds_what_its_file_holds(self):
