@@ -595,38 +595,57 @@ def corpus_similarity(
     plans: Sequence[AugmentationPlan],
     last_layer: int,
 ) -> list[tuple[float, float]]:
-    """Mean eval_similarity over a nonempty corpus and fraction_new_tokens,
-    one (mean, fraction) per plan, in order; both are read from the same
-    encode_augmented items. Each sentence is encoded once, and its before
-    side pooled once, only when some plan touches it."""
+    """Mean eval_similarity over a nonempty corpus and its fraction of new
+    tokens, one (mean, fraction) per plan, in order. Both are read from the
+    same encode_augmented items, which are kept only as (new, total) counts,
+    so memory grows with the sentences, not their tokens. Each sentence is
+    encoded once, and its before side pooled once, only when some plan
+    touches it."""
     if len(corpus) == 0:
         raise ToolkitError("corpus is empty")
 
-    def per_plan(text: str) -> list[tuple[float, list[tuple[str, int]]]]:
+    def per_plan(text: str) -> list[tuple[float, tuple[int, int]]]:
         original = tok.encode(text)
         if not original:
             raise ToolkitError("sentence encodes to zero tokens")
         augmented = [encode_augmented(text, tok, plan) for plan in plans]
-        touched = any(kind == "new" for items in augmented for kind, _ in items)
-        before = pooled_hidden(enc, np.asarray(v0)[original], last_layer) if touched else None
-        return [(eval_similarity(enc, v0, before, items, plan, last_layer), items) for items, plan in zip(augmented, plans)]
+        counts = [_new_and_total(items) for items in augmented]
+        before = pooled_hidden(enc, np.asarray(v0)[original], last_layer) if any(n for n, _ in counts) else None
+        return [
+            (eval_similarity(enc, v0, before, items, plan, last_layer), count)
+            for items, plan, count in zip(augmented, plans, counts)
+        ]
 
     return [
-        (sum(sim for sim, _ in col) / len(col), fraction_new_tokens(items for _, items in col))
+        (sum(sim for sim, _ in col) / len(col), _new_share(count for _, count in col))
         for col in zip(*ordered_map(per_plan, list(corpus)))
     ]
 
 
 def fraction_new_tokens(encodings: Iterable[Sequence[tuple[str, int]]]) -> float:
     """Share of plan tokens among a corpus's encode_augmented items, given
-    one item list per document; no tokenizer runs here."""
-    docs = [[kind for kind, _ in items] for items in encodings]
-    if not docs:
+    one item list per document. Each list is counted as it comes, and no
+    tokenizer runs here."""
+    return _new_share(map(_new_and_total, encodings))
+
+
+def _new_and_total(items: Sequence[tuple[str, int]]) -> tuple[int, int]:
+    """How many of one document's encode_augmented items are new, and how many there are."""
+    return sum(kind == "new" for kind, _ in items), len(items)
+
+
+def _new_share(counts: Iterable[tuple[int, int]]) -> float:
+    """Summed new / summed total over per-document (new, total) counts."""
+    docs = new = total = 0
+    for n, t in counts:
+        docs += 1
+        new += n
+        total += t
+    if docs == 0:
         raise ToolkitError("corpus is empty")
-    total = sum(map(len, docs))
     if total == 0:
         raise ToolkitError("corpus produced no tokens")
-    return sum(kinds.count("new") for kinds in docs) / total
+    return new / total
 
 
 def save_plan(plan: AugmentationPlan, path: str, manifest: dict | None = None) -> None:

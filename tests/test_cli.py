@@ -1423,9 +1423,9 @@ class TestStartup:
         assert (metrics["embedding.eval_sentences"], metrics["embedding.unchanged_sentences"]) == (4, 2)
 
     def test_traced_new_fraction_runs_no_encode(self, tmp_path, byte_level_files):
-        # --report-new-fraction reads the items corpus_similarity encoded for
-        # the similarity column, so no bpe_encode runs under
-        # fraction_new_tokens.
+        # --report-new-fraction reads the counts corpus_similarity took from
+        # the items it encoded for the similarity column, so no bpe_encode
+        # runs for the fraction and fraction_new_tokens never runs in eval.
         spans = load_perfbench_spans()
         p = str(tmp_path)
         bf = byte_level_files
@@ -1455,7 +1455,7 @@ class TestStartup:
         encodes = [span for span in tracer.spans if span[2] == "training.bpe_encode"]
         assert len(encodes) == 6
         assert [span for span in encodes if under_fraction(span)] == []
-        assert [span[2] for span in tracer.spans].count("embedding.fraction_new_tokens") == 2
+        assert [span[2] for span in tracer.spans].count("embedding.fraction_new_tokens") == 0
 
     def test_lazy_embedding_names_match_the_module(self):
         import tokenlens.embedding
