@@ -546,7 +546,9 @@ def encode_augmented(
 
     Returns ("new", plan_row) and ("old", token_id) items in order.
     Planned characters are replaced greedily before base tokenization, so the
-    remaining runs are tokenized independently of one another.
+    remaining runs are tokenized independently of one another. Of the plan
+    only plan.tokens is read, so plans with equal tokens give equal items;
+    corpus_similarity relies on this.
     """
     index = {t: i for i, t in enumerate(plan.tokens)}
     items: list[tuple[str, int]] = []
@@ -597,50 +599,44 @@ def corpus_similarity(
 ) -> list[tuple[float, float]]:
     """Mean eval_similarity over a nonempty corpus and its fraction of new
     tokens, one (mean, fraction) per plan, in order. Both are read from the
-    same encode_augmented items, which are kept only as (new, total) counts,
-    so memory grows with the sentences, not their tokens. Each sentence is
-    encoded once, and its before side pooled once, only when some plan
-    touches it."""
+    same encode_augmented items, kept only as (new, total) counts, so memory
+    grows with the sentences, not their tokens. Each sentence is encoded
+    once, augmented once per distinct plan.tokens (a grid's plans share
+    theirs), and its before side pooled once, only when some plan touches
+    it."""
     if len(corpus) == 0:
         raise ToolkitError("corpus is empty")
+    by_tokens = {plan.tokens: plan for plan in plans}
 
-    def per_plan(text: str) -> list[tuple[float, tuple[int, int]]]:
+    def per_plan(text: str) -> list[tuple[float, int, int]]:
         original = tok.encode(text)
         if not original:
             raise ToolkitError("sentence encodes to zero tokens")
-        augmented = [encode_augmented(text, tok, plan) for plan in plans]
-        counts = [_new_and_total(items) for items in augmented]
-        before = pooled_hidden(enc, np.asarray(v0)[original], last_layer) if any(n for n, _ in counts) else None
+        augmented = {key: encode_augmented(text, tok, plan) for key, plan in by_tokens.items()}
+        new = {key: sum(kind == "new" for kind, _ in items) for key, items in augmented.items()}
+        before = pooled_hidden(enc, np.asarray(v0)[original], last_layer) if any(new.values()) else None
         return [
-            (eval_similarity(enc, v0, before, items, plan, last_layer), count)
-            for items, plan, count in zip(augmented, plans, counts)
+            (eval_similarity(enc, v0, before, augmented[plan.tokens], plan, last_layer),
+             new[plan.tokens], len(augmented[plan.tokens]))
+            for plan in plans
         ]
 
+    # A sentence's total is never 0: it holds a new item or is tok.encode(text).
     return [
-        (sum(sim for sim, _ in col) / len(col), _new_share(count for _, count in col))
+        (sum(sim for sim, _, _ in col) / len(col), sum(n for _, n, _ in col) / sum(t for _, _, t in col))
         for col in zip(*ordered_map(per_plan, list(corpus)))
     ]
 
 
 def fraction_new_tokens(encodings: Iterable[Sequence[tuple[str, int]]]) -> float:
     """Share of plan tokens among a corpus's encode_augmented items, given
-    one item list per document. Each list is counted as it comes, and no
-    tokenizer runs here."""
-    return _new_share(map(_new_and_total, encodings))
-
-
-def _new_and_total(items: Sequence[tuple[str, int]]) -> tuple[int, int]:
-    """How many of one document's encode_augmented items are new, and how many there are."""
-    return sum(kind == "new" for kind, _ in items), len(items)
-
-
-def _new_share(counts: Iterable[tuple[int, int]]) -> float:
-    """Summed new / summed total over per-document (new, total) counts."""
+    one item list per document: summed new items over summed items. Each
+    list is counted as it comes, and no tokenizer runs here."""
     docs = new = total = 0
-    for n, t in counts:
+    for items in encodings:
         docs += 1
-        new += n
-        total += t
+        new += sum(kind == "new" for kind, _ in items)
+        total += len(items)
     if docs == 0:
         raise ToolkitError("corpus is empty")
     if total == 0:

@@ -891,8 +891,38 @@ class TestEvalCommand:
                          "--corpus", f"c={corpus}", *extra, "--out", str(tmp_path / "sim.csv")]) == 0
             counts.append(len(encoded))
         # Each sentence is encoded once, then its unplanned run ("a", "ab")
-        # once per plan; the fraction column reads those same items.
-        assert counts == [6, 6]
+        # once for the two plans' shared tokens; the fraction column reads
+        # those same items.
+        assert counts == [4, 4]
+
+    def test_new_fraction_per_plan_token_set(self, tmp_path, byte_level_files):
+        from test_embedding import oracle_fraction_new_tokens
+
+        from tokenlens.embedding import load_plan
+        from tokenlens.premium import bpe_tokenizer
+        from tokenlens.vocab import load_merges, load_vocab
+
+        bf = byte_level_files
+        model = ["--tokenizer", bf["tok"], "--embeddings", bf["embeddings"], "--encoder", "toy:0:1:3"]
+        plans = []
+        for strategy, chars in (("knn:1@1", "é"), ("linreg@1", "è")):
+            plans.append(str(tmp_path / f"{chars}.json"))
+            assert main(["augment", *model, "--strategy", strategy, "--corpus", bf["corpus"],
+                         "--chars", chars, "--out", plans[-1]]) == 0
+        lines = ["aé", "bè", "éèé", "ab"]
+        corpus = write_text(tmp_path / "c.txt", "\n".join(lines) + "\n")
+        out = str(tmp_path / "sim.csv")
+        assert main(["eval", *model, "--plan", plans[0], "--plan", plans[1], "--last-layer", "1",
+                     "--corpus", f"c={corpus}", "--report-new-fraction", "--out", out]) == 0
+        with open(out, encoding="utf-8") as f:
+            header, row = list(csv.reader(f.read().splitlines()[1:]))
+        assert header[3:] == ["knn:1@1_new_fraction", "linreg@1_new_fraction"]
+        _, vpath, mpath = bf["tok"].split(":")
+        vocab = load_vocab(vpath)
+        tok = bpe_tokenizer("bytes", vocab, load_merges(mpath, vocab), byte_input=True)
+        oracle = [f"{oracle_fraction_new_tokens(lines, tok, load_plan(p)):.6f}" for p in plans]
+        assert row[3:] == oracle
+        assert oracle[0] != oracle[1]
 
     def test_untouched_corpus_scores_one(self, tmp_path, planned):
         bf, plan = planned
@@ -1453,7 +1483,7 @@ class TestStartup:
             return False
 
         encodes = [span for span in tracer.spans if span[2] == "training.bpe_encode"]
-        assert len(encodes) == 6
+        assert len(encodes) == 4
         assert [span for span in encodes if under_fraction(span)] == []
         assert [span[2] for span in tracer.spans].count("embedding.fraction_new_tokens") == 0
 

@@ -1261,6 +1261,27 @@ class TestCorpusSimilarityGrid:
         assert [calls.count(b) for b in before] == [1, 0, 1, 1]
         assert len(calls) == 3 + 5
 
+    def test_plans_sharing_tokens_share_one_encode_augmented(self, byte_tok, monkeypatch):
+        vocab, tok = byte_tok
+        v0 = np.random.default_rng(32).normal(size=(len(vocab), 3))
+        toy = toy_encoder(seed=8, depth=2, dim=3)
+        knn, linreg = augment(
+            tok, v0, toy, {"é", "è"}, [DerivationStrategy("knn", 1, 2), DerivationStrategy("linreg", 2)]
+        )
+        acute = augment(tok, v0, toy, {"é"}, [DerivationStrategy("local_linreg", 1, 3)])[0]
+        plans = [knn, acute, linreg]
+        corpus = ("aéb", "ab", "bè", "éè")
+        singles = [corpus_similarity(toy, v0, corpus, tok, [plan], 2)[0] for plan in plans]
+        texts = []
+        real = embedding.encode_augmented
+        monkeypatch.setattr(
+            embedding, "encode_augmented", lambda text, *rest: texts.append(text) or real(text, *rest)
+        )
+        # knn and linreg share their tokens, so each sentence is augmented
+        # once for them and once for acute's.
+        assert corpus_similarity(toy, v0, corpus, tok, plans, 2) == singles
+        assert sorted(texts) == sorted(corpus * 2)
+
 
 class TestPlanFiles:
     @pytest.fixture()

@@ -15,6 +15,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +59,37 @@ def smoke_digests(workload: str, root: Path) -> dict[str, str]:
 def test_smoke_outputs_match_golden(workload, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[workload]
     assert smoke_digests(workload, tmp_path) == golden
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels by CPU,
+    which OPENBLAS_CORETYPE can then force."""
+    import numpy as np
+
+    return "DYNAMIC_ARCH" in str(np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
+def test_knn_and_linreg_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # frozen-bytebpe's augment (knn and linreg) and eval steps, each run in a
+    # child under two OpenBLAS kernels, write the same bytes. local_linreg
+    # is left out: its plan still differs between kernels.
+    gen, run = _load("gen"), _load("run")
+    facts = gen.generate("frozen-bytebpe", tmp_path / "in", 5, "smoke")
+    steps = [s for s in run.STEPS["frozen-bytebpe"](facts) if s.metric in ("augment_s", "eval_s")]
+    assert [s.argv[0] for s in steps] == ["augment", "eval"]
+    script = "import sys\nfrom tokenlens.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    outputs = {}
+    for core in ("Prescott", "Haswell"):
+        pass_dir = tmp_path / core / "pass"  # run.py's IN = "../in" layout
+        pass_dir.mkdir(parents=True)
+        (tmp_path / core / "in").symlink_to(tmp_path / "in")
+        env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": str(ROOT / "src")}
+        for step in steps:
+            subprocess.run([sys.executable, "-c", script, *step.argv], cwd=pass_dir, env=env,
+                           capture_output=True, check=True)
+        outputs[core] = {out: (pass_dir / out).read_bytes() for step in steps for out in step.outputs}
+    assert outputs["Prescott"] == outputs["Haswell"]
 
 
 if __name__ == "__main__":
