@@ -73,12 +73,16 @@ _EMBEDDING_NAMES = (
     "LayerEncoder",
     "LookupEncoder",
     "ToyEncoder",
+    "all_finite",
     "augment",
     "build_reference",
+    "check_layers",
+    "constituent_ids",
     "corpus_similarity",
     "derive_knn",
     "derive_linreg",
     "derive_local_linreg",
+    "derive_plans",
     "encode_augmented",
     "eval_similarity",
     "fraction_new_tokens",

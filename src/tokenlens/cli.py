@@ -177,10 +177,16 @@ def _parse_encoder(
     raise ToolkitError(f"unknown encoder kind {parts[0]!r}")
 
 
-def _load_model(args: argparse.Namespace) -> tuple[TokenizerHandle, np.ndarray, embedding.LayerEncoder, dict, list[str]]:
+def _load_model(
+    args: argparse.Namespace, float64_v0: bool = False
+) -> tuple[TokenizerHandle, np.ndarray, embedding.LayerEncoder, dict, list[str]]:
     """Augment's and eval's tokenizer, V0 and encoder, with the encoder's
     manifest flags and the paths of every file they were read from. Both
-    specs are checked before any file is read, and V0 must be finite."""
+    specs are checked before any file is read, and V0 must be finite.
+
+    With float64_v0, V0 is widened before the encoder is built, so the
+    encoder holds the float64 array too and the float32 one is freed: V0 is
+    held once. Widening is exact on finite values, signed zeros included."""
     import numpy as np
 
     from . import embedding
@@ -189,8 +195,10 @@ def _load_model(args: argparse.Namespace) -> tuple[TokenizerHandle, np.ndarray, 
     enc_flags, enc_paths, build_encoder = _parse_encoder(args.encoder)
     tok, tok_paths = _load_tokenizer(name, spec)
     v0 = embedding.read_matrix(args.embeddings)
-    if not np.all(np.isfinite(v0)):
+    if not embedding.all_finite(v0):
         raise ToolkitError("v0 contains non-finite values")
+    if float64_v0:
+        v0 = v0.astype(np.float64)
     enc = build_encoder(v0)
     return tok, v0, enc, enc_flags, [args.embeddings] + tok_paths + enc_paths
 
@@ -302,10 +310,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     normalized = []
     rows = []
     for name, path in named:
-        raw = vocab_mod.load_vocab(path)
-        result = analysis.normalize_vocab(raw, rules)
-        normalized.append((name, result.tokens))
-        rows.append(analysis.vocab_breakdown(result.tokens, label=name))
+        # Only the normalized set is kept: each Vocabulary is freed as soon as
+        # it is normalized, before its breakdown and the next file's load.
+        tokens = analysis.normalize_vocab(vocab_mod.load_vocab(path), rules).tokens
+        normalized.append((name, tokens))
+        if args.breakdown:
+            rows.append(analysis.vocab_breakdown(tokens, label=name))
     matrix = analysis.comparison_matrix(normalized, metric=args.metric)
     analysis.write_matrix_csv(matrix, args.out, manifest_digest=manifest.digest())
     if args.breakdown:
@@ -362,7 +372,11 @@ def cmd_augment(args: argparse.Namespace) -> int:
     strategies = [_parse_strategy(s) for s in specs]
     labels = [s.label() for s in strategies]
     _distinct(labels, "grid strategy")
-    tok, v0, enc, enc_flags, model_paths = _load_model(args)
+    # linreg's fit reads V0 in float64: holding V0 in float64 from the start
+    # spares the fit a float64 copy of it.
+    tok, v0, enc, enc_flags, model_paths = _load_model(
+        args, float64_v0=any(s.kind == "linreg" for s in strategies)
+    )
     corpus = load_corpus(args.corpus)
     if args.chars is not None:
         chars = set(args.chars)
@@ -382,10 +396,17 @@ def cmd_augment(args: argparse.Namespace) -> int:
         **enc_flags,
     }
     manifest = RunManifest("augment", flags, _digests([args.corpus] + model_paths))
+    # embedding.augment's steps, with every use of the tokenizer first: the
+    # plans share their tokens, so their new-token fraction is counted over
+    # those before any plan exists, and the tokenizer (its vocabulary, merge
+    # list and rank index) is freed before the first reference is built.
+    embedding.check_layers(enc, strategies)
+    tokens, char_ids = embedding.constituent_ids(tok, chars)
+    fraction = embedding.fraction_new_tokens(embedding.encode_augmented(doc, tok, tokens) for doc in corpus)
+    del tok
     # Every plan is derived before any is written, so a failing cell leaves
-    # no file. The plans share their tokens, so they share the fraction too.
-    plans = embedding.augment(tok, v0, enc, chars, strategies, metric=args.metric)
-    fraction = embedding.fraction_new_tokens(embedding.encode_augmented(doc, tok, plans[0]) for doc in corpus)
+    # no file.
+    plans = embedding.derive_plans(v0, enc, tokens, char_ids, strategies, metric=args.metric)
     outputs = []
     for plan in plans:
         plan.stats = {"fraction_new_tokens": {args.corpus: fraction}}

@@ -43,12 +43,16 @@ __all__ = [
     "LookupEncoder",
     "pooled_hidden",
     "build_reference",
+    "all_finite",
     "derive_knn",
     "derive_linreg",
     "derive_local_linreg",
     "DerivationStrategy",
     "AugmentationPlan",
     "select_oov_chars",
+    "check_layers",
+    "constituent_ids",
+    "derive_plans",
     "augment",
     "encode_augmented",
     "eval_similarity",
@@ -278,6 +282,12 @@ def build_reference(enc: LayerEncoder, v0: np.ndarray, layer: int) -> np.ndarray
     return buf[:, :dim]
 
 
+def all_finite(matrix: np.ndarray) -> bool:
+    """np.all(np.isfinite(matrix)), checked _ROW_BLOCK rows at a time, so it
+    makes no n_tokens x dim temporary."""
+    return all(np.isfinite(matrix[start : start + _ROW_BLOCK]).all() for start in range(0, len(matrix), _ROW_BLOCK))
+
+
 def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
     if metric == "euclidean":
         # np.linalg.norm(vl - h, axis=1)'s operations on each row (subtract
@@ -332,7 +342,10 @@ def derive_knn(
     if len(zero) == 1:
         return np.array(v0[zero[0]], copy=True)
     if len(zero) > 1:
-        return np.asarray(v0)[zero].mean(axis=0)
+        # In float64 whatever V0's dtype, as every other derivation is, so a
+        # float32 V0 and its float64 widening give the same bits (a float32
+        # mean of three equal rows need not be that row).
+        return np.asarray(np.asarray(v0)[zero], dtype=np.float64).mean(axis=0)
     weights = 1.0 / dists
     rows = np.asarray(np.asarray(v0)[idx], dtype=np.float64)
     return (weights[:, None] * rows).sum(axis=0) / weights.sum()
@@ -474,6 +487,90 @@ def select_oov_chars(corpus: Sequence[str], tok: TokenizerHandle) -> set[str]:
     return out
 
 
+def check_layers(enc: LayerEncoder, strategies: Sequence[DerivationStrategy]) -> None:
+    """Fail, naming the first such strategy, if a strategy's layer is above
+    enc.depth."""
+    for strat in strategies:
+        if strat.layer > enc.depth:
+            raise ToolkitError(f"strategy {strat.label()}: layer {strat.layer} outside 0..{enc.depth}")
+
+
+def constituent_ids(tok: TokenizerHandle, chars: Iterable[str]) -> tuple[tuple[str, ...], list[list[int]]]:
+    """The distinct characters in code point order, and each one's token ids.
+
+    Each character is encoded once; one that encodes to a single token is an
+    error, and one the tokenizer cannot encode raises its OovCharacterError.
+    The tuple is what a plan's tokens will be, so encode_augmented can run
+    over it before any plan exists."""
+    tokens = tuple(sorted(set(chars)))
+    char_ids = []
+    for ch in tokens:
+        ids = tok.encode(ch)
+        if len(ids) < 2:
+            raise ToolkitError(f"character {ch!r} encodes to a single token; nothing to derive")
+        char_ids.append(ids)
+    return tokens, char_ids
+
+
+def _derive_neighbours(
+    strat: DerivationStrategy, pooled: list[np.ndarray], v0: np.ndarray, vl: np.ndarray, metric: str
+) -> list[np.ndarray]:
+    # The cosine pass reads the whole reference in float64, so a float32 one
+    # is converted here, once per strategy, and freed on return. It is not
+    # converted a block at a time: vl @ h over row blocks may round differently.
+    ref = np.asarray(vl, dtype=np.float64) if metric == "cosine" else vl
+    if strat.kind == "knn":
+        return ordered_map(lambda h: derive_knn(h, v0, ref, strat.k, metric), pooled)
+    return ordered_map(lambda h: derive_local_linreg(h, v0, ref, strat.k, metric=metric), pooled)
+
+
+def derive_plans(
+    v0: np.ndarray,
+    enc: LayerEncoder,
+    tokens: tuple[str, ...],
+    char_ids: Sequence[Sequence[int]],
+    strategies: Sequence[DerivationStrategy],
+    metric: str = "euclidean",
+) -> list[AugmentationPlan]:
+    """One plan per strategy, in the order given: tokens[i]'s vector is
+    derived from the V0 rows of char_ids[i]. No tokenizer is read here.
+
+    v0 must be a finite 2-D matrix (augment checks it) and every strategy's
+    layer at most enc.depth (check_layers). One distinct layer at a time, in
+    ascending order, the layer-l reference build_reference(enc, v0, l) is
+    built (it must be finite), each character's constituent embeddings are
+    pooled at that layer once, and every strategy at that layer maps the
+    pooled vectors back to input space. Only one reference is held at a
+    time. linreg fits once per strategy on the reference's buffer, whose
+    last column is the bias: a float64 reference is its own design matrix,
+    and a float32 one is converted once; a float64 v0 is the fit's targets
+    as it is. The euclidean neighbor pass reads a float32 reference a block
+    of rows at a time; cosine converts it to float64 once per strategy.
+
+    Every computation on v0's values is in float64, so a float32 v0 and its
+    float64 widening give the same plans, bit for bit."""
+    vectors: list[np.ndarray | None] = [None] * len(strategies)
+    for layer in sorted({s.layer for s in strategies}):
+        vl = build_reference(enc, v0, layer)
+        if not all_finite(vl):
+            raise ToolkitError(f"reference at layer {layer} contains non-finite values")
+        pooled = ordered_map(lambda ids: pooled_hidden(enc, v0[ids], layer), char_ids)
+        for i, strat in enumerate(strategies):
+            if strat.layer != layer:
+                continue
+            if strat.kind == "linreg":
+                theta = _fit_affine(vl.base, v0, None, RIDGE_EPS)
+                rows = [_apply_affine(h, theta) for h in pooled]
+            else:
+                rows = _derive_neighbours(strat, pooled, v0, vl, metric)
+            vectors[i] = np.array(rows, dtype=np.float64).reshape(len(rows), v0.shape[1])
+        del vl  # before the next layer's reference is built
+    return [
+        AugmentationPlan(tokens=tokens, vectors=vec, strategy=strat, distance_metric=metric)
+        for strat, vec in zip(strategies, vectors)
+    ]
+
+
 def augment(
     tok: TokenizerHandle,
     v0: np.ndarray,
@@ -485,72 +582,38 @@ def augment(
     """Derive one input embedding per multi-token character with each
     strategy; returns one plan per strategy, in the order given.
 
-    Each character is encoded once, and one that encodes to a single token
-    fails before any reference is built. Then, one distinct layer at a time
-    in ascending order, the layer-l reference build_reference(enc, v0, l) is
-    built (it must be finite), each character's constituent embeddings are
-    pooled at that layer once, and every strategy at that layer maps the
-    pooled vectors back to input space. Only one reference is held at a
-    time. linreg fits once per strategy on the reference's buffer, whose
-    last column is the bias: a float64 reference is its own design matrix,
-    and a float32 one is converted once. The neighbor strategies read a
-    float32 reference a block of rows at a time (cosine converts it whole
-    for each character).
-
-    A strategy whose layer is above enc.depth fails first, before any
-    character is encoded, with an error naming the strategy.
+    The steps, in this order, each failing before the next starts: a
+    strategy whose layer is above enc.depth fails first, before any
+    character is encoded, with an error naming the strategy (check_layers);
+    then v0 must be a finite 2-D matrix; then each character is encoded once
+    (constituent_ids), and one that encodes to a single token fails before
+    any reference is built; then derive_plans derives every plan from the
+    ids alone. A caller that holds the tokenizer only for this call can run
+    the steps itself and drop the tokenizer before derive_plans, as the CLI
+    does.
     """
-    for strat in strategies:
-        if strat.layer > enc.depth:
-            raise ToolkitError(f"strategy {strat.label()}: layer {strat.layer} outside 0..{enc.depth}")
+    check_layers(enc, strategies)
     v0 = np.asarray(v0)
     if v0.ndim != 2:
         raise ToolkitError("v0 must be a 2-D matrix")
-    if not np.all(np.isfinite(v0)):
+    if not all_finite(v0):
         raise ToolkitError("v0 contains non-finite values")
-    ordered_chars = sorted(set(chars))
-    char_ids = []
-    for ch in ordered_chars:
-        ids = tok.encode(ch)
-        if len(ids) < 2:
-            raise ToolkitError(f"character {ch!r} encodes to a single token; nothing to derive")
-        char_ids.append(ids)
-    vectors: list[np.ndarray | None] = [None] * len(strategies)
-    for layer in sorted({s.layer for s in strategies}):
-        vl = build_reference(enc, v0, layer)
-        if not np.all(np.isfinite(vl)):
-            raise ToolkitError(f"reference at layer {layer} contains non-finite values")
-        pooled = ordered_map(lambda ids: pooled_hidden(enc, v0[ids], layer), char_ids)
-        for i, strat in enumerate(strategies):
-            if strat.layer != layer:
-                continue
-            if strat.kind == "linreg":
-                theta = _fit_affine(vl.base, v0, None, RIDGE_EPS)
-                rows = [_apply_affine(h, theta) for h in pooled]
-            elif strat.kind == "knn":
-                rows = ordered_map(lambda h: derive_knn(h, v0, vl, strat.k, metric), pooled)
-            else:
-                rows = ordered_map(lambda h: derive_local_linreg(h, v0, vl, strat.k, metric=metric), pooled)
-            vectors[i] = np.array(rows, dtype=np.float64).reshape(len(rows), v0.shape[1])
-        del vl  # before the next layer's reference is built
-    return [
-        AugmentationPlan(tokens=tuple(ordered_chars), vectors=vec, strategy=strat, distance_metric=metric)
-        for strat, vec in zip(strategies, vectors)
-    ]
+    tokens, char_ids = constituent_ids(tok, chars)
+    return derive_plans(v0, enc, tokens, char_ids, strategies, metric)
 
 
-def encode_augmented(
-    text: str, tok: TokenizerHandle, plan: AugmentationPlan
-) -> list[tuple[str, int]]:
-    """Tokenize with planned characters substituted first.
+def encode_augmented(text: str, tok: TokenizerHandle, tokens: Sequence[str]) -> list[tuple[str, int]]:
+    """Tokenize with a plan's characters, tokens (plan.tokens), substituted
+    first.
 
     Returns ("new", plan_row) and ("old", token_id) items in order.
     Planned characters are replaced greedily before base tokenization, so the
-    remaining runs are tokenized independently of one another. Of the plan
-    only plan.tokens is read, so plans with equal tokens give equal items;
-    corpus_similarity relies on this.
+    remaining runs are tokenized independently of one another. Only the
+    characters are read, so plans with equal tokens give equal items
+    (corpus_similarity relies on this), and augment's CLI counts its new-token
+    fraction before any plan is derived.
     """
-    index = {t: i for i, t in enumerate(plan.tokens)}
+    index = {t: i for i, t in enumerate(tokens)}
     items: list[tuple[str, int]] = []
     run_start = 0
     for pos, ch in enumerate(text):
@@ -606,13 +669,13 @@ def corpus_similarity(
     it."""
     if len(corpus) == 0:
         raise ToolkitError("corpus is empty")
-    by_tokens = {plan.tokens: plan for plan in plans}
+    token_sets = dict.fromkeys(plan.tokens for plan in plans)
 
     def per_plan(text: str) -> list[tuple[float, int, int]]:
         original = tok.encode(text)
         if not original:
             raise ToolkitError("sentence encodes to zero tokens")
-        augmented = {key: encode_augmented(text, tok, plan) for key, plan in by_tokens.items()}
+        augmented = {tokens: encode_augmented(text, tok, tokens) for tokens in token_sets}
         new = {key: sum(kind == "new" for kind, _ in items) for key, items in augmented.items()}
         before = pooled_hidden(enc, np.asarray(v0)[original], last_layer) if any(new.values()) else None
         return [

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import attrgetter, not_
+from operator import attrgetter, eq, not_
 from typing import Iterable
 
 from .errors import ToolkitError, reading
@@ -209,12 +209,15 @@ def load_vocab(path: str) -> Vocabulary:
             raise ToolkitError("vocabulary JSON must be an object")
         if not {int}.issuperset(map(type, obj.values())):  # JSON true and false are bools
             _reject_first_bad_id(obj)
-        by_id = dict(zip(obj.values(), obj))
-        if len(by_id) != len(obj):
-            _reject_first_bad_id(obj)
-        if min(by_id, default=0) != 0 or max(by_id, default=-1) != len(by_id) - 1:
-            raise ToolkitError("token ids are not dense 0..n-1")
-        strs = map(by_id.__getitem__, range(len(by_id)))
+        if all(map(eq, obj.values(), range(len(obj)))):
+            strs = iter(obj)  # ids 0..n-1 in file order, as saved files list them
+        else:
+            by_id = dict(zip(obj.values(), obj))
+            if len(by_id) != len(obj):
+                _reject_first_bad_id(obj)
+            if min(by_id, default=0) != 0 or max(by_id, default=-1) != len(by_id) - 1:
+                raise ToolkitError("token ids are not dense 0..n-1")
+            strs = map(by_id.__getitem__, range(len(by_id)))
         return Vocabulary(list(map(str.encode, strs, repeat("utf-8"), repeat("surrogateescape"))))
 
 

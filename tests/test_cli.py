@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -200,6 +201,47 @@ class TestCompareCommand:
         assert rows[0] == ["", "a", "b"]
         # "##ing" -> "ing" matches; "Ġher" -> " her" does not match "her"
         assert float(rows[1][2]) == pytest.approx(1 / 3)
+
+    def test_each_vocabulary_freed_once_normalized(self, tmp_path, monkeypatch):
+        # Only the normalized sets are kept: each Vocabulary is dead before
+        # its breakdown runs and before the next file is loaded.
+        from tokenlens import analysis, vocab
+
+        paths = [self.make_vocab(tmp_path, n, [n.encode(), b"##" + n.encode() * 2]) for n in "abc"]
+        loaded, events = [], []
+        load, breakdown = vocab.load_vocab, analysis.vocab_breakdown
+
+        def recording_load(path):
+            events.append(("load", [r() is None for r in loaded]))
+            v = load(path)
+            loaded.append(weakref.ref(v))
+            return v
+
+        def recording_breakdown(tokens, label=""):
+            events.append(("breakdown", [r() is None for r in loaded]))
+            return breakdown(tokens, label=label)
+
+        monkeypatch.setattr(vocab, "load_vocab", recording_load)
+        monkeypatch.setattr(analysis, "vocab_breakdown", recording_breakdown)
+        rc = main(["compare", *[f"--vocab={n}={p}" for n, p in zip("abc", paths)],
+                   "--breakdown", str(tmp_path / "c.tsv"), "--out", str(tmp_path / "m.csv")])
+        assert rc == 0
+        assert events == [
+            ("load", []), ("breakdown", [True]),
+            ("load", [True]), ("breakdown", [True, True]),
+            ("load", [True, True]), ("breakdown", [True, True, True]),
+        ]
+
+    def test_no_breakdown_without_the_option(self, tmp_path, monkeypatch):
+        from tokenlens import analysis
+
+        def no_breakdown(*args, **kwargs):
+            raise AssertionError("vocab_breakdown called")
+
+        monkeypatch.setattr(analysis, "vocab_breakdown", no_breakdown)
+        a = self.make_vocab(tmp_path, "a", [b"ing"])
+        b = self.make_vocab(tmp_path, "b", [b"##ing"])
+        assert main(["compare", "--vocab", f"a={a}", "--vocab", f"b={b}", "--out", str(tmp_path / "m.csv")]) == 0
 
     def test_no_normalize_flag(self, tmp_path):
         a = self.make_vocab(tmp_path, "a", [b"ing"])
@@ -744,6 +786,107 @@ class TestAugmentCommand:
         assert rc == 1
         assert "k must be in 1..5, got 99999" in capsys.readouterr().err
         assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    def test_layer_above_depth_reported_before_a_single_token_char(self, tmp_path, capsys, byte_level_files):
+        bf = byte_level_files
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", "knn:1@0,linreg@9", "--chars", "aé",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: strategy linreg@9: layer 9 outside 0..1\n"
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    def test_single_token_char_reported_before_a_non_finite_reference(self, tmp_path, capsys, byte_level_files):
+        bf = byte_level_files
+        m4 = np.random.default_rng(5).normal(size=read_matrix(bf["embeddings"]).shape)
+        m4[2] = np.nan
+        m4path = str(tmp_path / "layer4.mat")
+        write_matrix(m4path, m4, layer=4)
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", f"matrices:4={m4path}", "--grid", "linreg@4,knn:4@4", "--chars", "éa",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: character 'a' encodes to a single token; nothing to derive\n"
+        )
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    @pytest.mark.parametrize("grid", ["knn:2@1,linreg@1", "knn:2@1,local:3@0"])
+    def test_tokenizer_freed_before_the_first_reference(self, tmp_path, byte_level_files, monkeypatch, grid):
+        from tokenlens import cli, embedding, vocab
+
+        made = []  # the Vocabulary, MergeRuleList and TokenizerHandle
+        for module, name in ((vocab, "load_vocab"), (vocab, "load_merges"), (cli, "bpe_tokenizer")):
+            real = getattr(module, name)
+
+            def recording(*args, real=real, **kwargs):
+                obj = real(*args, **kwargs)
+                made.append(weakref.ref(obj))
+                return obj
+
+            monkeypatch.setattr(module, name, recording)
+        alive = []
+        build = embedding.build_reference
+
+        def checking(*args):
+            alive.append([r() is not None for r in made])
+            return build(*args)
+
+        monkeypatch.setattr(embedding, "build_reference", checking)
+        bf = byte_level_files
+        assert main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                     "--encoder", "toy:0:1:3", "--grid", grid,
+                     "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")]) == 0
+        assert len(made) == 3
+        assert alive and alive == [[False] * 3] * len(alive)
+
+    @pytest.mark.parametrize(
+        "grid,dtype",
+        [("knn:2@1,linreg@1", np.float64), ("linreg@0", np.float64),
+         ("knn:2@1,local:3@1", np.float32), ("knn:1@0", np.float32)],
+    )
+    def test_v0_held_once(self, tmp_path, byte_level_files, monkeypatch, grid, dtype):
+        # With a linreg cell, V0 is widened before the encoder is built: the
+        # encoder holds the float64 array, the fit reads it as it is, and
+        # the float32 array read from the file is gone. Otherwise V0 stays
+        # the float32 array it was read as.
+        from tokenlens import embedding
+
+        bf = byte_level_files
+        m1path = str(tmp_path / "layer1.mat")
+        write_matrix(m1path, np.random.default_rng(5).normal(size=read_matrix(bf["embeddings"]).shape), layer=1)
+        encoders, targets, read, alive = [], [], [], []
+        lookup, fit, read_matrix_, build = (
+            embedding.LookupEncoder, embedding._fit_affine, embedding.read_matrix, embedding.build_reference
+        )
+
+        class RecordingEncoder(lookup):
+            def __init__(self, *args):
+                super().__init__(*args)
+                encoders.append(self)
+
+        def recording_read(path):
+            arr = read_matrix_(path)
+            if path == bf["embeddings"]:
+                read.append(weakref.ref(arr))
+            return arr
+
+        def recording_build(*args):
+            alive.append(read[0]() is not None)
+            return build(*args)
+
+        monkeypatch.setattr(embedding, "LookupEncoder", RecordingEncoder)
+        monkeypatch.setattr(embedding, "_fit_affine", lambda design, y, *rest: targets.append(y) or fit(design, y, *rest))
+        monkeypatch.setattr(embedding, "read_matrix", recording_read)
+        monkeypatch.setattr(embedding, "build_reference", recording_build)
+        assert main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                     "--encoder", f"matrices:1={m1path}", "--grid", grid,
+                     "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")]) == 0
+        (enc,) = encoders
+        assert enc._v0.dtype == dtype
+        assert alive == [dtype == np.float32] * len(alive)
+        if "linreg" in grid:
+            assert np.shares_memory(targets[0], enc._v0)
 
     def test_non_finite_reference_exits_one_with_no_plan(self, tmp_path, capsys, byte_level_files):
         bf = byte_level_files

@@ -79,7 +79,7 @@ def oracle_nearest(h, vl, k, metric):
 def oracle_sentence_similarity(enc, v0, sentence, tok, plan, last_layer):
     """One sentence under one plan: both sides encoded and pooled inline,
     each row converted to float64 on its own."""
-    augmented = encode_augmented(sentence, tok, plan)
+    augmented = encode_augmented(sentence, tok, plan.tokens)
     if all(kind == "old" for kind, _ in augmented):
         return 1.0
     u = enc.encode_to_layer(np.asarray(v0[tok.encode(sentence)], dtype=np.float64), last_layer).mean(axis=0)
@@ -95,7 +95,7 @@ def oracle_fraction_new_tokens(corpus, tok, plan):
     new = 0
     total = 0
     for doc in corpus:
-        for kind, _ in encode_augmented(doc, tok, plan):
+        for kind, _ in encode_augmented(doc, tok, plan.tokens):
             total += 1
             if kind == "new":
                 new += 1
@@ -504,6 +504,19 @@ class TestPooledHidden:
             pooled_hidden(enc, np.array([[np.nan, 0.0]]), 0)
 
 
+class TestAllFinite:
+    @pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_isfinite_over_the_whole_matrix(self, rows, dtype):
+        m = np.zeros((rows, 2), dtype=dtype)
+        assert embedding.all_finite(m) is True
+        for row in {0, rows // 2, 1023, 1024, rows - 1} & set(range(rows)):
+            for bad in (np.nan, np.inf, -np.inf):
+                m[row, 1] = bad
+                assert embedding.all_finite(m) is False == np.all(np.isfinite(m))
+                m[row, 1] = 0.0
+
+
 class TestBuildReference:
     def test_layer_zero_is_a_copy(self):
         enc = toy_encoder(seed=0, depth=1, dim=2)
@@ -744,6 +757,17 @@ class TestDeriveKnn:
         vl2[7] = vl2[2]
         out = derive_knn(vl2[2], v0, vl2, 5)
         assert np.allclose(out, (v0[2] + v0[7]) / 2, rtol=1e-15)
+
+    def test_three_equal_float32_hits_average_to_the_row(self):
+        # float32's own mean of three rows of 0.9 is 0.8999999 (3 * 0.9
+        # rounds); the hits are averaged in float64, so the mean of equal
+        # rows is the row, and a float32 V0 and its widening agree.
+        v0 = np.array([[0.9, 1.7, -0.9]] * 3 + [[5.0, 5.0, 5.0]], dtype=np.float32)
+        assert np.float32(0.9) not in v0[:3].mean(axis=0)
+        for vl in (v0, v0.astype(np.float64)):
+            for rows in (v0, v0.astype(np.float64)):
+                out = derive_knn(np.asarray(vl[0], dtype=np.float64), rows, vl, 3)
+                assert_bitwise(out, v0[0].astype(np.float64))
 
     def test_inverse_distance_weighting_hand_value(self):
         v0 = np.array([[0.0], [10.0]])
@@ -1060,6 +1084,65 @@ class TestAugment:
         assert len(built) == 2
         assert alive == [0, 0]
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("lookup", [False, True])
+    def test_float32_v0_and_its_widening_give_the_same_plans(self, byte_tok, lookup, metric):
+        # The CLI widens V0 to float64 when a grid holds linreg. Rows 2, 3
+        # and 4 (Ã, © and ¨) are equal, so at layer 0 both characters hit
+        # all three exactly.
+        vocab, tok = byte_tok
+        v0 = np.random.default_rng(13).normal(size=(len(vocab), 3)).astype(np.float32)
+        v0[2:5] = [0.9, 1.7, -0.9]
+        m1 = np.random.default_rng(14).normal(size=v0.shape).astype(np.float32)
+        strategies = [
+            DerivationStrategy(kind, layer, k)
+            for layer in (0, 1)
+            for kind, k in (("knn", 3), ("linreg", None), ("local_linreg", 3))
+        ]
+        plans = []
+        for v in (v0, v0.astype(np.float64)):
+            enc = LookupEncoder(v, {1: m1}) if lookup else toy_encoder(0, 1, 3)
+            plans.append(augment(tok, v, enc, {"é", "è"}, strategies, metric))
+        for narrow, wide in zip(*plans):
+            assert_bitwise(narrow.vectors, wide.vectors)
+
+    def test_cosine_converts_the_reference_once_per_strategy(self, setting, monkeypatch):
+        tok, v0 = setting
+        m1 = np.random.default_rng(9).normal(size=v0.shape).astype(np.float32)
+        enc = LookupEncoder(v0.astype(np.float32), {1: m1})
+        seen = []
+        distances = embedding._distances
+
+        def recording(h, vl, metric):
+            seen.append(vl)
+            return distances(h, vl, metric)
+
+        monkeypatch.setattr(embedding, "_distances", recording)
+        strategies = [DerivationStrategy("knn", 1, 2), DerivationStrategy("local_linreg", 1, 3)]
+        augment(tok, v0.astype(np.float32), enc, {"é", "è"}, strategies, "cosine")
+        # Two characters per strategy: one float64 array each, shared by
+        # both of its characters.
+        assert len(seen) == 4
+        assert seen[0] is seen[1] and seen[2] is seen[3]
+        assert all(vl.dtype == np.float64 for vl in seen)
+
+    def test_cosine_over_a_float32_reference_matches_the_per_character_oracle(self, setting):
+        tok, v0 = setting
+        v0 = v0.astype(np.float32)
+        m1 = np.random.default_rng(9).normal(size=v0.shape).astype(np.float32)
+        enc = LookupEncoder(v0, {1: m1})
+        strategies = [DerivationStrategy("knn", 1, 2), DerivationStrategy("local_linreg", 1, 3)]
+        grid = augment(tok, v0, enc, {"é", "è"}, strategies, "cosine")
+        # The public one-query functions convert the float32 reference on
+        # each call.
+        vl = build_reference(enc, v0, 1)
+        assert vl.dtype == np.float32
+        pooled = [pooled_hidden(enc, v0[tok.encode(ch)], 1) for ch in grid[0].tokens]
+        assert_bitwise(grid[0].vectors, np.array([derive_knn(h, v0, vl, 2, "cosine") for h in pooled]))
+        assert_bitwise(
+            grid[1].vectors, np.array([derive_local_linreg(h, v0, vl, 3, metric="cosine") for h in pooled])
+        )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_reference_rejected(self, setting, bad):
         tok, v0 = setting
@@ -1091,21 +1174,21 @@ class TestEncodeAugmented:
 
     def test_substitution_and_runs(self, planned):
         tok, plan = planned
-        items = encode_augmented("aébè", tok, plan)
+        items = encode_augmented("aébè", tok, plan.tokens)
         assert items == [("old", 0), ("new", 1), ("old", 1), ("new", 0)]
 
     def test_adjacent_planned_chars(self, planned):
         tok, plan = planned
-        assert encode_augmented("éè", tok, plan) == [("new", 1), ("new", 0)]
+        assert encode_augmented("éè", tok, plan.tokens) == [("new", 1), ("new", 0)]
 
     def test_no_planned_chars_matches_base_encoding(self, planned):
         tok, plan = planned
-        items = encode_augmented("ab", tok, plan)
+        items = encode_augmented("ab", tok, plan.tokens)
         assert items == [("old", t) for t in tok.encode("ab")]
 
     def test_empty_text(self, planned):
         tok, plan = planned
-        assert encode_augmented("", tok, plan) == []
+        assert encode_augmented("", tok, plan.tokens) == []
 
 
 class TestEvalSimilarity:
@@ -1120,13 +1203,13 @@ class TestEvalSimilarity:
 
     def test_untouched_sentence_is_exactly_one(self, linear_setting):
         tok, enc, v0, plan = linear_setting
-        assert eval_similarity(enc, v0, None, encode_augmented("ab", tok, plan), plan, 1) == 1.0
+        assert eval_similarity(enc, v0, None, encode_augmented("ab", tok, plan.tokens), plan, 1) == 1.0
 
     def test_linear_encoder_equal_group_sizes_near_one(self, linear_setting):
         tok, enc, v0, plan = linear_setting
         # both planned chars have exactly two constituent tokens
         before = pooled_hidden(enc, v0[tok.encode("éè")], 1)
-        sim = eval_similarity(enc, v0, before, encode_augmented("éè", tok, plan), plan, 1)
+        sim = eval_similarity(enc, v0, before, encode_augmented("éè", tok, plan.tokens), plan, 1)
         assert sim == pytest.approx(1.0, abs=1e-6)
 
     def test_nonlinear_encoder_similarity_below_one(self, byte_tok):
@@ -1136,7 +1219,7 @@ class TestEvalSimilarity:
         enc = toy_encoder(seed=3, depth=2, dim=3)
         plan = augment(tok, v0, enc, {"é"}, [DerivationStrategy("knn", 0, 1)])[0]
         before = pooled_hidden(enc, v0[tok.encode("aéb")], 2)
-        sim = eval_similarity(enc, v0, before, encode_augmented("aéb", tok, plan), plan, 2)
+        sim = eval_similarity(enc, v0, before, encode_augmented("aéb", tok, plan.tokens), plan, 2)
         assert -1.0 <= sim < 1.0
 
     def test_empty_sentence_is_error(self, linear_setting):
@@ -1186,11 +1269,11 @@ class TestCorpusLevelMetrics:
     def test_fraction_new_tokens_hand_value(self, setting):
         tok, _, _, plan = setting
         corpus = ("aé", "é")
-        assert fraction_new_tokens(encode_augmented(doc, tok, plan) for doc in corpus) == 2 / 3
+        assert fraction_new_tokens(encode_augmented(doc, tok, plan.tokens) for doc in corpus) == 2 / 3
 
     def test_fraction_zero_when_untouched(self, setting):
         tok, _, _, plan = setting
-        assert fraction_new_tokens([encode_augmented("ab", tok, plan)]) == 0.0
+        assert fraction_new_tokens([encode_augmented("ab", tok, plan.tokens)]) == 0.0
 
     @pytest.mark.parametrize(
         "corpus,message", [([], "corpus is empty"), ([[]], "corpus produced no tokens")]
@@ -1232,7 +1315,7 @@ class TestFractionFromItems:
         for (_, fraction), plan in zip(results, plans):
             oracle = oracle_fraction_new_tokens(corpus, self.TOK, plan)
             assert fraction == oracle
-            assert fraction_new_tokens(encode_augmented(doc, self.TOK, plan) for doc in corpus) == oracle
+            assert fraction_new_tokens(encode_augmented(doc, self.TOK, plan.tokens) for doc in corpus) == oracle
 
 
 class TestCorpusSimilarityGrid:

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import tempfile
 
 import pytest
@@ -14,6 +15,7 @@ from tokenlens.vocab import (
     MergeRule,
     MergeRuleList,
     Vocabulary,
+    _reject_first_bad_id,
     load_merges,
     load_vocab,
     save_merges,
@@ -300,6 +302,75 @@ class TestLoadersMatchOracles:
             assert [rebuilt[i] for i in range(len(got))] == list(got)
             assert all(type(rule) is MergeRule for rule in got)
             assert got.rank_index() == oracle_rank_index(got)
+
+
+def by_id_load_vocab(path: str) -> Vocabulary:
+    """load_vocab's JSON path before its in-order shortcut: every id goes
+    through an id -> token dict, checked for min and max, and is looked up
+    again by rank."""
+    with reading(path):
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+            obj = json.loads(f.read())
+        if not {int}.issuperset(map(type, obj.values())):
+            _reject_first_bad_id(obj)
+        by_id = dict(zip(obj.values(), obj))
+        if len(by_id) != len(obj):
+            _reject_first_bad_id(obj)
+        if min(by_id, default=0) != 0 or max(by_id, default=-1) != len(by_id) - 1:
+            raise ToolkitError("token ids are not dense 0..n-1")
+        return Vocabulary([str_to_token(by_id[i]) for i in range(len(by_id))])
+
+
+@st.composite
+def json_vocab_files(draw):
+    """A JSON object of token -> id whose ids run 0..n-1 in file order or
+    shuffled, and in half of the objects some entries are given a gap, a
+    repeated id, true or false."""
+    tokens = draw(st.lists(_TOKEN_BYTES.filter(len), max_size=8, unique=True))
+    ids: list = list(range(len(tokens)))
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(ids)
+    keep = ["keep"] * (99 if draw(st.booleans()) else 3)
+    for i in range(len(ids)):
+        change = draw(st.sampled_from(keep + ["gap", "repeat", "true", "false"]))
+        if change == "gap":
+            ids[i] = len(ids) + draw(st.integers(0, 2))
+        elif change == "repeat" and i:
+            ids[i] = ids[draw(st.integers(0, i - 1))]
+        elif change in ("true", "false"):
+            ids[i] = change == "true"
+    return json.dumps(dict(zip(map(token_to_str, tokens), ids)), ensure_ascii=True).encode()
+
+
+class TestLoadVocabInOrderShortcut:
+    """load_vocab takes a JSON object whose ids run 0..n-1 in file order
+    as it stands; every other object still goes through the id dict."""
+
+    @given(json_vocab_files())
+    def test_matches_the_by_id_loader(self, data):
+        got, expected = file_outcomes(load_vocab, by_id_load_vocab, data)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "ids,error",
+        [
+            ([0, 1, 2], None),
+            ([0, 2, 1], None),
+            ([0, 1, 3], "token ids are not dense 0..n-1"),
+            ([0, 1, 1], "duplicate id 1"),
+            ([0, True, 2], "id for 'b' is not an integer"),
+            ([False, 1, 2], "id for 'a' is not an integer"),
+        ],
+    )
+    def test_hand_cases(self, tmp_path, ids, error):
+        path = str(tmp_path / "v.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(dict(zip("abc", ids)), f)
+        if error is None:
+            assert load_vocab(path).tokens() == [b"abc"[i : i + 1] for i in sorted(range(3), key=ids.__getitem__)]
+        else:
+            with pytest.raises(ToolkitError, match="^" + re.escape(f"{path}: {error}") + "$"):
+                load_vocab(path)
 
 
 class TestVocabFiles:
