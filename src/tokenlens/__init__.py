@@ -76,7 +76,7 @@ _EMBEDDING_NAMES = (
     "all_finite",
     "augment",
     "build_reference",
-    "check_layers",
+    "check_strategies",
     "constituent_ids",
     "corpus_similarity",
     "derive_knn",

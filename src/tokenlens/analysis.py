@@ -153,16 +153,23 @@ def vocab_breakdown(tokens: Collection[bytes], label: str = "") -> VocabBreakdow
     UTF-8, and through recover_utf8_chars otherwise; characters are bucketed
     by encoded length 1..4 and counted across distinct Unicode blocks.
 
-    Each token is decoded once, with surrogateescape: a token that is not
-    valid UTF-8 decodes to at least one escape (U+DC80..U+DCFF), and valid
-    UTF-8 never decodes to a surrogate, so the escapes pick out exactly the
-    tokens that need recover_utf8_chars.
+    The tokens are decoded in one call, joined by b"\n", with
+    surrogateescape: the byte 0x0A ends any partial sequence, so the text is
+    the tokens' own decodings joined by "\n", and "\n" is a character of
+    the set only if the text holds more than len(tokens) - 1 of them. A
+    token that is not valid UTF-8 decodes to at least one escape
+    (U+DC80..U+DCFF), and valid UTF-8 never decodes to a surrogate; when
+    escapes occur, each token is decoded on its own, and the escapes pick
+    out exactly the tokens that need recover_utf8_chars.
     """
     by_len = Counter(map(len, tokens))
     tokens_by_len = {n: by_len[n] for n in range(1, 8)}
-    decoded = [token.decode("utf-8", "surrogateescape") for token in tokens]
-    chars = set("".join(decoded))
+    joined = b"\n".join(tokens).decode("utf-8", "surrogateescape")
+    chars = set(joined)
+    if joined.count("\n") == len(tokens) - 1:
+        chars.discard("\n")
     if not _ESCAPES.isdisjoint(chars):
+        decoded = [token.decode("utf-8", "surrogateescape") for token in tokens]
         chars = set("".join(text for text in decoded if _ESCAPES.isdisjoint(text)))
         for token, text in zip(tokens, decoded):
             if not _ESCAPES.isdisjoint(text):

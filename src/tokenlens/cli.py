@@ -400,7 +400,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     # plans share their tokens, so their new-token fraction is counted over
     # those before any plan exists, and the tokenizer (its vocabulary, merge
     # list and rank index) is freed before the first reference is built.
-    embedding.check_layers(enc, strategies)
+    embedding.check_strategies(enc, strategies, len(v0))
     tokens, char_ids = embedding.constituent_ids(tok, chars)
     fraction = embedding.fraction_new_tokens(embedding.encode_augmented(doc, tok, tokens) for doc in corpus)
     del tok

@@ -50,7 +50,7 @@ __all__ = [
     "DerivationStrategy",
     "AugmentationPlan",
     "select_oov_chars",
-    "check_layers",
+    "check_strategies",
     "constituent_ids",
     "derive_plans",
     "augment",
@@ -249,8 +249,8 @@ def pooled_hidden(enc: LayerEncoder, embeddings: np.ndarray, layer: int) -> np.n
     return enc.encode_to_layer(arr, layer).mean(axis=0)
 
 
-# Rows per block of build_reference and of the euclidean distance pass:
-# their temporaries are _ROW_BLOCK x dim, not n_tokens x dim.
+# Rows per block of build_reference and of the euclidean screen and
+# distances: their temporaries are _ROW_BLOCK x dim, not n_tokens x dim.
 _ROW_BLOCK = 1024
 
 
@@ -289,6 +289,8 @@ def all_finite(matrix: np.ndarray) -> bool:
 
 
 def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
+    """The distance from h to every row of vl: euclidean for the rows _screen
+    keeps, cosine for every row of a float64 reference."""
     if metric == "euclidean":
         # np.linalg.norm(vl - h, axis=1)'s operations on each row (subtract
         # in float64, square, add.reduce, sqrt), run in place in one block
@@ -313,17 +315,141 @@ def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
     raise ToolkitError(f"unknown distance metric {metric!r}")
 
 
+# The euclidean screen. For a reference row r and a query h of dimension n,
+# let a = |r|^2, b = |h|^2, q = r.h and D^2 = a - 2q + b = |r - h|^2, all
+# exact; let s be the sum _distances takes the square root of, and
+# d = fl(sqrt(s)) the distance it returns; u = 2^-53. The screen computes
+# w = fl(a' + b') and e = fl(w - 2q'), where a', b' and q' are dot products
+# summed in whatever order, blocking and kernel (SIMD, FMA or not) the
+# product chooses, and bounds s by e -/+ margin, where
+# margin = (4n + 32)u*w + (n + 1)2^-1071. The relative part covers, with
+# |q| <= sqrt(ab) <= (a + b)/2 and D^2 <= (sqrt(a) + sqrt(b))^2 <= 2(a + b):
+#   1. the products: a sum of n products in any order is within
+#      gamma_n = nu/(1 - nu) of the sum of their absolute values (Higham,
+#      Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1), so with
+#      the roundings of w and e, |e - D^2| <= (2 gamma_n + 3u)(a + b);
+#   2. the rounding of s itself: one rounding of each difference, two of each
+#      square's, and a sum of n nonnegative terms in any order, so
+#      |s - D^2| <= gamma_(n+2) D^2 <= 2 gamma_(n+2)(a + b);
+#   3. sqrt ties: s > s'(1 + 8u) implies fl(sqrt(s)) > fl(sqrt(s')), while two
+#      values of s closer than that may share one d, and then the row index,
+#      not s, decides. A dropped row has e - margin > kth >= s_k, the k-th
+#      smallest s, and e <= 2(a + b)(1 + 4n u), so 16u(a + b) of its margin
+#      puts its s above s_k(1 + 8u): its d is above the k-th d, not tied;
+#   4. the roundings of margin and of e -/+ margin: 2u(a + b) each.
+# That is (4n + 25)u(a + b); w >= (a + b)(1 - gamma_(n+1)), and the other 7u
+# cover the terms in n^2 u^2 while n < 2^20. The absolute part covers
+# underflow: a product or square that falls below 2^-1022 loses up to
+# 2^-1075 beyond the relative bounds, at most 8n + 4 times in all.
+# A row or query whose computed squared norm is not below 2^1019 (huge,
+# infinite or NaN values) gets NaN bounds. Elsewhere w < 2^1020, so |e| and
+# e + margin stay below 2^1022 and neither e, nor s, nor a partial sum of s
+# overflows. partition sorts a NaN upper bound last, and ~(lower > kth)
+# keeps a NaN lower bound's row. So every row _screen drops has d above the
+# k-th smallest d, and none can be among the first k in (d, row index)
+# order.
+_SCREEN_HUGE = 2.0**1019
+
+
+def _screen(queries: np.ndarray, vl: np.ndarray, k: int) -> list[np.ndarray]:
+    """For each of the m >= 1 queries (rows of queries, float64), the rows of
+    vl, ascending, that may be among its k nearest by euclidean distance.
+
+    One pass over vl, _ROW_BLOCK rows at a time, takes each block's row
+    norms and one product with every query (see the proof above), keeps each
+    query's k smallest upper bounds so far, and records every row whose
+    lower bound is not above its query's k-th of them; the k-th smallest
+    upper bound only falls as rows are added, so the rows kept in the end,
+    those whose lower bound is not above its final value, are all recorded.
+    The product is einsum's, not BLAS's: a BLAS product may run on several
+    threads, and on a host that is slow to wake an idle CPU every call can
+    stall for milliseconds."""
+    m, dim = queries.shape
+    rel = (4 * dim + 32) * 2.0**-53
+    floor = (dim + 1) * 2.0**-1071
+    query_norms = np.einsum("ij,ij->i", queries, queries)
+    huge_queries = ~(query_norms < _SCREEN_HUGE)
+    best = np.empty((m, 0))
+    kth = np.full((m, 1), np.inf)
+    found = []
+    for start in range(0, len(vl), _ROW_BLOCK):
+        block = np.asarray(vl[start : start + _ROW_BLOCK], dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.einsum("ij,ij->i", block, block)
+            e = np.einsum("qj,ij->qi", queries, block)
+            e *= -2.0
+            margin = query_norms[:, None] + norms  # w
+            e += margin  # fl(w - 2q'), as doubling is exact
+            e[huge_queries] = np.nan
+            e[:, ~(norms < _SCREEN_HUGE)] = np.nan
+            margin *= rel
+            margin += floor
+        best = np.concatenate([best, e + margin], axis=1)
+        if best.shape[1] >= k:
+            best = np.partition(best, k - 1, axis=1)[:, :k]
+            kth = best[:, k - 1 :]
+        e -= margin
+        q, r = np.nonzero(~(e > kth))
+        found.append((q, r + start, e[q, r]))
+    q, r, lower = (np.concatenate(parts) for parts in zip(*found))
+    keep = ~(lower > kth[q, 0])
+    q, r = q[keep], r[keep]
+    order = np.argsort(q, kind="stable")
+    return np.split(r[order], np.searchsorted(q[order], np.arange(1, m)))
+
+
 def _nearest(h: np.ndarray, vl: np.ndarray, k: int, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    d = _distances(np.asarray(h, dtype=np.float64), np.asarray(vl), metric)
-    # Exact brute force; ties resolved by row index so results never depend
-    # on sort internals. Only rows no farther than the k-th distance can be
-    # among the first k of the full (distance, index) order, so only they are
-    # sorted; NaN sorts last in both partition and lexsort, and a NaN k-th
-    # distance keeps every row.
-    kth = np.partition(d, k - 1)[k - 1]
-    cand = np.flatnonzero(~(d > kth))
-    order = cand[np.lexsort((cand, d[cand]))][:k]
-    return order, d[order]
+    """The k nearest rows of vl to h and their distances, nearest first, in
+    (distance, row index) order; NaN distances sort last.
+
+    h is one query, (dim,), giving two (k,) arrays, or a stack of m queries,
+    (m, dim), giving (m, k) arrays, each row bitwise what its query gives
+    alone. euclidean measures only the rows _screen keeps for a query (a
+    float32 vl is converted a block at a time); cosine converts a float32 vl
+    to float64 once per call and measures every row (not a block at a time,
+    since vl @ h over row blocks may round differently)."""
+    hv = np.asarray(h, dtype=np.float64)
+    queries = hv.reshape(-1, hv.shape[-1])
+    if metric == "euclidean":
+        kept = _screen(queries, vl, k) if len(queries) else []
+        measured = (
+            (rows, np.concatenate([
+                _distances(query, vl[rows[start : start + _ROW_BLOCK]], metric)
+                for start in range(0, len(rows), _ROW_BLOCK)
+            ]))
+            for query, rows in zip(queries, kept)
+        )
+    elif metric == "cosine":
+        ref = np.asarray(vl, dtype=np.float64)
+        every = np.arange(len(ref))
+        measured = ((every, _distances(query, ref, metric)) for query in queries)
+    else:
+        raise ToolkitError(f"unknown distance metric {metric!r}")
+    idx = np.empty((len(queries), k), dtype=np.intp)
+    dists = np.empty((len(queries), k))
+    for i, (rows, d) in enumerate(measured):
+        # Exact brute force over the measured rows; ties resolved by row
+        # index so results never depend on sort internals. Only rows no
+        # farther than the k-th distance can be among the first k of the
+        # (distance, index) order, so only they are sorted; NaN sorts last in
+        # both partition and lexsort, and a NaN k-th distance keeps every row.
+        kth = np.partition(d, k - 1)[k - 1]
+        keep = ~(d > kth)
+        rows, d = rows[keep], d[keep]
+        order = np.lexsort((rows, d))[:k]
+        idx[i], dists[i] = rows[order], d[order]
+    return (idx, dists) if hv.ndim == 2 else (idx[0], dists[0])
+
+
+def _each_query(fn, hv: np.ndarray, idx: np.ndarray, dists: np.ndarray, dim: int) -> np.ndarray:
+    """fn(query, its idx, its dists) for one query, or, for a stack, one
+    float64 (m, dim) array of its results."""
+    if hv.ndim == 1:
+        return fn(hv, idx, dists)
+    out = np.empty((len(hv), dim))
+    for i in range(len(hv)):
+        out[i] = fn(hv[i], idx[i], dists[i])
+    return out
 
 
 def derive_knn(
@@ -331,13 +457,21 @@ def derive_knn(
 ) -> np.ndarray:
     """Inverse-distance-weighted mean of the k nearest tokens' embeddings.
 
-    A zero distance makes 1/d undefined, so exact hits short-circuit: the
-    result is the unweighted mean of the zero-distance rows' embeddings
-    (bitwise the embedding itself when there is exactly one)."""
+    h is one pooled vector, (dim,), or a stack of them, (m, dim), which
+    gives one float64 row per vector, bitwise that vector's own result, and
+    finds every vector's neighbours in one call to _nearest. A zero distance
+    makes 1/d undefined, so exact hits short-circuit: the result is the
+    unweighted mean of the zero-distance rows' embeddings (bitwise the
+    embedding itself when there is exactly one)."""
     n = len(vl)
     if not 1 <= k <= n:
         raise ToolkitError(f"k must be in 1..{n}, got {k}")
-    idx, dists = _nearest(_finite_query(h), vl, k, metric)
+    hv = _finite_query(h)
+    idx, dists = _nearest(hv, vl, k, metric)
+    return _each_query(lambda _, i, d: _inverse_distance_mean(v0, i, d), hv, idx, dists, np.shape(v0)[1])
+
+
+def _inverse_distance_mean(v0: np.ndarray, idx: np.ndarray, dists: np.ndarray) -> np.ndarray:
     zero = idx[dists == 0.0]
     if len(zero) == 1:
         return np.array(v0[zero[0]], copy=True)
@@ -410,12 +544,23 @@ def derive_local_linreg(
     metric: str = "euclidean",
 ) -> np.ndarray:
     """Affine map fitted on the k nearest tokens only, samples weighted by
-    exp(-distance), applied to h."""
+    exp(-distance), applied to h.
+
+    h is one pooled vector, (dim,), or a stack of them, (m, dim), which
+    gives one float64 row per vector, bitwise that vector's own result, and
+    finds every vector's neighbours in one call to _nearest; each vector
+    still gets its own fit."""
     n = len(vl)
     if not 2 <= k <= n:
         raise ToolkitError(f"k must be in 2..{n}, got {k}")
     hv = _finite_query(h)
     idx, dists = _nearest(hv, vl, k, metric)
+    return _each_query(lambda q, i, d: _local_fit(q, i, d, v0, vl, ridge), hv, idx, dists, np.shape(v0)[1])
+
+
+def _local_fit(
+    hv: np.ndarray, idx: np.ndarray, dists: np.ndarray, v0: np.ndarray, vl: np.ndarray, ridge: float
+) -> np.ndarray:
     weights = np.exp(-dists)
     mean_w = weights.mean()
     if mean_w > 0:
@@ -487,12 +632,16 @@ def select_oov_chars(corpus: Sequence[str], tok: TokenizerHandle) -> set[str]:
     return out
 
 
-def check_layers(enc: LayerEncoder, strategies: Sequence[DerivationStrategy]) -> None:
+def check_strategies(enc: LayerEncoder, strategies: Sequence[DerivationStrategy], n_tokens: int) -> None:
     """Fail, naming the first such strategy, if a strategy's layer is above
-    enc.depth."""
+    enc.depth or its k is outside the range a reference of n_tokens rows
+    allows (1..n_tokens for knn, 2..n_tokens for local_linreg)."""
     for strat in strategies:
         if strat.layer > enc.depth:
             raise ToolkitError(f"strategy {strat.label()}: layer {strat.layer} outside 0..{enc.depth}")
+        low = {"knn": 1, "local_linreg": 2}.get(strat.kind)
+        if low is not None and not low <= strat.k <= n_tokens:
+            raise ToolkitError(f"strategy {strat.label()}: k {strat.k} outside {low}..{n_tokens}")
 
 
 def constituent_ids(tok: TokenizerHandle, chars: Iterable[str]) -> tuple[tuple[str, ...], list[list[int]]]:
@@ -512,18 +661,6 @@ def constituent_ids(tok: TokenizerHandle, chars: Iterable[str]) -> tuple[tuple[s
     return tokens, char_ids
 
 
-def _derive_neighbours(
-    strat: DerivationStrategy, pooled: list[np.ndarray], v0: np.ndarray, vl: np.ndarray, metric: str
-) -> list[np.ndarray]:
-    # The cosine pass reads the whole reference in float64, so a float32 one
-    # is converted here, once per strategy, and freed on return. It is not
-    # converted a block at a time: vl @ h over row blocks may round differently.
-    ref = np.asarray(vl, dtype=np.float64) if metric == "cosine" else vl
-    if strat.kind == "knn":
-        return ordered_map(lambda h: derive_knn(h, v0, ref, strat.k, metric), pooled)
-    return ordered_map(lambda h: derive_local_linreg(h, v0, ref, strat.k, metric=metric), pooled)
-
-
 def derive_plans(
     v0: np.ndarray,
     enc: LayerEncoder,
@@ -535,35 +672,40 @@ def derive_plans(
     """One plan per strategy, in the order given: tokens[i]'s vector is
     derived from the V0 rows of char_ids[i]. No tokenizer is read here.
 
-    v0 must be a finite 2-D matrix (augment checks it) and every strategy's
-    layer at most enc.depth (check_layers). One distinct layer at a time, in
-    ascending order, the layer-l reference build_reference(enc, v0, l) is
-    built (it must be finite), each character's constituent embeddings are
-    pooled at that layer once, and every strategy at that layer maps the
-    pooled vectors back to input space. Only one reference is held at a
-    time. linreg fits once per strategy on the reference's buffer, whose
-    last column is the bias: a float64 reference is its own design matrix,
-    and a float32 one is converted once; a float64 v0 is the fit's targets
-    as it is. The euclidean neighbor pass reads a float32 reference a block
-    of rows at a time; cosine converts it to float64 once per strategy.
+    v0 must be a finite 2-D matrix (augment checks it), and every strategy's
+    layer and k must pass check_strategies. With no token there is nothing
+    to derive: every plan is empty and no reference is built. Otherwise, one
+    distinct layer at a time, in ascending order, the layer-l reference
+    build_reference(enc, v0, l) is built (it must be finite), each
+    character's constituent embeddings are pooled at that layer once, and
+    every strategy at that layer maps the stack of pooled vectors back to
+    input space. Only one reference is held at a time. linreg fits once per
+    strategy on the reference's buffer, whose last column is the bias: a
+    float64 reference is its own design matrix, and a float32 one is
+    converted once; a float64 v0 is the fit's targets as it is. knn and
+    local_linreg are one call each per strategy, derive_knn or
+    derive_local_linreg over the whole stack, which finds every character's
+    neighbours in one screened pass (euclidean) or converts a float32
+    reference to float64 once (cosine).
 
     Every computation on v0's values is in float64, so a float32 v0 and its
     float64 widening give the same plans, bit for bit."""
-    vectors: list[np.ndarray | None] = [None] * len(strategies)
-    for layer in sorted({s.layer for s in strategies}):
+    vectors = [np.empty((0, v0.shape[1]))] * len(strategies)
+    for layer in sorted({s.layer for s in strategies}) if tokens else ():
         vl = build_reference(enc, v0, layer)
         if not all_finite(vl):
             raise ToolkitError(f"reference at layer {layer} contains non-finite values")
-        pooled = ordered_map(lambda ids: pooled_hidden(enc, v0[ids], layer), char_ids)
+        pooled = np.stack(ordered_map(lambda ids: pooled_hidden(enc, v0[ids], layer), char_ids))
         for i, strat in enumerate(strategies):
             if strat.layer != layer:
                 continue
             if strat.kind == "linreg":
                 theta = _fit_affine(vl.base, v0, None, RIDGE_EPS)
-                rows = [_apply_affine(h, theta) for h in pooled]
+                vectors[i] = np.array([_apply_affine(h, theta) for h in pooled], dtype=np.float64)
+            elif strat.kind == "knn":
+                vectors[i] = derive_knn(pooled, v0, vl, strat.k, metric)
             else:
-                rows = _derive_neighbours(strat, pooled, v0, vl, metric)
-            vectors[i] = np.array(rows, dtype=np.float64).reshape(len(rows), v0.shape[1])
+                vectors[i] = derive_local_linreg(pooled, v0, vl, strat.k, metric=metric)
         del vl  # before the next layer's reference is built
     return [
         AugmentationPlan(tokens=tokens, vectors=vec, strategy=strat, distance_metric=metric)
@@ -582,20 +724,20 @@ def augment(
     """Derive one input embedding per multi-token character with each
     strategy; returns one plan per strategy, in the order given.
 
-    The steps, in this order, each failing before the next starts: a
-    strategy whose layer is above enc.depth fails first, before any
-    character is encoded, with an error naming the strategy (check_layers);
-    then v0 must be a finite 2-D matrix; then each character is encoded once
-    (constituent_ids), and one that encodes to a single token fails before
-    any reference is built; then derive_plans derives every plan from the
-    ids alone. A caller that holds the tokenizer only for this call can run
-    the steps itself and drop the tokenizer before derive_plans, as the CLI
-    does.
+    The steps, in this order, each failing before the next starts: v0 must
+    be a 2-D matrix; then a strategy whose layer is above enc.depth or whose
+    k does not fit v0's rows fails, before any character is encoded, with an
+    error naming the strategy (check_strategies); then v0 must be finite;
+    then each character is encoded once (constituent_ids), and one that
+    encodes to a single token fails before any reference is built; then
+    derive_plans derives every plan from the ids alone. A caller that holds
+    the tokenizer only for this call can run the steps itself and drop the
+    tokenizer before derive_plans, as the CLI does.
     """
-    check_layers(enc, strategies)
     v0 = np.asarray(v0)
     if v0.ndim != 2:
         raise ToolkitError("v0 must be a 2-D matrix")
+    check_strategies(enc, strategies, len(v0))
     if not all_finite(v0):
         raise ToolkitError("v0 contains non-finite values")
     tokens, char_ids = constituent_ids(tok, chars)

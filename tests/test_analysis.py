@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tokenlens.analysis import (
     DEFAULT_RULES,
     NormalizationRules,
+    VocabBreakdownRow,
     comparison_matrix,
     containment,
     jaccard,
@@ -256,6 +257,60 @@ class TestVocabBreakdownMatchesOracle:
         row = vocab_breakdown(frozenset(tokens))
         got = (row.clean_vocab_size, row.distinct_blocks, row.chars_by_byte_len, row.tokens_by_byte_len, row.tokens_gt7)
         assert got == oracle_breakdown(tokens)
+
+
+_ESCAPES = frozenset(map(chr, range(0xDC80, 0xDD00)))
+
+
+def oracle_breakdown_per_token(tokens, label=""):
+    """vocab_breakdown with each token decoded on its own and the
+    decodings joined, as it was before the tokens were decoded in one call."""
+    by_len = {n: sum(len(t) == n for t in tokens) for n in range(1, 8)}
+    decoded = [token.decode("utf-8", "surrogateescape") for token in tokens]
+    chars = set("".join(decoded))
+    if not _ESCAPES.isdisjoint(chars):
+        chars = set("".join(text for text in decoded if _ESCAPES.isdisjoint(text)))
+        for token, text in zip(tokens, decoded):
+            if not _ESCAPES.isdisjoint(text):
+                chars.update(recover_utf8_chars(token))
+    chars_by_len = {n: 0 for n in range(1, 5)}
+    for ch in chars:
+        chars_by_len[char_byte_len(ch)] += 1
+    return VocabBreakdownRow(
+        label=label,
+        clean_vocab_size=len(tokens),
+        distinct_blocks=len({unicode_block(ch) for ch in chars}),
+        chars_by_byte_len=chars_by_len,
+        tokens_by_byte_len=by_len,
+        tokens_gt7=len(tokens) - sum(by_len.values()),
+    )
+
+
+# Lead bytes of every length, continuation bytes and newlines, so that a
+# joined decode would differ if 0x0A did not end a partial sequence, and so
+# that "\n" is sometimes a character of the set and sometimes only the
+# separator.
+_JOIN_PIECES = st.sampled_from(
+    [b"\n", b"\n\n", b"a", "é".encode(), "क".encode(), "😀".encode(), b"\xc3", b"\xe0\xa4", b"\xf0\x9f\x98",
+     b"\x80", b"\xa9", b"\xbf", b"\xff"]
+)
+
+
+class TestVocabBreakdownMatchesPerTokenDecode:
+    @given(st.lists(st.lists(_JOIN_PIECES, min_size=1, max_size=5).map(b"".join), unique=True, max_size=25))
+    def test_any_tokens(self, tokens):
+        tokens = frozenset(tokens)
+        assert vocab_breakdown(tokens, "x") == oracle_breakdown_per_token(tokens, "x")
+
+    @pytest.mark.parametrize(
+        "tokens, newline",
+        [([b"a", b"b"], False), ([b"a", b"\n"], True), ([b"\n"], True), ([b"a\nb"], True), ([], False),
+         ([b"\xe0", b"\n\xa4"], False), ([b"\n", b"\xa4"], True), ([b"\xe0", b"\xa4"], False)],
+    )
+    def test_newline_is_a_character_only_when_a_token_holds_one(self, tokens, newline):
+        row = vocab_breakdown(frozenset(tokens))
+        assert row == oracle_breakdown_per_token(frozenset(tokens))
+        assert row.chars_by_byte_len[1] >= newline
 
 
 class TestVocabBreakdown:

@@ -784,8 +784,71 @@ class TestAugmentCommand:
                    "--encoder", "toy:0:1:3", "--grid", f"knn:1@{layer},knn:99999@{layer}",
                    "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
         assert rc == 1
-        assert "k must be in 1..5, got 99999" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: strategy knn:99999@{layer}: k 99999 outside 1..5\n"
         assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("knn:99999@1", "strategy knn:99999@1: k 99999 outside 1..5"),
+         ("knn:2@1,local:6@0", "strategy local_linreg:6@0: k 6 outside 2..5")],
+    )
+    def test_oversized_k_exits_one_before_any_reference(self, tmp_path, capsys, byte_level_files, monkeypatch,
+                                                         grid, message):
+        from tokenlens import embedding
+
+        def no_work(*args):
+            raise AssertionError("a character was encoded or a reference built")
+
+        monkeypatch.setattr(embedding, "build_reference", no_work)
+        monkeypatch.setattr(embedding, "constituent_ids", no_work)
+        bf = byte_level_files
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", grid,
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_grid_failing_second_layer_writes_no_plan(self, tmp_path, capsys, byte_level_files):
+        # Layer 2 is within the depth of a matrices:1,3 encoder but was not
+        # exported: layer 1's plan is derived first, and none is written.
+        bf = byte_level_files
+        paths = []
+        for layer in (1, 3):
+            paths.append(f"{layer}={tmp_path / f'layer{layer}.mat'}")
+            m = np.random.default_rng(layer).normal(size=read_matrix(bf["embeddings"]).shape)
+            write_matrix(str(tmp_path / f"layer{layer}.mat"), m, layer=layer)
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "matrices:" + ",".join(paths), "--grid", "knn:1@1,knn:1@2",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no exported matrix for layer 2\n"
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    @pytest.mark.parametrize("bad", ["nan", "unexported"])
+    def test_empty_character_set_builds_no_reference(self, tmp_path, capsys, byte_level_files, monkeypatch, bad):
+        # With no character to derive, neither a non-finite reference nor a
+        # layer that was not exported fails the run: no reference is built.
+        from tokenlens import embedding
+
+        def no_reference(*args):
+            raise AssertionError("build_reference called")
+
+        monkeypatch.setattr(embedding, "build_reference", no_reference)
+        bf = byte_level_files
+        m = np.random.default_rng(5).normal(size=read_matrix(bf["embeddings"]).shape)
+        if bad == "nan":
+            m[2] = np.nan
+        write_matrix(str(tmp_path / "layer3.mat"), m, layer=3)
+        latin = write_text(tmp_path / "latin.txt", "ab\n")
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", f"matrices:3={tmp_path / 'layer3.mat'}", "--grid", "knn:2@3,linreg@2,local:3@0",
+                   "--corpus", latin, "--out", str(tmp_path / "plan.json")])
+        assert rc == 0
+        assert "every plan is empty" in capsys.readouterr().err
+        for tag in ("knn2-l3", "linreg-l2", "local3-l0"):
+            with open(str(tmp_path / f"plan.{tag}.json"), encoding="utf-8") as f:
+                assert json.load(f)["entries"] == []
+            assert read_matrix(str(tmp_path / f"plan.{tag}.json.mat")).shape == (0, 3)
 
     def test_layer_above_depth_reported_before_a_single_token_char(self, tmp_path, capsys, byte_level_files):
         bf = byte_level_files

@@ -1,6 +1,7 @@
 """Embedding derivation: matrix IO, encoders, the three strategies, plans."""
 
 import base64
+import contextlib
 import dataclasses
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tokenlens.embedding import (
+    RIDGE_EPS,
     AugmentationPlan,
     DerivationStrategy,
     LookupEncoder,
@@ -69,11 +71,47 @@ def oracle_fit_affine(x, y, sample_weights, ridge):
     return np.linalg.solve(gram, moment)
 
 
+def oracle_euclidean(h, vl):
+    """The euclidean distances in one pass over every row."""
+    return np.linalg.norm(vl - h, axis=1)
+
+
+def oracle_cosine(h, vl):
+    """The cosine distances over every row, with the float64 reference's own
+    product and norms."""
+    norms = np.linalg.norm(vl, axis=1) * np.linalg.norm(h)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return 1.0 - np.where(norms > 0, (vl @ h) / norms, 0.0)
+
+
 def oracle_nearest(h, vl, k, metric):
-    """The k first rows of the full (distance, row index) order."""
-    d = _distances(np.asarray(h, dtype=np.float64), np.asarray(vl, dtype=np.float64), metric)
+    """The k first rows of the full (distance, row index) order, one query at
+    a time, with every row's distance taken in one pass."""
+    h = np.asarray(h, dtype=np.float64)
+    vl = np.asarray(vl, dtype=np.float64)
+    d = {"euclidean": oracle_euclidean, "cosine": oracle_cosine}[metric](h, vl)
     order = np.lexsort((np.arange(len(d)), d))[:k]
     return order, d[order]
+
+
+def oracle_derive_knn(h, v0, vl, k, metric="euclidean"):
+    """derive_knn's weighting over oracle_nearest's neighbours, in float64."""
+    idx, dists = oracle_nearest(h, vl, k, metric)
+    v0 = np.asarray(v0)
+    zero = idx[dists == 0.0]
+    if len(zero):
+        return np.asarray(v0[zero], dtype=np.float64).mean(axis=0)
+    weights = 1.0 / dists
+    return (weights[:, None] * np.asarray(v0[idx], dtype=np.float64)).sum(axis=0) / weights.sum()
+
+
+def oracle_derive_local_linreg(h, v0, vl, k, metric="euclidean"):
+    """derive_local_linreg's fit over oracle_nearest's neighbours."""
+    idx, dists = oracle_nearest(h, vl, k, metric)
+    weights = np.exp(-dists)
+    weights = weights / weights.mean() if weights.mean() > 0 else np.ones_like(weights)
+    theta = oracle_fit_affine(np.asarray(vl)[idx], np.asarray(v0)[idx], weights, RIDGE_EPS)
+    return np.append(np.asarray(h, dtype=np.float64), 1.0) @ theta
 
 
 def oracle_sentence_similarity(enc, v0, sentence, tok, plan, last_layer):
@@ -646,11 +684,6 @@ class TestNearest:
         assert_bitwise(got[1], want[1])
 
 
-def oracle_euclidean(h, vl):
-    """The euclidean distances in one pass over every row."""
-    return np.linalg.norm(vl - h, axis=1)
-
-
 class TestDistances:
     # Row counts around the block size: one row, one short of a block, one
     # block, one past it, and three blocks with a short tail.
@@ -668,6 +701,171 @@ class TestDistances:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ToolkitError, match="unknown distance metric 'manhattan'"):
             _distances(np.zeros(2), np.zeros((3, 2)), "manhattan")
+
+
+@st.composite
+def screen_cases(draw, special=True):
+    """A reference, a stack of finite queries and a k for the euclidean
+    screen. Rows are drawn about a centre: duplicates, coordinate
+    permutations and sign flips of one another about the centre (equal
+    exact distances that round apart by a few ulps), one-ulp nudges, the
+    centre itself (an exact hit for a centre query) and, with special, rows
+    holding a NaN, an infinity or a value whose square overflows. Magnitudes
+    are near 1, 1e150 or 1e-160 (1, 1e18 or 1e-20 for a float32 reference),
+    so distances squared run from subnormal to near overflow."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-160] if dtype == np.float64 else [1.0, 1e18, 1e-20]))
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = rng.normal(size=dim) * scale
+    kinds = ["random", "copy", "permute", "flip", "nudge", "center"] + ["special"] * special
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=30)):
+        other = rows[rng.integers(len(rows))].astype(np.float64) if rows else center
+        if kind == "random":
+            row = center + rng.normal(size=dim) * scale
+        elif kind == "copy":
+            row = other
+        elif kind == "permute":
+            row = center + rng.permutation(other - center)
+        elif kind == "flip":
+            row = center + rng.choice([-1.0, 1.0], size=dim) * (other - center)
+        elif kind == "nudge":
+            row = np.nextafter(other.astype(dtype), rng.choice([-np.inf, np.inf], size=dim).astype(dtype))
+        elif kind == "center":
+            row = center
+        else:
+            row = center.copy()
+            row[rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf, 1e300])
+        with np.errstate(over="ignore"):
+            rows.append(np.asarray(row).astype(dtype))
+    vl = np.array(rows)
+    finite = [row.astype(np.float64) for row in vl if np.all(np.isfinite(row))]
+    queries = []
+    for kind in draw(st.lists(st.sampled_from(["center", "row", "random"]), max_size=6)):
+        if kind == "row" and finite:
+            queries.append(finite[rng.integers(len(finite))])
+        elif kind == "random":
+            queries.append(center + rng.normal(size=dim) * scale)
+        else:
+            queries.append(center)
+    queries = np.array(queries, dtype=np.float64).reshape(len(queries), dim)
+    k = draw(st.integers(1, len(vl)))
+    return vl, queries, k
+
+
+@contextlib.contextmanager
+def _block_rows(rows):
+    """A context in which embedding's row blocks hold rows rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "_ROW_BLOCK", rows)
+        yield
+
+
+# Tried in a scratch copy, two mutants of _screen fail the tests below: a
+# zero margin (test_sqrt_ties_are_kept and both hypothesis tests), and
+# keeping rows by lower <= kth, which drops rows of NaN values (the first
+# hypothesis test, test_huge_query_keeps_every_row and TestNearest). A third,
+# the margin without its sqrt-tie term (16u), passes them all, and no input
+# can tell it apart: the rest of the margin is at least (4n + 16)u * w >=
+# 12u * D^2 for n >= 2 on each side, while two squares that share a rounded
+# root differ by at most about 4u * D^2. The term stays because the proof
+# needs it.
+class TestScreen:
+    @given(screen_cases(), st.sampled_from([1, 2, 3, 7, 1024]))
+    def test_stack_matches_full_pass_oracle(self, case, block):
+        vl, queries, k = case
+        with _block_rows(block), np.errstate(all="ignore"):
+            idx, dists = _nearest(queries, vl, k, "euclidean")
+            assert idx.shape == dists.shape == (len(queries), k)
+            for i, h in enumerate(queries):
+                want = oracle_nearest(h, vl, k, "euclidean")
+                assert_bitwise(idx[i], want[0])
+                assert_bitwise(dists[i], want[1])
+                one = _nearest(h, vl, k, "euclidean")
+                assert_bitwise(one[0], want[0])
+                assert_bitwise(one[1], want[1])
+
+    @given(screen_cases(special=False), st.sampled_from([1, 3, 1024]), st.integers(0, 2**32 - 1))
+    def test_derivations_match_full_pass_oracle(self, case, block, seed):
+        vl, queries, k = case
+        v0 = np.random.default_rng(seed).normal(size=(len(vl), 3))
+        with _block_rows(block), np.errstate(all="ignore"):
+            knn = derive_knn(queries, v0, vl, k)
+            want = [oracle_derive_knn(h, v0, vl, k) for h in queries]
+            assert_bitwise(knn, np.array(want).reshape(len(queries), 3))
+            if k < 2:
+                return
+            try:  # a fit on rows far from 1 may be singular
+                want = [oracle_derive_local_linreg(h, v0, vl, k) for h in queries]
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    derive_local_linreg(queries, v0, vl, k)
+                return
+            assert_bitwise(derive_local_linreg(queries, v0, vl, k), np.array(want).reshape(len(queries), 3))
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stack_is_one_call_per_query(self, metric, dtype):
+        rng = np.random.default_rng(40)
+        vl = rng.normal(size=(3079, 16)).astype(dtype)
+        v0 = rng.normal(size=(3079, 4)).astype(np.float32)
+        v0[:3] = v0[3]  # three equal embeddings
+        queries = np.concatenate([rng.normal(size=(30, 16)), vl[[5, 1030, 3078]].astype(np.float64)])
+        for derive, k in ((derive_knn, 8), (derive_local_linreg, 12)):
+            stacked = derive(queries, v0, vl, k, metric=metric)
+            alone = [derive(h, v0, vl, k, metric=metric) for h in queries]
+            assert_bitwise(stacked, np.array(alone, dtype=np.float64))
+        if metric == "euclidean":  # an exact hit alone keeps V0's dtype; a stack widens it
+            assert derive_knn(queries[-1], v0, vl, 8).dtype == np.float32
+
+    def test_random_reference_keeps_only_the_k_nearest(self):
+        rng = np.random.default_rng(41)
+        vl = rng.normal(size=(3079, 64))
+        queries = rng.normal(size=(30, 64))
+        kept = embedding._screen(queries, vl, 8)
+        assert [len(rows) for rows in kept] == [8] * 30
+        for h, rows in zip(queries, kept):
+            assert_bitwise(rows, np.sort(oracle_nearest(h, vl, 8, "euclidean")[0]))
+
+    @pytest.mark.parametrize("k", [1, 5, 3079])
+    def test_k_is_n_and_no_queries(self, k):
+        rng = np.random.default_rng(42)
+        vl = rng.normal(size=(k, 3)).astype(np.float32)
+        v0 = rng.normal(size=(k, 2))
+        idx, dists = _nearest(np.empty((0, 3)), vl, k, "euclidean")
+        assert idx.shape == dists.shape == (0, k) and idx.dtype == np.intp
+        assert derive_knn(np.empty((0, 3)), v0, vl, k).shape == (0, 2)
+        h = rng.normal(size=3)
+        got = _nearest(h[None], vl, k, "euclidean")
+        want = oracle_nearest(h, vl, k, "euclidean")
+        assert_bitwise(got[0][0], want[0])
+        assert_bitwise(got[1][0], want[1])
+
+    def test_sqrt_ties_are_kept(self):
+        # Two rows whose squared distances from the origin are the integers
+        # X + 1 and X, exact near 2^52, share one rounded square root, so the
+        # lower row index comes first although its square is larger.
+        a, b = 2**26 - 1, 2**25 - 2
+        c, d = 2**26 - 2, 2**25
+        big, small = float(a * a + b * b), float(c * c + d * d)
+        assert big == small + 1 and np.sqrt(big) == np.sqrt(small)
+        vl = np.array([[a, b], [c, d], [3.0 * a, 0.0]], dtype=np.float64)
+        idx, dists = _nearest(np.zeros((1, 2)), vl, 1, "euclidean")
+        assert idx.tolist() == [[0]] and dists[0, 0] == np.sqrt(big)
+        assert_bitwise(idx[0], oracle_nearest(np.zeros(2), vl, 1, "euclidean")[0])
+
+    def test_huge_query_keeps_every_row(self):
+        # A query whose squared norm overflows gives NaN bounds: nothing is
+        # screened out, and the exact pass decides.
+        vl = np.array([[1e200, 0.0], [0.0, 1e200], [1.0, 1.0]])
+        h = np.array([1e200, 1.0])
+        with np.errstate(all="ignore"):
+            assert [len(rows) for rows in embedding._screen(h[None], vl, 1)] == [3]
+            got = _nearest(h, vl, 2, "euclidean")
+            want = oracle_nearest(h, vl, 2, "euclidean")
+        assert_bitwise(got[0], want[0])
+        assert_bitwise(got[1], want[1])
 
 
 class TestFitAffine:
@@ -1006,6 +1204,38 @@ class TestAugment:
         strategies = [DerivationStrategy("knn", 0, 1), DerivationStrategy("local_linreg", 2, 3)]
         with pytest.raises(ToolkitError, match=re.escape("strategy local_linreg:3@2: layer 2 outside 0..1")):
             augment(TokenizerHandle("never", no_encode), v0, toy_encoder(0, 1, 3), {"é"}, strategies)
+
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [([DerivationStrategy("knn", 0, 1), DerivationStrategy("knn", 1, 6)], "strategy knn:6@1: k 6 outside 1..5"),
+         ([DerivationStrategy("local_linreg", 0, 6)], "strategy local_linreg:6@0: k 6 outside 2..5"),
+         ([DerivationStrategy("knn", 0, 6), DerivationStrategy("knn", 2, 1)], "strategy knn:6@0: k 6 outside 1..5")],
+    )
+    def test_oversized_k_is_error_before_any_encode(self, setting, monkeypatch, strategies, message):
+        _, v0 = setting
+
+        def no_encode(text):
+            raise AssertionError("tokenizer called")
+
+        monkeypatch.setattr(embedding, "build_reference", no_encode)
+        with pytest.raises(ToolkitError, match=re.escape(message)):
+            augment(TokenizerHandle("never", no_encode), v0, toy_encoder(0, 1, 3), {"é"}, strategies)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_no_character_builds_no_reference(self, setting, monkeypatch, metric):
+        tok, v0 = setting
+
+        def no_reference(*args):
+            raise AssertionError("build_reference called")
+
+        monkeypatch.setattr(embedding, "build_reference", no_reference)
+        strategies = [DerivationStrategy("knn", 1, 2), DerivationStrategy("linreg", 0),
+                      DerivationStrategy("local_linreg", 1, 3)]
+        plans = augment(tok, v0.astype(np.float32), toy_encoder(0, 1, 3), set(), strategies, metric)
+        assert [p.strategy for p in plans] == strategies
+        for plan in plans:
+            assert plan.tokens == () and plan.distance_metric == metric
+            assert_bitwise(plan.vectors, np.empty((0, 3)))
 
     def test_works_with_exported_matrices(self, setting):
         tok, v0 = setting

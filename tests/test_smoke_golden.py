@@ -72,15 +72,16 @@ def _dynamic_openblas() -> bool:
 @pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
 def test_knn_and_linreg_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     # frozen-bytebpe's augment (knn and linreg) and eval steps, each run in a
-    # child under two OpenBLAS kernels, write the same bytes. local_linreg
-    # is left out: its plan still differs between kernels.
+    # child under three OpenBLAS kernels (SSE3, AVX2 and AVX-512), write the
+    # same bytes. local_linreg is left out: its plan still differs between
+    # kernels.
     gen, run = _load("gen"), _load("run")
     facts = gen.generate("frozen-bytebpe", tmp_path / "in", 5, "smoke")
     steps = [s for s in run.STEPS["frozen-bytebpe"](facts) if s.metric in ("augment_s", "eval_s")]
     assert [s.argv[0] for s in steps] == ["augment", "eval"]
     script = "import sys\nfrom tokenlens.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     outputs = {}
-    for core in ("Prescott", "Haswell"):
+    for core in ("Prescott", "Haswell", "SkylakeX"):
         pass_dir = tmp_path / core / "pass"  # run.py's IN = "../in" layout
         pass_dir.mkdir(parents=True)
         (tmp_path / core / "in").symlink_to(tmp_path / "in")
@@ -89,7 +90,7 @@ def test_knn_and_linreg_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
             subprocess.run([sys.executable, "-c", script, *step.argv], cwd=pass_dir, env=env,
                            capture_output=True, check=True)
         outputs[core] = {out: (pass_dir / out).read_bytes() for step in steps for out in step.outputs}
-    assert outputs["Prescott"] == outputs["Haswell"]
+    assert outputs["Prescott"] == outputs["Haswell"] == outputs["SkylakeX"]
 
 
 if __name__ == "__main__":
