@@ -9,10 +9,13 @@ compatibility; nothing depends on it.
 
 The option grammar (required options, either-or pairs, --threads,
 --seed-max-token-len and --min-pair-freq >= 1) lives in the argparse parser
-alone, so --help shows every rule and a breach exits 2.
-Names that label an output's rows or columns must be distinct (_distinct).
-Input files are parsed inside errors.reading, so every error in one names it.
-Tables go through text.write_table.
+alone, so --help shows every rule and a breach exits 2. Every tokenizer,
+encoder and --pair spec goes through one splitter (_split; _KINDS names each
+kind's fields, and only the last field may hold ':'), and each command
+checks all of its specs before it reads any file. Names that label an
+output's rows or columns must be distinct (_distinct). Input files are
+parsed inside errors.reading, so every error in one names it. Tables go
+through text.write_table.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -84,11 +87,9 @@ def _digests(paths: list[str]) -> dict:
 
 
 def _parse_named(value: str, what: str) -> tuple[str, str]:
-    if "=" not in value:
+    name, eq, spec = value.partition("=")
+    if not name or not eq:
         raise ToolkitError(f"{what} must look like NAME={what.upper()}-SPEC, got {value!r}")
-    name, spec = value.split("=", 1)
-    if not name:
-        raise ToolkitError(f"{what} name is empty in {value!r}")
     return name, spec
 
 
@@ -99,49 +100,58 @@ def _distinct(names: list[str], what: str) -> None:
         raise ToolkitError(f"repeated {what}: {', '.join(repeated)}")
 
 
-def _load_tokenizer(name: str, spec: str) -> tuple[TokenizerHandle, list[str]]:
-    """SPEC is one of bpe:VOCAB:MERGES, bpe-bytes:VOCAB:MERGES, ulm:PROBS."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind in ("bpe", "bpe-bytes"):
-        if len(parts) != 3:
-            raise ToolkitError(f"{kind} spec needs vocab and merges paths, got {spec!r}")
-        v = vocab_mod.load_vocab(parts[1])
-        rules = vocab_mod.load_merges(parts[2], v)
-        tok = bpe_tokenizer(name, v, rules, byte_input=(kind == "bpe-bytes"))
-        return tok, [parts[1], parts[2]]
+# Each spec kind -> the names of the fields after its "KIND:".
+_KINDS = {
+    "bpe": ("VOCAB", "MERGES"),
+    "bpe-bytes": ("VOCAB", "MERGES"),
+    "ulm": ("PROBS",),
+    "toy": ("SEED", "DEPTH", "DIM[:linear]"),
+    "matrices": ("LAYER=PATH,...",),
+}
+_TOKENIZER_KINDS = ("bpe", "bpe-bytes", "ulm")
+
+
+def _split(spec: str, what: str, names: tuple[str, ...]) -> list[str]:
+    """SPEC's fields, one per name and none empty; only the last may hold ':'."""
+    fields = spec.split(":", len(names) - 1)
+    if len(fields) < len(names) or "" in fields:
+        raise ToolkitError(f"{what} must be {':'.join(names)}, got {spec!r}")
+    return fields
+
+
+def _parse_spec(spec: str, what: str, kinds: tuple[str, ...]) -> tuple[str, list[str]]:
+    """KIND:FIELD..., with KIND one of KINDS: the kind and its fields."""
+    kind = spec.partition(":")[0]
+    if kind not in kinds:
+        raise ToolkitError(f"unknown {what} kind {kind!r}; known kinds: {', '.join(kinds)}")
+    return kind, _split(spec, f"{kind} spec", (kind, *_KINDS[kind]))[1:]
+
+
+def _load_tokenizer(name: str, kind: str, paths: list[str]) -> TokenizerHandle:
+    """The tokenizer of a parsed spec, read from its files (every field is a path)."""
     if kind == "ulm":
-        if len(parts) != 2:
-            raise ToolkitError(f"ulm spec needs a log-prob JSON path, got {spec!r}")
-        return ulm_tokenizer(name, training.load_probs(parts[1])), [parts[1]]
-    raise ToolkitError(f"unknown tokenizer kind {kind!r}")
+        return ulm_tokenizer(name, training.load_probs(paths[0]))
+    v = vocab_mod.load_vocab(paths[0])
+    return bpe_tokenizer(name, v, vocab_mod.load_merges(paths[1], v), byte_input=(kind == "bpe-bytes"))
 
 
-def _parse_encoder(
-    spec: str,
-) -> tuple[dict, list[str], Callable[[np.ndarray], embedding.LayerEncoder]]:
-    """toy:SEED:DEPTH:DIM[:linear], or matrices:LAYER=PATH[,LAYER=PATH...].
-
-    Checks the spec and reads nothing: a toy encoder needs no file, so it is
-    built here. Returns the encoder's manifest flags, the paths it will read,
-    and a function building it from V0 (the toy's dim is checked there)."""
+def _parse_encoder(spec: str) -> tuple[dict, list[str], Callable[[np.ndarray], embedding.LayerEncoder]]:
+    """Checks an encoder spec and reads nothing. Returns its manifest flags,
+    the paths it will read, and a function building it from V0: a toy encoder
+    needs no file, so it is built here, and its dim is checked against V0's."""
     from . import embedding
 
-    parts = spec.split(":")
-    if parts[0] == "toy":
-        if len(parts) not in (4, 5):
-            raise ToolkitError(f"toy encoder spec is toy:SEED:DEPTH:DIM[:linear], got {spec!r}")
-        linear = False
-        if len(parts) == 5:
-            if parts[4] != "linear":
-                raise ToolkitError(f"unknown toy encoder variant {parts[4]!r}")
-            linear = True
+    kind, fields = _parse_spec(spec, "encoder", ("toy", "matrices"))
+    if kind == "toy":
+        dim_s, linear, variant = fields[2].partition(":")
+        if linear and variant != "linear":
+            raise ToolkitError(f"unknown toy encoder variant {variant!r}")
         try:
-            seed, depth, dim = int(parts[1]), int(parts[2]), int(parts[3])
+            seed, depth, dim = int(fields[0]), int(fields[1]), int(dim_s)
         except ValueError:
             raise ToolkitError(f"toy encoder spec needs integers, got {spec!r}") from None
 
-        toy = embedding.toy_encoder(seed, depth, dim, linear=linear)
+        toy = embedding.toy_encoder(seed, depth, dim, linear=bool(linear))
 
         def build_toy(v0: np.ndarray) -> embedding.LayerEncoder:
             if dim != v0.shape[1]:
@@ -149,32 +159,27 @@ def _parse_encoder(
             return toy
 
         return {"encoder": spec}, [], build_toy
-    if parts[0] == "matrices":
-        rest = spec[len("matrices:") :]
-        if not rest:
-            raise ToolkitError("matrices encoder spec needs LAYER=PATH entries")
-        layer_paths: dict[int, str] = {}
-        for item in rest.split(","):
-            layer_s, eq, path = item.partition("=")
-            if not eq:
-                raise ToolkitError(f"matrices entry must be LAYER=PATH, got {item!r}")
-            try:
-                layer = int(layer_s)
-            except ValueError:
-                raise ToolkitError(f"matrices entry {item!r}: layer must be an integer") from None
-            if layer < 1:
-                raise ToolkitError(f"matrices entry {item!r}: layer must be >= 1 (layer 0 is V0)")
-            if layer in layer_paths:
-                raise ToolkitError(f"matrices entry {item!r}: layer {layer} is given twice")
-            layer_paths[layer] = path
+    layer_paths: dict[int, str] = {}
+    for item in fields[0].split(","):
+        layer_s, eq, path = item.partition("=")
+        if not eq:
+            raise ToolkitError(f"matrices entry must be LAYER=PATH, got {item!r}")
+        try:
+            layer = int(layer_s)
+        except ValueError:
+            raise ToolkitError(f"matrices entry {item!r}: layer must be an integer") from None
+        if layer < 1:
+            raise ToolkitError(f"matrices entry {item!r}: layer must be >= 1 (layer 0 is V0)")
+        if layer in layer_paths:
+            raise ToolkitError(f"matrices entry {item!r}: layer {layer} is given twice")
+        layer_paths[layer] = path
 
-        def build_lookup(v0: np.ndarray) -> embedding.LayerEncoder:
-            mats = {layer: embedding.read_matrix(path) for layer, path in layer_paths.items()}
-            return embedding.LookupEncoder(v0, mats)
+    def build_lookup(v0: np.ndarray) -> embedding.LayerEncoder:
+        mats = {layer: embedding.read_matrix(path) for layer, path in layer_paths.items()}
+        return embedding.LookupEncoder(v0, mats)
 
-        flags = {"encoder": "matrices", "layers": sorted(layer_paths)}
-        return flags, list(layer_paths.values()), build_lookup
-    raise ToolkitError(f"unknown encoder kind {parts[0]!r}")
+    flags = {"encoder": "matrices", "layers": sorted(layer_paths)}
+    return flags, list(layer_paths.values()), build_lookup
 
 
 def _load_model(
@@ -192,8 +197,9 @@ def _load_model(
     from . import embedding
 
     name, spec = _parse_named(args.tokenizer, "tokenizer")
+    kind, tok_paths = _parse_spec(spec, "tokenizer", _TOKENIZER_KINDS)
     enc_flags, enc_paths, build_encoder = _parse_encoder(args.encoder)
-    tok, tok_paths = _load_tokenizer(name, spec)
+    tok = _load_tokenizer(name, kind, tok_paths)
     v0 = embedding.read_matrix(args.embeddings)
     if not embedding.all_finite(v0):
         raise ToolkitError("v0 contains non-finite values")
@@ -327,22 +333,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_premium(args: argparse.Namespace) -> int:
     named = [_parse_named(t, "tokenizer") for t in args.tokenizer]
     _distinct([name for name, _ in named], "tokenizer name")
-    pairs = [p.split(":") for p in args.pair]
-    for p, bits in zip(args.pair, pairs):
-        if len(bits) != 4:
-            raise ToolkitError(f"--pair must be LANG:SCRIPT:ENGPATH:TGTPATH, got {p!r}")
+    specs = [_parse_spec(spec, "tokenizer", _TOKENIZER_KINDS) for _, spec in named]
+    pairs = [_split(p, "--pair", ("LANG", "SCRIPT", "ENGPATH", "TGTPATH")) for p in args.pair]
     _distinct([f"{lang}:{script}" for lang, script, _, _ in pairs], "pair language")
-    loaded = [_load_tokenizer(name, spec) for name, spec in named]
-    toks = [tok for tok, _ in loaded]
-    tok_inputs = [path for _, paths in loaded for path in paths]
+    toks = [_load_tokenizer(name, *spec) for (name, _), spec in zip(named, specs)]
     corpora = [load_parallel_corpus(eng, tgt, lang, script) for lang, script, eng, tgt in pairs]
-    pair_inputs = [path for _, _, eng, tgt in pairs for path in (eng, tgt)]
+    inputs = [p for _, paths in specs for p in paths] + [p for _, _, eng, tgt in pairs for p in (eng, tgt)]
     flags = {
         "tokenizers": sorted(args.tokenizer),
         "pairs": list(args.pair),
         "aggregate": args.aggregate,
     }
-    manifest = RunManifest("premium", flags, _digests(tok_inputs + pair_inputs))
+    manifest = RunManifest("premium", flags, _digests(inputs))
     matrix = premium_matrix(toks, corpora, aggregate=args.aggregate)
     for i, ((lang, script), row) in enumerate(zip(matrix.languages, matrix.cells)):
         for j, (name, rep) in enumerate(zip(matrix.tokenizers, row)):
@@ -358,9 +360,7 @@ def cmd_premium(args: argparse.Namespace) -> int:
                 )
     write_premium_csv(matrix, args.out, manifest_digest=manifest.digest())
     if args.json:
-        write_premium_json(
-            matrix, args.json, manifest=manifest.report_dict(), verbose=args.verbose
-        )
+        write_premium_json(matrix, args.json, manifest=manifest.report_dict(), verbose=args.verbose)
     print(f"premium matrix -> {args.out} (manifest {manifest.digest()[:12]})")
     return 0
 
@@ -377,6 +377,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
     tok, v0, enc, enc_flags, model_paths = _load_model(
         args, float64_v0=any(s.kind == "linreg" for s in strategies)
     )
+    embedding.check_strategies(enc, strategies, len(v0))
     corpus = load_corpus(args.corpus)
     if args.chars is not None:
         chars = set(args.chars)
@@ -400,7 +401,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
     # plans share their tokens, so their new-token fraction is counted over
     # those before any plan exists, and the tokenizer (its vocabulary, merge
     # list and rank index) is freed before the first reference is built.
-    embedding.check_strategies(enc, strategies, len(v0))
     tokens, char_ids = embedding.constituent_ids(tok, chars)
     fraction = embedding.fraction_new_tokens(embedding.encode_augmented(doc, tok, tokens) for doc in corpus)
     del tok

@@ -5,16 +5,20 @@ import csv
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tokenlens
-from tokenlens.cli import main
+from tokenlens.cli import _KINDS, _parse_spec, _split, main
 from tokenlens.embedding import AugmentationPlan, DerivationStrategy, read_matrix, save_plan, write_matrix
+from tokenlens.errors import ToolkitError
 from tokenlens.training import bpe_train
 from tokenlens.vocab import MergeRuleList, Vocabulary, save_merges, save_vocab
 
@@ -574,6 +578,20 @@ class TestPremiumCommand:
         assert needle in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_every_tokenizer_spec_is_checked_before_any_read(self, tmp_path, capsys, pair_files):
+        # The first tokenizer's files do not exist, so the second spec's
+        # error shows that every spec was checked before the first was read.
+        eng, tgt = pair_files
+        missing = str(tmp_path / "missing")
+        out = str(tmp_path / "p.csv")
+        rc = main(["premium", "--tokenizer", f"a=bpe:{missing}.vocab.json:{missing}.merges.json",
+                   "--tokenizer", "b=bpe:x", "--pair", f"xx:Latn:{eng}:{tgt}", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: bpe spec must be bpe:VOCAB:MERGES, got 'bpe:x'\n"
+        assert "missing" not in err
+        assert not os.path.exists(out)
+
     def test_line_count_mismatch_exits_one(self, tmp_path, worked_files):
         vpath, mpath = worked_files
         eng = write_text(tmp_path / "e.txt", "shoes\nhe\n")
@@ -858,6 +876,21 @@ class TestAugmentCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: strategy linreg@9: layer 9 outside 0..1\n"
         assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    def test_strategies_checked_before_the_corpus_is_read(self, tmp_path, capsys, byte_level_files, monkeypatch):
+        from tokenlens import cli, embedding
+
+        def unreachable(*args):
+            raise AssertionError("read or scanned the corpus before checking the strategies")
+
+        monkeypatch.setattr(cli, "load_corpus", unreachable)
+        monkeypatch.setattr(embedding, "select_oov_chars", unreachable)
+        bf = byte_level_files
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                   "--encoder", "toy:0:1:3", "--grid", "knn:1@9",
+                   "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: strategy knn:1@9: layer 9 outside 0..1\n"
 
     def test_single_token_char_reported_before_a_non_finite_reference(self, tmp_path, capsys, byte_level_files):
         bf = byte_level_files
@@ -1542,6 +1575,109 @@ class TestBadSpecs:
         err = capsys.readouterr().err
         assert message in err
         assert "missing" not in err
+
+
+_NAMES = st.lists(st.text("ABCDEFGH", min_size=1), min_size=1, max_size=5, unique=True).map(tuple)
+_FIELD = st.text(st.characters(blacklist_characters=":"), min_size=1)
+
+
+class TestSpecTable:
+    """One splitter for every tokenizer, encoder and pair spec."""
+
+    @given(names=_NAMES, data=st.data())
+    def test_fields_round_trip(self, names, data):
+        fields = [data.draw(_FIELD) for _ in names[:-1]] + [data.draw(st.text(min_size=1))]
+        assert _split(":".join(fields), "--thing", names) == fields
+
+    @given(kind=st.sampled_from(sorted(_KINDS)), data=st.data())
+    def test_kinded_fields_round_trip(self, kind, data):
+        names = _KINDS[kind]
+        fields = [data.draw(_FIELD) for _ in names[:-1]] + [data.draw(st.text(min_size=1))]
+        assert _parse_spec(":".join([kind, *fields]), "thing", tuple(_KINDS)) == (kind, fields)
+
+    @given(kind=st.sampled_from(sorted(_KINDS)), data=st.data())
+    def test_too_few_or_empty_fields_name_the_kind_and_its_fields(self, kind, data):
+        names = _KINDS[kind]
+        fields = data.draw(st.lists(_FIELD, min_size=len(names), max_size=len(names)))
+        if data.draw(st.booleans()):
+            fields = fields[: data.draw(st.integers(0, len(names) - 1))]
+        else:
+            fields[data.draw(st.integers(0, len(names) - 1))] = ""
+        spec = ":".join([kind, *fields])
+        with pytest.raises(ToolkitError) as exc:
+            _parse_spec(spec, "thing", tuple(_KINDS))
+        assert str(exc.value) == f"{kind} spec must be {':'.join([kind, *names])}, got {spec!r}"
+
+    @pytest.mark.parametrize(
+        "option,spec,message",
+        [
+            ("--tokenizer", "w=mystery:x", "unknown tokenizer kind 'mystery'; known kinds: bpe, bpe-bytes, ulm"),
+            ("--tokenizer", "w=toy:0:1:3", "unknown tokenizer kind 'toy'; known kinds: bpe, bpe-bytes, ulm"),
+            ("--encoder", "resnet:50", "unknown encoder kind 'resnet'; known kinds: toy, matrices"),
+            ("--encoder", "ulm:p.json", "unknown encoder kind 'ulm'; known kinds: toy, matrices"),
+            ("--encoder", "toy:0:1:3:", "unknown toy encoder variant ''"),
+        ],
+    )
+    def test_unknown_kinds_exit_one_before_any_read(self, tmp_path, capsys, option, spec, message):
+        missing = str(tmp_path / "missing")
+        argv = {"--tokenizer": f"t=bpe:{missing}.vocab:{missing}.merges", "--encoder": "toy:0:1:3"}
+        argv[option] = spec
+        rc = main(["augment", "--tokenizer", argv["--tokenizer"], "--embeddings", f"{missing}.mat",
+                   "--encoder", argv["--encoder"], "--strategy", "knn:1@0",
+                   "--corpus", f"{missing}.txt", "--out", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @staticmethod
+    def _rows(path):
+        with open(path, encoding="utf-8") as f:
+            return [line for line in f.read().splitlines() if not line.startswith("# manifest:")]
+
+    @pytest.mark.parametrize("moved", ["probs", "merges", "tgt"])
+    def test_colon_path_in_premium(self, tmp_path, worked_files, moved):
+        # The last field of a spec takes the rest of it, so the ulm probs,
+        # a bpe spec's MERGES and a pair's TGTPATH may sit under a colon.
+        vpath, mpath = worked_files
+        files = {
+            "probs": write_text(tmp_path / "probs.json", json.dumps({c: -1.0 for c in "aehkos_"} | {"sh": -1.5})),
+            "merges": mpath,
+            "tgt": write_text(tmp_path / "tgt.txt", "shakes\nshoe_shoe\nash\n"),
+        }
+        eng = write_text(tmp_path / "eng.txt", "shoes\nsho\nhe\n")
+        colon = tmp_path / "a:b"
+        colon.mkdir()
+        rows = []
+        for where in (files, {**files, moved: shutil.copy(files[moved], colon)}):
+            out = str(tmp_path / f"p{len(rows)}.csv")
+            rc = main(["premium", "--tokenizer", f"work=bpe:{vpath}:{where['merges']}",
+                       "--tokenizer", f"uni=ulm:{where['probs']}",
+                       "--pair", f"xx:Latn:{eng}:{where['tgt']}", "--out", out])
+            assert rc == 0
+            rows.append(self._rows(out))
+        assert rows[1] == rows[0]
+        # ulm: sh|a|k|e|s / sh|o|e|s, sh|o|e|_|sh|o|e / sh|o, a|sh / h|e
+        assert rows[0][1] == "xx,Latn,1.78,1.92"
+
+    def test_colon_path_in_matrices_layer(self, tmp_path, byte_level_files):
+        bf = byte_level_files
+        m1 = np.random.default_rng(5).normal(size=read_matrix(bf["embeddings"]).shape)
+        colon = tmp_path / "a:b"
+        colon.mkdir()
+        plans = []
+        for i, m1path in enumerate((str(tmp_path / "layer1.mat"), str(colon / "layer1.mat"))):
+            write_matrix(m1path, m1, layer=1)
+            out = str(tmp_path / f"plan{i}.json")
+            rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                       "--encoder", f"matrices:1={m1path}", "--strategy", "knn:2@1",
+                       "--corpus", bf["corpus"], "--out", out])
+            assert rc == 0
+            with open(out, encoding="utf-8") as f:
+                doc = json.load(f)
+            del doc["manifest"]
+            with open(out + ".mat", "rb") as f:
+                plans.append((doc, f.read()))
+        assert plans[1] == plans[0]
+        assert len(plans[0][0]["entries"]) == 2
 
 
 class TestStartup:
