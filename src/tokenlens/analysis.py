@@ -8,13 +8,15 @@ tokenizer families become comparable.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
+from ._blocks import _NAMES, _STARTS
 from .errors import ToolkitError
 from .parallel import ordered_map
-from .text import char_byte_len, recover_utf8_chars, unicode_block, write_table
+from .text import recover_utf8_chars, write_table
 
 __all__ = [
     "NormalizationRules",
@@ -145,6 +147,24 @@ class VocabBreakdownRow:
 _ESCAPES = frozenset(map(chr, range(0xDC80, 0xDD00)))
 
 
+# The first code points whose UTF-8 takes 2, 3 and 4 bytes.
+_UTF8_BOUNDS = (0x80, 0x800, 0x10000)
+
+
+def _block_names(points: list[int]) -> set[str]:
+    """Names of the Unicode blocks that hold the sorted code points; the
+    No_Block gaps share one name."""
+    names = set()
+    i = 0
+    while i < len(points):
+        block = bisect_right(_STARTS, points[i]) - 1
+        names.add(_NAMES[block])
+        if block + 1 == len(_STARTS):
+            break
+        i = bisect_left(points, _STARTS[block + 1], i)
+    return names
+
+
 def vocab_breakdown(tokens: Collection[bytes], label: str = "") -> VocabBreakdownRow:
     """Byte-length histograms and script coverage of a set of tokens.
 
@@ -161,6 +181,10 @@ def vocab_breakdown(tokens: Collection[bytes], label: str = "") -> VocabBreakdow
     (U+DC80..U+DCFF), and valid UTF-8 never decodes to a surrogate; when
     escapes occur, each token is decoded on its own, and the escapes pick
     out exactly the tokens that need recover_utf8_chars.
+
+    The characters are counted from their sorted code points: bisection at
+    the UTF-8 length bounds gives the byte-length histogram, and the blocks
+    are found by jumping from block to block, one bisection each.
     """
     by_len = Counter(map(len, tokens))
     tokens_by_len = {n: by_len[n] for n in range(1, 8)}
@@ -174,14 +198,13 @@ def vocab_breakdown(tokens: Collection[bytes], label: str = "") -> VocabBreakdow
         for token, text in zip(tokens, decoded):
             if not _ESCAPES.isdisjoint(text):
                 chars.update(recover_utf8_chars(token))
-    chars_by_len = {n: 0 for n in range(1, 5)}
-    for ch in chars:
-        chars_by_len[char_byte_len(ch)] += 1
-    blocks = {unicode_block(ch) for ch in chars}
+    points = sorted(map(ord, chars))
+    cuts = [0, *(bisect_left(points, bound) for bound in _UTF8_BOUNDS), len(points)]
+    chars_by_len = {n: cuts[n] - cuts[n - 1] for n in range(1, 5)}
     return VocabBreakdownRow(
         label=label,
         clean_vocab_size=len(tokens),
-        distinct_blocks=len(blocks),
+        distinct_blocks=len(_block_names(points)),
         chars_by_byte_len=chars_by_len,
         tokens_by_byte_len=tokens_by_len,
         tokens_gt7=len(tokens) - sum(tokens_by_len.values()),

@@ -18,12 +18,13 @@ class ToolkitError(Exception):
 @contextmanager
 def reading(path: str):
     """Frame the parse of one input file: a ToolkitError, ValueError (JSON
-    syntax, UTF-8 decoding, numpy reshape) or OverflowError raised inside is
-    re-raised as a ToolkitError that starts with path. OSError passes through;
-    it already names the file."""
+    syntax, UTF-8 decoding, numpy reshape), OverflowError or RecursionError
+    (JSON nested deeper than the decoder goes) raised inside is re-raised as
+    a ToolkitError that starts with path. OSError passes through; it already
+    names the file."""
     try:
         yield
-    except (ToolkitError, ValueError, OverflowError) as exc:
+    except (ToolkitError, ValueError, OverflowError, RecursionError) as exc:
         raise ToolkitError(f"{path}: {exc}") from None
 
 

@@ -9,9 +9,10 @@ lossless in both directions.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import attrgetter, eq, not_
+from operator import attrgetter, eq
 from typing import Iterable
 
 from .errors import ToolkitError, reading
@@ -41,22 +42,30 @@ class Vocabulary:
     """Dense token <-> id bijection, built once. Ids are 0..n-1 in list order.
 
     Tokens must be distinct, nonempty bytes; a bad list raises for its first
-    bad token."""
+    bad token. The token -> id dict is built on the first lookup (id_of, get,
+    in, or load_merges), so a vocabulary that is only iterated, as compare's
+    are, never pays for it; the tokens never change, so it cannot go stale."""
 
     def __init__(self, tokens: Iterable[bytes] = ()):
         self._tokens: list[bytes] = list(tokens)
-        # bytes first: an unhashable item must not reach the dict
+        # bytes first: an unhashable item must not reach the set
         if not all(map(isinstance, self._tokens, repeat(bytes))):
             _reject_first_bad(self._tokens)
-        self._ids: dict[bytes, int] = dict(zip(self._tokens, range(len(self._tokens))))
-        if b"" in self._ids or len(self._ids) != len(self._tokens):
+        distinct = set(self._tokens)
+        if b"" in distinct or len(distinct) != len(self._tokens):
             _reject_first_bad(self._tokens)
+        self._ids: dict[bytes, int] | None = None
+
+    def _index(self) -> dict[bytes, int]:
+        if self._ids is None:
+            self._ids = dict(zip(self._tokens, range(len(self._tokens))))
+        return self._ids
 
     def __len__(self) -> int:
         return len(self._tokens)
 
     def __contains__(self, token: bytes) -> bool:
-        return token in self._ids
+        return token in self._index()
 
     def __iter__(self):
         return iter(self._tokens)
@@ -66,12 +75,12 @@ class Vocabulary:
 
     def id_of(self, token: bytes) -> int:
         try:
-            return self._ids[token]
+            return self._index()[token]
         except KeyError:
             raise ToolkitError(f"token {token_to_str(token)!r} not in vocabulary") from None
 
     def get(self, token: bytes) -> int | None:
-        return self._ids.get(token)
+        return self._index().get(token)
 
     def token(self, tid: int) -> bytes:
         return self._tokens[tid]
@@ -182,29 +191,56 @@ def save_vocab(vocab: Vocabulary, path: str) -> None:
         f.write("\n")
 
 
+# Lead bytes of the characters that str.lstrip() strips and bytes.lstrip()
+# does not: U+001C..U+001F, then U+0085 and U+00A0 (0xC2), U+1680 (0xE1),
+# U+2000..U+205F (0xE2) and U+3000 (0xE3).
+_MAY_OPEN_JSON = frozenset(b"{[\x1c\x1d\x1e\x1f\xc2\xe1\xe2\xe3")
+_VERSION_LINES = re.compile(rb"\n#version[^\n]*")
+
+
+def _read(path: str) -> tuple[bytes, str, str]:
+    """The bytes of a tokenizer file, with "\r\n" and a lone "\r" read as
+    "\n" as text mode reads them, then the first character that
+    str.lstrip() leaves of its text and the text itself when that character
+    is "{" or "[" (else "" and "").
+
+    The text is decoded only when the first byte that bytes.lstrip() leaves
+    is "{", "[" or the lead byte of a character that str.lstrip() also
+    strips; no other file can open with "{" or "[" once str.lstrip() is done.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    if b"\r" in data:  # one memchr; the search for "\r\n" is a slower pass
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    head = data.lstrip()[:1]
+    if head and head[0] in _MAY_OPEN_JSON:
+        text = token_to_str(data)
+        opener = text.lstrip()[:1]
+        if opener in ("{", "["):
+            return data, opener, text
+    return data, "", ""
+
+
 def load_vocab(path: str) -> Vocabulary:
     """Read a vocabulary from JSON (token -> id) or plaintext (one token per line).
 
     JSON ids must be dense 0..n-1; plaintext lines are assigned ids in file
     order and empty lines are skipped. A file opening with "[" is plaintext
     unless it parses as JSON (a BERT-style vocab.txt opens with "[PAD]").
+    Plaintext is split as bytes; only a file that may be JSON is decoded.
     """
     with reading(path):
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-            content = f.read()
-        stripped = content.lstrip()
+        data, opener, text = _read(path)
         obj = None
-        if stripped.startswith("{"):
-            obj = json.loads(content)
-        elif stripped.startswith("["):
+        if opener == "{":
+            obj = json.loads(text)
+        elif opener == "[":
             try:
-                obj = json.loads(content)
+                obj = json.loads(text)
             except ValueError:
                 pass
         if obj is None:
-            # No character but "\n" encodes to a 0x0A byte, so splitting the
-            # encoded text splits it exactly where its lines end.
-            return Vocabulary([t for t in str_to_token(content).split(b"\n") if t])
+            return Vocabulary(filter(None, data.split(b"\n")))
         if not isinstance(obj, dict):
             raise ToolkitError("vocabulary JSON must be an object")
         if not {int}.issuperset(map(type, obj.values())):  # JSON true and false are bools
@@ -240,28 +276,48 @@ def save_merges(rules: MergeRuleList, vocab: Vocabulary, path: str) -> None:
         f.write("\n")
 
 
+def _rule_lines(data: bytes) -> bytes:
+    """The rule lines of a plaintext merges file, joined by "\n": the lines
+    that hold exactly one space and do not start with "#version". Any other
+    line must be empty or start with "#"."""
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        del lines[-1]  # the empty text after a final line end
+    spaces = list(map(bytes.count, lines, repeat(b" ")))
+    if spaces.count(1) < len(lines):
+        for lineno, (ln, n) in enumerate(zip(lines, spaces), 1):
+            if n != 1 and ln and not ln.startswith(b"#"):
+                raise ToolkitError(f"line {lineno}: expected 'left right'")
+        lines = list(compress(lines, map((1).__eq__, spaces)))
+    # Each line rejoined after a "\n", one search cuts the "#version" lines.
+    return _VERSION_LINES.sub(b"", b"\n".join([b"", *lines]))[1:]
+
+
 def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
     """Read merges from JSON ([[left, right], ...]) or plaintext ("left right" lines).
 
     Plaintext follows the common merges.txt convention: one space-separated
-    pair per line. A "#version" header line is skipped; any other line
-    starting with "#" is a comment unless it splits into exactly two tokens,
-    because "# #" and "#x y" are real merges in byte-level vocabularies. A
-    file opening with "[" is plaintext unless it parses as JSON ("[ a" is a
-    merge of "[" and "a"). Every referenced token, including each merged
-    concatenation, must exist in vocab.
+    pair per line. Every line that starts with "#version" is skipped; any
+    other line starting with "#" is a comment unless it splits into exactly
+    two tokens, because "# #" and "#x y" are real merges in byte-level
+    vocabularies. A file opening with "[" is plaintext unless it parses as
+    JSON ("[ a" is a merge of "[" and "a"). Every referenced token,
+    including each merged concatenation, must exist in vocab.
     """
+    # The id dict is built before the file's temporaries, so that they are
+    # freed from above it: built after them, it left the seed-1 benchmark
+    # augment's peak RSS about 1 MB higher.
+    get = vocab._index().get
     with reading(path):
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-            content = f.read()
+        data, opener, text = _read(path)
         arr = None
-        if content.lstrip().startswith("["):
+        if opener == "[":
             try:
-                arr = json.loads(content)
+                arr = json.loads(text)
             except ValueError:
                 pass
         if arr == []:
-            lefts = rights = []  # zip(*[]) has no columns to unpack
+            lefts = rights = merged = []  # zip(*[]) has no columns to unpack
         elif arr is not None:
             if not (
                 {list}.issuperset(map(type, arr))
@@ -273,27 +329,17 @@ def load_merges(path: str, vocab: Vocabulary) -> MergeRuleList:
             utf8 = repeat("utf-8"), repeat("surrogateescape")
             lefts = list(map(str.encode, lefts, *utf8))
             rights = list(map(str.encode, rights, *utf8))
+            merged = list(map(bytes.__add__, lefts, rights))
         else:
-            # Split the encoded text: "\n" and " " are the only characters
-            # that encode to 0x0A and 0x20. A line splits into exactly two
-            # tokens when it holds exactly one space.
-            lines = str_to_token(content).split(b"\n")
-            if not lines[-1]:
-                del lines[-1]  # the empty text after a final line end
-            spaces = list(map(bytes.count, lines, repeat(b" ")))
-            if spaces.count(1) < len(lines):
-                for lineno, (ln, n) in enumerate(zip(lines, spaces), 1):
-                    if n != 1 and ln and not ln.startswith(b"#"):
-                        raise ToolkitError(f"line {lineno}: expected 'left right'")
-                lines = list(compress(lines, map((1).__eq__, spaces)))
-            lines = list(compress(lines, map(not_, map(bytes.startswith, lines, repeat(b"#version")))))
-            words = b" ".join(lines).split(b" ") if lines else []
+            # Every rule line holds exactly one space, so deleting the
+            # spaces gives each rule's merged token.
+            rules = _rule_lines(data)
+            words = rules.replace(b"\n", b" ").split(b" ") if rules else []
             lefts, rights = words[0::2], words[1::2]
-        get = vocab._ids.get
-        lids, rids = list(map(get, lefts)), list(map(get, rights))
-        nids = list(map(get, map(bytes.__add__, lefts, rights)))
+            merged = rules.replace(b" ", b"").split(b"\n") if rules else []
+        lids, rids, nids = list(map(get, lefts)), list(map(get, rights)), list(map(get, merged))
         if None in lids or None in rids or None in nids:
             i = min(ids.index(None) for ids in (lids, rids, nids) if None in ids)
-            missing = lefts[i] if lids[i] is None else rights[i] if rids[i] is None else lefts[i] + rights[i]
+            missing = lefts[i] if lids[i] is None else rights[i] if rids[i] is None else merged[i]
             raise ToolkitError(f"merge references unknown token {token_to_str(missing)!r}")
     return MergeRuleList.from_columns(lids, rids, nids)

@@ -18,6 +18,7 @@ from tokenlens.analysis import (
     write_breakdown_tsv,
     write_matrix_csv,
 )
+from tokenlens._blocks import _NAMES, _STARTS
 from tokenlens.errors import ToolkitError
 from tokenlens.text import char_byte_len, recover_utf8_chars, unicode_block
 from tokenlens.vocab import Vocabulary
@@ -296,10 +297,39 @@ _JOIN_PIECES = st.sampled_from(
 )
 
 
+def _edge_points() -> list[int]:
+    """Code points on either side of each UTF-8 length bound and of each
+    block start, and one inside every No_Block gap; no surrogates."""
+    points = {0, 0x10FFFF}
+    for bound in (0x80, 0x800, 0x10000):
+        points |= {bound - 1, bound}
+    for start, end, name in zip(_STARTS, [*_STARTS[1:], 0x110000], _NAMES):
+        points |= {start, end - 1}
+        if name == "No_Block":
+            points.add((start + end) // 2)
+    return sorted(p for p in points if not 0xD800 <= p < 0xE000)
+
+
+_EDGE_CHARS = [chr(p).encode() for p in _edge_points()]
+
+
 class TestVocabBreakdownMatchesPerTokenDecode:
-    @given(st.lists(st.lists(_JOIN_PIECES, min_size=1, max_size=5).map(b"".join), unique=True, max_size=25))
+    @given(
+        st.lists(
+            st.lists(_JOIN_PIECES | st.sampled_from(_EDGE_CHARS), min_size=1, max_size=5).map(b"".join),
+            unique=True,
+            max_size=25,
+        )
+    )
     def test_any_tokens(self, tokens):
         tokens = frozenset(tokens)
+        assert vocab_breakdown(tokens, "x") == oracle_breakdown_per_token(tokens, "x")
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 7])
+    def test_edge_code_points(self, step):
+        # every step-th edge character, each its own token, with one token
+        # that is not valid UTF-8
+        tokens = frozenset(_EDGE_CHARS[::step] + [b"\xff" + _EDGE_CHARS[-1]])
         assert vocab_breakdown(tokens, "x") == oracle_breakdown_per_token(tokens, "x")
 
     @pytest.mark.parametrize(

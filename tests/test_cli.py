@@ -206,6 +206,18 @@ class TestCompareCommand:
         # "##ing" -> "ing" matches; "Ġher" -> " her" does not match "her"
         assert float(rows[1][2]) == pytest.approx(1 / 3)
 
+    def test_builds_no_id_index(self, tmp_path, monkeypatch):
+        # compare only iterates its vocabularies: no token -> id dict is built.
+        def no_index(self):
+            raise AssertionError("a token -> id dict was built")
+
+        monkeypatch.setattr(Vocabulary, "_index", no_index)
+        a = self.make_vocab(tmp_path, "a", [b"ing", b"her", b"\xff"])
+        b = write_bytes(tmp_path / "b.txt", b"##ing\r\n\xc4\xa0her\n")
+        rc = main(["compare", "--vocab", f"a={a}", "--vocab", f"b={b}",
+                   "--breakdown", str(tmp_path / "c.tsv"), "--out", str(tmp_path / "m.csv")])
+        assert rc == 0
+
     def test_each_vocabulary_freed_once_normalized(self, tmp_path, monkeypatch):
         # Only the normalized sets are kept: each Vocabulary is dead before
         # its breakdown runs and before the next file is loaded.
@@ -1483,6 +1495,32 @@ class TestMalformedFiles:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {corpus}: corpus is empty\n"
         assert sorted(os.listdir(tmp_path)) == files
+
+    @pytest.mark.parametrize(
+        "kind,content",
+        [
+            ("vocab", "[" * 200_000),
+            ("vocab", '{"a":' * 200_000),
+            ("merges", "[" * 200_000),
+            ("probs", '{"a":' * 200_000),
+            ("plan", '{"a":' * 200_000),
+        ],
+        ids=["vocab-array", "vocab-object", "merges", "probs", "plan"],
+    )
+    def test_json_nested_beyond_the_decoder(self, tmp_path, capsys, worked_files, byte_level_files, kind, content):
+        # Too deep to parse, a file that opens with "[" is an error, not plaintext.
+        path = write_text(tmp_path / f"{kind}.json", content)
+        vpath, mpath = worked_files
+        if kind == "vocab":
+            rc = main(["compare", "--vocab", f"x={path}", "--vocab", f"y={vpath}",
+                       "--out", str(tmp_path / "m.csv")])
+        elif kind == "merges":
+            rc = self.premium(tmp_path, f"bpe:{vpath}:{path}")
+        elif kind == "probs":
+            rc = self.premium(tmp_path, f"ulm:{path}")
+        else:
+            rc = self.eval_plan(tmp_path, byte_level_files, path)
+        self.assert_one_line_error(capsys, rc, f"error: {path}: maximum recursion depth exceeded")
 
     def test_plan_without_strategy_fields(self, tmp_path, capsys, byte_level_files):
         plan = write_text(tmp_path / "plan.json", '{"strategy": {}}')

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import sys
 import tempfile
 
 import pytest
@@ -15,6 +16,7 @@ from tokenlens.vocab import (
     MergeRule,
     MergeRuleList,
     Vocabulary,
+    _MAY_OPEN_JSON,
     _reject_first_bad_id,
     load_merges,
     load_vocab,
@@ -141,6 +143,30 @@ class TestVocabulary:
         assert Vocabulary([b"a", b"b"]) != Vocabulary([b"b", b"a"])
 
 
+class TestLazyIdIndex:
+    @pytest.mark.parametrize("first", ["get", "id_of", "in", "load_merges"])
+    def test_built_once_on_first_lookup(self, tmp_path, first):
+        v = Vocabulary([b"a", b"b", b"ab"])
+        path = str(tmp_path / "merges.txt")
+        with open(path, "wb") as f:
+            f.write(b"a b\n")
+        lookups = {
+            "get": lambda: v.get(b"a"),
+            "id_of": lambda: v.id_of(b"b"),
+            "in": lambda: b"ab" in v,
+            "load_merges": lambda: load_merges(path, v),
+        }
+        assert (list(v), len(v), v.token(2), v.tokens()) == ([b"a", b"b", b"ab"], 3, b"ab", [b"a", b"b", b"ab"])
+        assert v == Vocabulary([b"a", b"b", b"ab"])
+        assert v._ids is None
+        lookups[first]()
+        index = v._ids
+        assert index == {b"a": 0, b"b": 1, b"ab": 2}
+        for lookup in lookups.values():
+            lookup()
+        assert v._ids is index
+
+
 def oracle_load_vocab(path: str) -> Vocabulary:
     """The spec of load_vocab, line by line and entry by entry."""
     with reading(path):
@@ -235,19 +261,38 @@ _TOKEN_BYTES = st.lists(
 _LINE_END = st.sampled_from([b"\n", b"\r\n", b"\r"])
 
 
+# What a file may open with: ASCII whitespace, which both str.lstrip() and
+# bytes.lstrip() strip; characters that only str.lstrip() strips; a UTF-8
+# BOM, which neither strips; and a lone or cut-off lead byte of such a
+# character, which decodes to an escape.
+_OPENING = st.lists(
+    st.sampled_from(
+        [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x1c", b"\x1d", b"\x1e", b"\x1f"]
+        + [c.encode() for c in "\x85\xa0\u1680\u2000\u2028\u2029\u205f\u3000\ufeff"]
+        + [b"\xc2", b"\xe2\x80", b"\xe3"]
+    ),
+    max_size=3,
+).map(b"".join)
+
+
 @st.composite
 def vocab_files(draw):
     """A plaintext vocabulary, or a JSON object of token -> id whose ids are
-    often dense but may repeat, skip, be negative, bool or a string."""
-    if draw(st.booleans()):
+    often dense but may repeat, skip, be negative, bool or a string, or a
+    JSON array; each may open with _OPENING."""
+    opening = draw(_OPENING)
+    kind = draw(st.sampled_from(["plaintext", "object", "array"]))
+    if kind == "plaintext":
         lines = draw(st.lists(st.tuples(_TOKEN_BYTES, _LINE_END), max_size=10))
-        return b"".join(t + end for t, end in lines)
+        return opening + b"".join(t + end for t, end in lines)
+    if kind == "array":
+        return opening + json.dumps(draw(st.lists(_TOKEN_BYTES.map(token_to_str), max_size=3))).encode()
     tokens = draw(st.lists(_TOKEN_BYTES, max_size=8, unique=True))
     ids = list(range(len(tokens)))
     draw(st.randoms(use_true_random=False)).shuffle(ids)
     odd = st.integers(-1, len(tokens) + 1) | st.booleans() | st.just("0")
     ids = [draw(odd) if draw(st.integers(0, 2)) == 0 else i for i in ids]
-    return json.dumps(dict(zip(map(token_to_str, tokens), ids)), ensure_ascii=True).encode()
+    return opening + json.dumps(dict(zip(map(token_to_str, tokens), ids)), ensure_ascii=True).encode()
 
 
 _MERGE_VOCAB = Vocabulary(
@@ -261,7 +306,12 @@ def merges_files(draw):
     headers, "#" comments and "#" merges, lines of one or three tokens, empty
     lines and mixed line ends; a plaintext file may open with "[" (and may
     then still parse as JSON). Or a JSON array of pairs and malformed
-    entries, whole or cut short."""
+    entries, whole or cut short. Either may open with _OPENING."""
+    return draw(_OPENING) + draw(_merges_body())
+
+
+@st.composite
+def _merges_body(draw):
     word = st.sampled_from([b"a", b"b", b"ab", b"#", b"#a", b"\xff", b"\xa4", "क".encode(), b"[", b"[[", b""])
     if draw(st.integers(0, 3)) == 0:
         entry = st.lists(word.map(token_to_str), min_size=2, max_size=2) | st.sampled_from([["a"], [1, "a"], "ab"])
@@ -284,6 +334,8 @@ def merges_files(draw):
 # without newline translation ("\r" and "\r\n" kept), a "#version" line of
 # two tokens read as a merge, and a missing token reported for the last bad
 # rule instead of the first.
+# Also caught: telling JSON from plaintext by bytes.lstrip() alone, and
+# keeping empty plaintext vocabulary lines.
 class TestLoadersMatchOracles:
     @given(vocab_files())
     def test_load_vocab(self, data):
@@ -302,6 +354,28 @@ class TestLoadersMatchOracles:
             assert [rebuilt[i] for i in range(len(got))] == list(got)
             assert all(type(rule) is MergeRule for rule in got)
             assert got.rank_index() == oracle_rank_index(got)
+
+
+class TestJsonOrPlaintext:
+    """load_vocab and load_merges take a file for JSON exactly when
+    str.lstrip() of its text opens with "{" or "[", as the oracles do, but
+    decode only a file that may."""
+
+    def test_every_lead_byte_str_lstrip_strips_is_listed(self):
+        spaces = [c.encode() for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        assert {c[0] for c in spaces if not c.isspace()} | set(b"{[") == _MAY_OPEN_JSON
+
+    @pytest.mark.parametrize(
+        "opening",
+        [b"", b" \t\r\n", b"\x1c", b"\x1f", b"\xc2", b"\xe2\x80"]
+        + [c.encode() for c in "\x85\xa0\u1680\u2028\u3000\ufeff"],
+    )
+    def test_opening_characters(self, opening):
+        for body in [b'{"a": 0, "b": 1}', b'["a", "b"]', b"[PAD]\na\n", b"a\nb", b"[ a\na b\n", b'[["a", "b"]]']:
+            got, expected = file_outcomes(load_vocab, oracle_load_vocab, opening + body)
+            assert got == expected
+            got, expected = file_outcomes(load_merges, oracle_load_merges, opening + body, _MERGE_VOCAB)
+            assert got == expected
 
 
 def by_id_load_vocab(path: str) -> Vocabulary:
