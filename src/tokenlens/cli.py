@@ -255,12 +255,15 @@ def _normalization_dict(rules: analysis.NormalizationRules) -> dict:
 def cmd_train(args: argparse.Namespace) -> int:
     if args.algorithm != "bpe" and args.target_size is None:
         raise ToolkitError(f"{args.algorithm} requires --target-size")
+    if args.algorithm != "ulm" and (args.seed_max_token_len, args.seed_size) != (None, None):
+        raise ToolkitError(f"--seed-max-token-len and --seed-size are for ulm, not {args.algorithm}")
     corpus = load_corpus(args.corpus)
+    seed_max_token_len = 8 if args.seed_max_token_len is None else args.seed_max_token_len
     flags = {
         "algorithm": args.algorithm,
         "target_size": args.target_size,
         "min_pair_freq": args.min_pair_freq,
-        "seed_max_token_len": args.seed_max_token_len,
+        "seed_max_token_len": seed_max_token_len,
         "seed_size": args.seed_size,
     }
     manifest = RunManifest("train", flags, _digests([args.corpus]))
@@ -276,7 +279,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         vocab_mod.save_merges(rules, v, f"{prefix}.merges.json")
     else:
         seed = training.ulm_seed(
-            corpus, max_token_len=args.seed_max_token_len, seed_size=args.seed_size
+            corpus, max_token_len=seed_max_token_len, seed_size=args.seed_size
         )
         pruned = training.ulm_prune(seed, corpus, args.target_size)
         vocab_mod.save_vocab(
@@ -499,8 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stop = p.add_mutually_exclusive_group(required=True)
     stop.add_argument("--target-size", type=int, help="stop at this vocabulary size")
     stop.add_argument("--min-pair-freq", type=_at_least_one, help="bpe only: stop when no pair reaches this count, >= 1")
-    p.add_argument("--seed-max-token-len", type=_at_least_one, default=8, help="ulm seed substring cap, >= 1")
-    p.add_argument("--seed-size", type=int, default=None, help="ulm seed vocabulary cap")
+    p.add_argument("--seed-max-token-len", type=_at_least_one, help="ulm only: seed substring cap, >= 1 (default 8)")
+    p.add_argument("--seed-size", type=int, help="ulm only: seed vocabulary cap")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=cmd_train)
 

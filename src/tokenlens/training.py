@@ -87,16 +87,28 @@ def _initial_segmentation(docs: list[str]) -> tuple[list[bytes], list[list[int]]
 
 
 def _merge_in_place(seq: list[int], left: int, right: int, new_id: int) -> list[int]:
-    out = []
+    """seq with every adjacent (left, right) merged into new_id, in one
+    left-to-right pass without overlap ("a a a" becomes "aa a"); seq itself
+    when nothing merged. It jumps from one left to the next with list.index,
+    so a pass costs one C-level scan plus a step per left."""
+    out: list[int] = []
+    start = 0  # seq[start:i] is not yet copied to out
+    last = len(seq) - 1  # a left here has no right neighbour
     i = 0
-    n = len(seq)
-    while i < n:
-        if i + 1 < n and seq[i] == left and seq[i + 1] == right:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
+    try:
+        while True:
+            i = seq.index(left, i, last)
+            if seq[i + 1] == right:
+                out += seq[start:i]
+                out.append(new_id)
+                i = start = i + 2
+            else:
+                i += 1
+    except ValueError:
+        pass
+    if not out:
+        return seq
+    out += seq[start:]
     return out
 
 
@@ -178,7 +190,9 @@ def _train(
     The pair counts are kept incrementally: a merge re-merges only the
     documents that hold both of its tokens, and recounts only those it
     changed, not the whole corpus. The counts, and so every choice, are
-    those of count_adjacent_pairs over the whole corpus.
+    those of count_adjacent_pairs over the whole corpus. A re-merge jumps
+    from one occurrence of the left token to the next (_merge_in_place), so
+    a document that no longer holds the pair costs one C-level scan.
 
     The argmax is kept incrementally too, in a _LazyArgmax over the counted
     pairs. A pair's key is (0, -count) for the count scorer, and (count,
@@ -258,7 +272,7 @@ def _train(
         for d in holding[left] & holding[right]:
             before = segmented[d]
             after = _merge_in_place(before, left, right, new_id)
-            if len(after) < len(before):
+            if after is not before:
                 segmented[d] = after
                 holding[new_id].add(d)
                 old.append(before)
@@ -675,9 +689,15 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
     unchanged. The restart copies the arrays up to that position and runs
     the same DP over the rest of the lattice without the candidate's edges,
     making the same comparisons in the same order as a DP from the start.
-    This is exact; Kudo's approximations (a likelihood-loss estimate from
-    the current segmentation, removing a fraction of tokens per step) are not
-    used.
+    A document's count delta comes from walking its new and its old path
+    back from the end, and stops where they meet before the restart
+    (_count_delta). The candidate's likelihood is then one math.fsum over the
+    step's c*ln(c) terms, with each changed token's old term negated and its
+    new term added: the same exact sum, so the same float, as
+    unigram_log_likelihood of the new counts, which are built only for the
+    winner. This is exact; Kudo's approximations (a likelihood-loss estimate
+    from the current segmentation, removing a fraction of tokens per step)
+    are not used.
     """
     docs = _char_documents(corpus)
     tokens = vocab.tokens()
@@ -708,13 +728,16 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
             for tok in set(seg):
                 users[tok].append(d)
 
+        total = sum(total_counts.values())
+        base_terms = [c * math.log(c) for c in total_counts.values()]
+
         best_token = None
         best_ll = None
-        best_counts: Counter | None = None
+        best_delta: dict[str, int] = {}
         for t in current.tokens():
             if len(t) == 1:
                 continue
-            new_counts = Counter(total_counts)
+            delta: dict[str, int] = {}
             for d in users.get(t, ()):
                 doc = docs[d]
                 j0 = doc.find(t) + len(t)  # where t's first edge ends
@@ -722,10 +745,21 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
                 pad = len(doc) + 1 - j0
                 arrays = score[:j0] + [None] * pad, n_tokens[:j0] + [0] * pad, back[:j0] + [0] * pad
                 _forward(doc, lattices[d][j0 - 1 :], t, arrays, j0)
-                new_counts.subtract(segs[d])
-                new_counts.update(_path(doc, arrays[2], len(doc)))
-            new_counts = +new_counts  # drop zero entries
-            ll = unigram_log_likelihood(new_counts)
+                _count_delta(doc, back, arrays[2], j0, delta)
+            # unigram_log_likelihood of the new counts, bit for bit: fsum
+            # rounds the same exact sum once, as each changed token's old
+            # term cancels exactly against its copy in base_terms.
+            terms = base_terms.copy()
+            new_total = total
+            for tok, dc in delta.items():
+                if dc:
+                    c = total_counts.get(tok, 0)
+                    if c:
+                        terms.append(-(c * math.log(c)))
+                    if c + dc:
+                        terms.append((c + dc) * math.log(c + dc))
+                    new_total += dc
+            ll = math.fsum(terms) - new_total * math.log(new_total)
             if (
                 best_ll is None
                 or ll > best_ll
@@ -733,13 +767,37 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
             ):
                 best_token = t
                 best_ll = ll
-                best_counts = new_counts
+                best_delta = delta
         # target_size >= n_required and single characters are never
         # removed, so a multi-character candidate is left.
-        assert best_token is not None and best_counts is not None
+        assert best_token is not None
+        total_counts.update(best_delta)
         survivors = [t for t in current.tokens() if t != best_token]
-        current = UnigramVocab.from_frequencies(best_counts, tokens=survivors)
+        current = UnigramVocab.from_frequencies(total_counts, tokens=survivors)
     return current
+
+
+def _count_delta(text: str, old: list[int], new: list[int], j0: int, delta: dict[str, int]) -> None:
+    """Add to delta the token counts of the path of back-pointers new, less
+    those of old, where new and old agree below j0. Walks both paths back
+    from the end, stepping whichever stands further right, and stops where
+    they meet below j0: from there they are one path."""
+    p = q = len(text)  # the new path's position, the old path's
+    while p != q or p >= j0:
+        if p == q and new[p] == old[q]:  # one token on both paths
+            p = q = new[p]
+            continue
+        i = p
+        if p >= q:
+            i = new[p]
+            piece = text[i:p]
+            delta[piece] = delta.get(piece, 0) + 1
+        if q >= p:
+            k = old[q]
+            piece = text[k:q]
+            delta[piece] = delta.get(piece, 0) - 1
+            q = k
+        p = i
 
 
 def ulm_seed(

@@ -166,6 +166,41 @@ class TestTrainCommand:
         assert rc == 1
         assert f"{algorithm} requires --target-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["bpe", "wordpiece"])
+    @pytest.mark.parametrize("option", [["--seed-size", "3"], ["--seed-max-token-len", "8"]])
+    def test_merge_trainers_reject_ulm_seed_options(self, tmp_path, capsys, algorithm, option):
+        # The corpus does not exist: the option is rejected before it is read.
+        rc = main(["train", "--algorithm", algorithm, "--corpus", str(tmp_path / "nope.txt"),
+                   "--target-size", "3", *option, "--out-prefix", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--seed-max-token-len and --seed-size are for ulm, not {algorithm}" in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("algorithm", ["bpe", "wordpiece"])
+    def test_merge_trainers_record_the_seed_defaults(self, tmp_path, algorithm):
+        corpus = write_text(tmp_path / "c.txt", "abab\n")
+        prefix = str(tmp_path / algorithm)
+        assert main(["train", "--algorithm", algorithm, "--corpus", corpus,
+                     "--target-size", "3", "--out-prefix", prefix]) == 0
+        with open(prefix + ".manifest.json", encoding="utf-8") as f:
+            flags = json.load(f)["flags"]
+        assert (flags["seed_max_token_len"], flags["seed_size"]) == (8, None)
+
+    def test_ulm_records_its_seed_options(self, tmp_path):
+        corpus = write_text(tmp_path / "c.txt", "abab\nab\n")
+        digests = []
+        for tag, option in (("default", []), ("given", ["--seed-max-token-len", "8", "--seed-size", "4"])):
+            prefix = str(tmp_path / tag)
+            assert main(["train", "--algorithm", "ulm", "--corpus", corpus,
+                         "--target-size", "3", *option, "--out-prefix", prefix]) == 0
+            with open(prefix + ".manifest.json", encoding="utf-8") as f:
+                manifest = json.load(f)
+            digests.append(manifest["digest"])
+        assert manifest["flags"]["seed_max_token_len"] == 8
+        assert manifest["flags"]["seed_size"] == 4
+        assert digests[0] != digests[1]
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--algorithm", "sentencepiece", "--corpus", "c",

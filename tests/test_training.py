@@ -16,8 +16,14 @@ import tokenlens
 from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.training import (
     UnigramVocab,
+    _char_documents,
+    _count_delta,
+    _forward,
+    _lattice,
     _LazyArgmax,
     _log_prob_units,
+    _merge_in_place,
+    _path,
     bpe_encode,
     bpe_train,
     count_adjacent_pairs,
@@ -83,10 +89,14 @@ def oracle_apply_merge(doc: list[bytes], a: bytes, b: bytes) -> list[bytes]:
 
 
 def oracle_merge_ids(seq: list[int], left: int, right: int, new_id: int) -> list[int]:
+    """The spec of _merge_in_place, and its loop before it jumped between
+    occurrences: one left-to-right scan that steps past both tokens of a
+    merged pair. It always returns a new list."""
     out = []
     i = 0
-    while i < len(seq):
-        if i + 1 < len(seq) and (seq[i], seq[i + 1]) == (left, right):
+    n = len(seq)
+    while i < n:
+        if i + 1 < n and seq[i] == left and seq[i + 1] == right:
             out.append(new_id)
             i += 2
         else:
@@ -284,6 +294,49 @@ def oracle_prune(vocab: UnigramVocab, corpus: list[str], target_size: int) -> Un
             key = (-unigram_log_likelihood(counts), t.encode("utf-8"))
             if best is None or key < best[0]:
                 best = (key, t, counts)
+        assert best is not None
+        _, removed, counts = best
+        survivors = [t for t in current.tokens() if t != removed]
+        current = UnigramVocab.from_frequencies(counts, tokens=survivors)
+    return current
+
+
+def oracle_prune_by_recount(vocab: UnigramVocab, corpus: list[str], target_size: int) -> UnigramVocab:
+    """ulm_prune before it scored candidates by their count deltas: each
+    candidate copies the step's token counts, swaps each of its users' old
+    segmentation for the new one, rebuilt whole from the restarted DP, and
+    scores the result with unigram_log_likelihood. Fast enough for larger
+    corpora than oracle_prune."""
+    docs = _char_documents(corpus)
+    current = vocab
+    while len(current) > target_size:
+        lattices = [_lattice(doc, current._prefixes) for doc in docs]
+        bases = [_forward(doc, lattice) for doc, lattice in zip(docs, lattices)]
+        segs = [_path(doc, back, len(doc)) for doc, (_, _, back) in zip(docs, bases)]
+        total_counts: Counter = Counter()
+        users: dict[str, list[int]] = {}
+        for d, seg in enumerate(segs):
+            total_counts.update(seg)
+            for tok in set(seg):
+                users.setdefault(tok, []).append(d)
+        best = None
+        for t in current.tokens():
+            if len(t) == 1:
+                continue
+            new_counts = Counter(total_counts)
+            for d in users.get(t, ()):
+                doc = docs[d]
+                j0 = doc.find(t) + len(t)
+                score, n_tokens, back = bases[d]
+                pad = len(doc) + 1 - j0
+                arrays = score[:j0] + [None] * pad, n_tokens[:j0] + [0] * pad, back[:j0] + [0] * pad
+                _forward(doc, lattices[d][j0 - 1 :], t, arrays, j0)
+                new_counts.subtract(segs[d])
+                new_counts.update(_path(doc, arrays[2], len(doc)))
+            new_counts = +new_counts  # drop zero entries
+            key = (-unigram_log_likelihood(new_counts), t.encode("utf-8"))
+            if best is None or key < best[0]:
+                best = (key, t, new_counts)
         assert best is not None
         _, removed, counts = best
         survivors = [t for t in current.tokens() if t != removed]
@@ -565,6 +618,53 @@ def merge_corpora(draw):
     else:
         return draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=3), min_size=2, max_size=12))
     return draw(st.lists(doc, min_size=1, max_size=6).filter(any))
+
+
+@st.composite
+def merge_passes(draw):
+    """A sequence and the pair (left, right) that one pass merges in it. The
+    sequence is glued from pieces that stress the pass: runs of one token,
+    "l r l r", "l l r", a lone l or r, and a token of neither. left == right
+    is common, and left may stand last or be absent."""
+    left, right = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    run = st.tuples(st.sampled_from([left, right, 3]), st.integers(2, 6)).map(lambda r: [r[0]] * r[1])
+    pieces = st.sampled_from([[left, right, left, right], [left, left, right], [left], [right], [3]])
+    seq = sum(draw(st.lists(pieces | run, max_size=8)), [])
+    shape = draw(st.sampled_from(["as drawn", "left last", "left absent"]))
+    if shape == "left last":
+        seq.append(left)
+    elif shape == "left absent":
+        seq = [tid for tid in seq if tid != left]
+    return seq, left, right
+
+
+# Each of these mutants of _merge_in_place, tried on a copy of the code,
+# fails this class: the jump resuming at i + 1 after a merge (so "a a a" merges
+# twice); the scan stopping at len(seq) - 2 (a pair at the end is missed);
+# the tail seq[start:] not copied; and a copy returned when nothing merged.
+class TestMergeInPlace:
+    @given(merge_passes())
+    def test_matches_the_scan(self, case):
+        seq, left, right = case
+        before = list(seq)
+        got = _merge_in_place(seq, left, right, 9)
+        assert got == oracle_merge_ids(before, left, right, 9)
+        assert seq == before  # the input list is never changed
+        # A merge shortens the list; with none, the input itself comes back.
+        assert (got is seq) == (len(got) == len(seq))
+
+    @pytest.mark.parametrize(
+        "seq, left, right, expected",
+        [
+            ([0, 0, 0], 0, 0, [9, 0]),  # no overlap: "a a a" becomes "aa a"
+            ([0, 0, 0, 0], 0, 0, [9, 9]),
+            ([0, 1, 0, 1], 0, 1, [9, 9]),
+            ([0, 0, 1], 0, 1, [0, 9]),
+            ([2, 0, 1], 0, 1, [2, 9]),
+        ],
+    )
+    def test_hand_cases(self, seq, left, right, expected):
+        assert _merge_in_place(seq, left, right, 9) == expected
 
 
 # Each of these trainer mutants, tried in a scratch copy, fails at least one
@@ -1009,6 +1109,91 @@ class TestUlmMatchesOracles:
         got = ulm_prune(seed, docs, target)
         expected = oracle_prune(seed, docs, target)
         assert [(t, got.log_prob(t)) for t in got] == [(t, expected.log_prob(t)) for t in expected]
+
+
+@st.composite
+def prune_corpora(draw):
+    """A unigram table and a corpus for ulm_prune. Documents repeat, and are
+    often whole tokens glued together, so that a removal moves the counts of
+    other tokens, often down to zero. In a mirrored case every token and
+    document over "ab" has an image over "cd", so each candidate ties
+    exactly with its image. A token of characters no document holds has no
+    users, and -inf tokens rarely have any."""
+    lps = st.sampled_from([-0.5, -1.0, -1.5, -2.0, float("-inf")])
+    multi = draw(st.lists(st.text(alphabet="ab", min_size=2, max_size=4), max_size=6, unique=True))
+    table = {t: draw(lps) for t in ["a", "b"] + multi}
+    glued = st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=5).map("".join)
+    pool = draw(st.lists(st.text(alphabet="ab", min_size=1, max_size=10) | glued, min_size=1, max_size=3))
+    docs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        image = str.maketrans("ab", "cd")
+        table |= {t.translate(image): lp for t, lp in table.items()}
+        docs += [doc.translate(image) for doc in docs]
+    if draw(st.booleans()):
+        table["xy"] = draw(lps)
+    return table, docs
+
+
+# Each of these mutants, tried on a copy of the code, fails this class: a
+# delta that drops a token whose count fell to zero; a walk-back that stops
+# at the first meeting point, or at one at j0, rather than below j0; the
+# shared-token skip stepping only the new path; the total not moved by the
+# delta; an old term added, not negated; the winner's delta not applied.
+class TestUlmPruneMatchesRecount:
+    """ulm_prune's count deltas and fsum scores against the whole recount."""
+
+    @given(prune_corpora(), st.data())
+    def test_prune(self, case, data):
+        table, docs = case
+        uv = UnigramVocab(table, check=False)
+        target = data.draw(st.integers(sum(len(t) == 1 for t in table), len(uv)))
+        got = ulm_prune(uv, docs, target)
+        expected = oracle_prune_by_recount(uv, docs, target)
+        assert [(t, got.log_prob(t)) for t in got] == [(t, expected.log_prob(t)) for t in expected]
+
+    @given(prune_corpora())
+    def test_count_delta_is_the_difference_of_whole_paths(self, case):
+        table, docs = case
+        prefixes = UnigramVocab(table, check=False)._prefixes
+        for doc in docs:
+            lattice = _lattice(doc, prefixes)
+            score, n_tokens, back = _forward(doc, lattice)
+            old = Counter(_path(doc, back, len(doc)))
+            for t in sorted(old):
+                if len(t) == 1:
+                    continue
+                j0 = doc.find(t) + len(t)
+                pad = len(doc) + 1 - j0
+                arrays = score[:j0] + [None] * pad, n_tokens[:j0] + [0] * pad, back[:j0] + [0] * pad
+                _forward(doc, lattice[j0 - 1 :], t, arrays, j0)
+                delta: dict[str, int] = {}
+                _count_delta(doc, back, arrays[2], j0, delta)
+                expected = Counter(_path(doc, arrays[2], len(doc)))
+                expected.subtract(old)
+                assert {k: v for k, v in delta.items() if v} == {k: v for k, v in expected.items() if v}
+
+    def test_tied_candidates_go_to_the_smaller_bytes(self):
+        # "ab" and its image "cd" tie exactly; "xy" has no users.
+        table = {"a": -1.0, "b": -1.0, "c": -1.0, "d": -1.0, "cd": -1.0, "ab": -1.0, "xy": -0.5}
+        uv = UnigramVocab(table, check=False)
+        pruned = ulm_prune(uv, ["abab", "cdcd"], 6)
+        assert pruned.tokens() == ["a", "b", "c", "d", "cd", "ab"]
+        pruned = ulm_prune(uv, ["abab", "cdcd"], 5)
+        assert pruned.tokens() == ["a", "b", "c", "d", "cd"]
+        assert pruned.tokens() == oracle_prune_by_recount(uv, ["abab", "cdcd"], 5).tokens()
+
+    def test_a_token_whose_count_falls_to_zero(self):
+        # Without "abc", "xabcd" is best read "xa", "bcd": "x" and "d" are
+        # used no more.
+        table = {"a": -3.0, "b": -3.0, "c": -3.0, "d": -0.5, "x": -0.5, "abc": -0.2, "xa": -1.0, "bcd": -1.0}
+        uv = UnigramVocab(table, check=False)
+        assert ulm_viterbi_segment("xabcd", uv) == ["x", "abc", "d"]
+        reduced = UnigramVocab({t: lp for t, lp in table.items() if t != "abc"}, check=False)
+        assert ulm_viterbi_segment("xabcd", reduced) == ["xa", "bcd"]
+        for target in (7, 6, 5):
+            got = ulm_prune(uv, ["xabcd", "xa"], target)
+            expected = oracle_prune_by_recount(uv, ["xabcd", "xa"], target)
+            assert [(t, got.log_prob(t)) for t in got] == [(t, expected.log_prob(t)) for t in expected]
 
 
 # Each of these prune mutants, tried in a scratch copy, fails
