@@ -15,7 +15,9 @@ kind's fields, and only the last field may hold ':'), and each command
 checks all of its specs before it reads any file. Names that label an
 output's rows or columns must be distinct (_distinct). Input files are
 parsed inside errors.reading, so every error in one names it. Tables go
-through text.write_table.
+through text.write_table. Every output path's directory must exist before
+the command reads any input (_check_output_dirs), so a typo in one fails at
+once, not after the work.
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
@@ -246,6 +248,15 @@ def _normalization_dict(rules: analysis.NormalizationRules) -> dict:
         ],
         "strip_continuation": [vocab_mod.token_to_str(m) for m in rules.strip_continuation],
     }
+
+
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Fails on the first output option whose directory does not exist."""
+    for dest in ("out_prefix", "out", "json", "breakdown"):
+        path = getattr(args, dest, None)
+        directory = os.path.dirname(path) if path else ""
+        if directory and not os.path.isdir(directory):
+            raise ToolkitError(f"--{dest.replace('_', '-')}: {directory} is not an existing directory")
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.fn(args)
     except (ToolkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

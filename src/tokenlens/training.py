@@ -86,12 +86,14 @@ def _initial_segmentation(docs: list[str]) -> tuple[list[bytes], list[list[int]]
     return [c.encode("utf-8") for c in chars], segmented
 
 
-def _merge_in_place(seq: list[int], left: int, right: int, new_id: int) -> list[int]:
+def _merge_in_place(seq: list[int], left: int, right: int, new_id: int) -> tuple[list[int], list[int]]:
     """seq with every adjacent (left, right) merged into new_id, in one
-    left-to-right pass without overlap ("a a a" becomes "aa a"); seq itself
-    when nothing merged. It jumps from one left to the next with list.index,
-    so a pass costs one C-level scan plus a step per left."""
+    left-to-right pass without overlap ("a a a" becomes "aa a"), and the
+    merge sites: the positions in seq of the merged lefts, ascending. seq
+    itself comes back when nothing merged. It jumps from one left to the next
+    with list.index, so a pass costs one C-level scan plus a step per left."""
     out: list[int] = []
+    sites: list[int] = []
     start = 0  # seq[start:i] is not yet copied to out
     last = len(seq) - 1  # a left here has no right neighbour
     i = 0
@@ -101,15 +103,69 @@ def _merge_in_place(seq: list[int], left: int, right: int, new_id: int) -> list[
             if seq[i + 1] == right:
                 out += seq[start:i]
                 out.append(new_id)
+                sites.append(i)
                 i = start = i + 2
             else:
                 i += 1
     except ValueError:
         pass
     if not out:
-        return seq
+        return seq, sites
     out += seq[start:]
-    return out
+    return out, sites
+
+
+def _merge_windows(
+    before: list[int], after: list[int], sites: list[int], left: int, right: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """The spans of before whose sequential pair counts a merge at sites
+    changes, and the same spans of after, in one order.
+
+    A sequential scan starts each run of equal tokens afresh, so the pairs it
+    counts in a run, and the pair leaving it, depend on the run's length
+    alone. A merge at site i changes the runs of its two tokens and the pair
+    entering the left token's run, so its window runs from the start of the
+    run before the left token's run to one token past the run holding the
+    right token: both ends stand at a run start in before and in after, and
+    everything outside is the same. Windows that overlap or touch are
+    joined, so the counts of the windows differ by exactly the counts of the
+    whole sequences. In after, a window is shifted left by the sites before
+    it and shortened by the sites inside it.
+
+    A scan back stops at the last window's end, where the window joins it,
+    and a scan forward starts past it, so however long the runs, each token
+    is stepped over at most once each way."""
+    n = len(before)
+    spans: list[list[int]] = []  # [a, b, sites in before[a:b]]
+    b = 0  # the last span's end
+    for i in sites:
+        if i < b:  # the left token lies in the last span
+            spans[-1][2] += 1
+        else:
+            a = i
+            while a > b and before[a - 1] == left:
+                a -= 1
+            if a > b:  # a starts left's run: step over the run before it
+                a -= 1
+                token = before[a]
+                while a > b and before[a - 1] == token:
+                    a -= 1
+            if spans and a == b:
+                spans[-1][2] += 1
+            else:
+                spans.append([a, b, 1])
+        if i + 1 >= b:
+            e = i + 2
+            while e < n and before[e] == right:
+                e += 1
+            b = spans[-1][1] = min(e + 1, n)
+    old, new = [], []
+    shift = 0  # sites before the span
+    for a, b, k in spans:
+        old.append(before[a:b])
+        new.append(after[a - shift : b - shift - k])
+        shift += k
+    return old, new
 
 
 class _LazyArgmax:
@@ -188,11 +244,14 @@ def _train(
     """Shared merge loop of bpe_train and wordpiece_train.
 
     The pair counts are kept incrementally: a merge re-merges only the
-    documents that hold both of its tokens, and recounts only those it
-    changed, not the whole corpus. The counts, and so every choice, are
-    those of count_adjacent_pairs over the whole corpus. A re-merge jumps
-    from one occurrence of the left token to the next (_merge_in_place), so
-    a document that no longer holds the pair costs one C-level scan.
+    documents that hold both of its tokens, and in those it changed recounts
+    only the windows around its sites (_merge_windows), once before and once
+    after, not the whole corpus or the whole documents. The counts, and so
+    every choice, are those of count_adjacent_pairs over the whole corpus,
+    and the windows shrink by one token per site, which gives wordpiece its
+    merged-token count. A re-merge jumps from one occurrence of the left
+    token to the next (_merge_in_place), so a document that no longer holds
+    the pair costs one C-level scan.
 
     The argmax is kept incrementally too, in a _LazyArgmax over the counted
     pairs. A pair's key is (0, -count) for the count scorer, and (count,
@@ -271,12 +330,13 @@ def _train(
         old, new = [], []
         for d in holding[left] & holding[right]:
             before = segmented[d]
-            after = _merge_in_place(before, left, right, new_id)
-            if after is not before:
+            after, sites = _merge_in_place(before, left, right, new_id)
+            if sites:
                 segmented[d] = after
                 holding[new_id].add(d)
-                old.append(before)
-                new.append(after)
+                o, n = _merge_windows(before, after, sites, left, right)
+                old += o
+                new += n
         old_counts = count_adjacent_pairs(old)
         new_counts = count_adjacent_pairs(new)
         moved = set()
@@ -489,12 +549,12 @@ class UnigramVocab:
                 raise ToolkitError(f"log-prob of {tok!r} is {lp!r}, not finite or -inf")
         self._log_probs = dict(log_probs)
         self._ids = {t: i for i, t in enumerate(self._log_probs)}
-        # Every prefix of a token -> its units if it is a token too, else None.
-        self._prefixes: dict[str, int | float | None] = {
+        self._units = [_log_prob_units(lp) for lp in self._log_probs.values()]  # by id
+        # Every prefix of a token -> its id if it is a token too, else None.
+        self._prefixes: dict[str, int | None] = {
             t[:k]: None for t in self._log_probs for k in range(1, len(t))
         }
-        for t, lp in self._log_probs.items():
-            self._prefixes[t] = _log_prob_units(lp)
+        self._prefixes.update(self._ids)
         if check:
             total = math.fsum(math.exp(lp) for lp in self._log_probs.values())
             if abs(total - 1.0) > 1e-9:
@@ -572,9 +632,9 @@ def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     never a token, since as one it would make p + 1 reachable.
 
     The DP runs over the text's lattice of token edges (_lattice), which
-    ulm_prune shares: one DP serves both.
+    ulm_prune shares: one edge format and one DP serve both.
     """
-    score, _, back = _forward(text, _lattice(text, vocab._prefixes))
+    score, _, back = _forward(text, _lattice(text, vocab._prefixes), vocab._units)
     n = len(text)
     if score[n] is None:
         p = max(i for i in range(n) if score[i] is not None)
@@ -582,15 +642,17 @@ def ulm_viterbi_segment(text: str, vocab: UnigramVocab) -> list[str]:
     return _path(text, back, n)
 
 
-_Edge = tuple[int, str, "int | float"]  # (start, piece, the piece's units)
+_Edge = tuple[int, int]  # (start, token id)
 _Arrays = tuple[list, list[int], list[int]]  # score, n_tokens, back
 
 
-def _lattice(text: str, prefixes: Mapping[str, int | float | None]) -> list[list[_Edge]]:
-    """Row j - 1 holds the edges (i, text[i:j], its units) ending at j whose
-    piece is a token, in ascending i. prefixes maps every prefix of a token
-    to its units, or to None when it is no token itself (UnigramVocab), so
-    the scan from each start stops at the first piece that begins no token."""
+def _lattice(text: str, prefixes: Mapping[str, int | None]) -> list[list[_Edge]]:
+    """Row j - 1 holds the edges (i, id of text[i:j]) ending at j whose piece
+    is a token, in ascending i. prefixes maps every prefix of a token to its
+    id, or to None when it is no token itself (UnigramVocab), so the scan
+    from each start stops at the first piece that begins no token. An edge
+    carries no score: the DP reads it from a units list by id, so ulm_prune
+    builds a document's lattice once and only refreshes the units."""
     n = len(text)
     rows: list[list[_Edge]] = [[] for _ in range(n)]
     for i in range(n):
@@ -598,20 +660,22 @@ def _lattice(text: str, prefixes: Mapping[str, int | float | None]) -> list[list
             piece = text[i:j]
             if piece not in prefixes:
                 break
-            piece_units = prefixes[piece]
-            if piece_units is not None:
-                rows[j - 1].append((i, piece, piece_units))
+            tid = prefixes[piece]
+            if tid is not None:
+                rows[j - 1].append((i, tid))
     return rows
 
 
 def _forward(
     text: str,
     rows: Iterable[list[_Edge]],
-    excluded: str | None = None,
+    units: list,
+    excluded: int | None = None,
     arrays: _Arrays | None = None,
     start: int = 1,
 ) -> _Arrays:
-    """The Viterbi DP over lattice rows, without the edges of excluded.
+    """The Viterbi DP over lattice rows, scoring token id t with units[t],
+    without the edges of token id excluded.
 
     For each prefix text[:j] the arrays hold its best score (None if
     unreachable), the token count of that path and where its last token
@@ -630,10 +694,11 @@ def _forward(
         best: int | float | None = None
         best_n = 0
         best_i = -1
-        for i, piece, piece_units in row:
+        for i, tid in row:
             prev = score[i]
-            if prev is None or piece == excluded:
+            if prev is None or tid == excluded:
                 continue
+            piece_units = units[tid]
             if prev == _NEG_INF or piece_units == _NEG_INF:
                 s: int | float = _NEG_INF
             else:
@@ -644,7 +709,7 @@ def _forward(
                     continue
                 # Token sequences are rebuilt only on an exact tie.
                 if s == best and k == best_n:
-                    sequence = _path(text, back, i) + [piece]
+                    sequence = _path(text, back, i) + [text[i:j]]
                     if sequence >= _path(text, back, best_i) + [text[best_i:j]]:
                         continue
             best = s
@@ -681,23 +746,26 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
     missing from vocab raises OovCharacterError for its first occurrence in
     corpus order, with its offset in its document.
 
-    Cost: a step builds each document's lattice (the token edges ending at
-    each position) once and runs the Viterbi DP over it, keeping its forward
-    arrays. For a candidate, only the documents whose segmentation uses it
-    are re-segmented (the others keep their optimum), and only from the end
-    of its first occurrence: no edge of it ends before, so the DP there is
-    unchanged. The restart copies the arrays up to that position and runs
-    the same DP over the rest of the lattice without the candidate's edges,
-    making the same comparisons in the same order as a DP from the start.
-    A document's count delta comes from walking its new and its old path
-    back from the end, and stops where they meet before the restart
-    (_count_delta). The candidate's likelihood is then one math.fsum over the
-    step's c*ln(c) terms, with each changed token's old term negated and its
-    new term added: the same exact sum, so the same float, as
-    unigram_log_likelihood of the new counts, which are built only for the
-    winner. This is exact; Kudo's approximations (a likelihood-loss estimate
-    from the current segmentation, removing a fraction of tokens per step)
-    are not used.
+    Cost: each document's lattice (the token edges ending at each position,
+    each carrying its token's id in vocab) is built once for the whole
+    prune. A step scores the edges through one units list, refreshed from
+    the re-estimated log-probs, and a removal drops its token's edges from
+    the documents that contain it. A step runs the Viterbi DP over each
+    lattice, keeping its forward arrays. For a candidate, only the documents
+    whose segmentation uses it are re-segmented (the others keep their
+    optimum), and only from the end of its first occurrence: no edge of it
+    ends before, so the DP there is unchanged. The restart copies the arrays
+    up to that position and runs the same DP over the rest of the lattice
+    without the candidate's edges, making the same comparisons in the same
+    order as a DP from the start. A document's count delta comes from
+    walking its new and its old path back from the end, and stops where they
+    meet before the restart (_count_delta). The candidate's likelihood is
+    then one math.fsum over the step's c*ln(c) terms, with each changed
+    token's old term negated and its new term added: the same exact sum, so
+    the same float, as unigram_log_likelihood of the new counts, which are
+    built only for the winner. This is exact; Kudo's approximations (a
+    likelihood-loss estimate from the current segmentation, removing a
+    fraction of tokens per step) are not used.
     """
     docs = _char_documents(corpus)
     tokens = vocab.tokens()
@@ -715,11 +783,15 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
             if ch not in vocab:
                 raise OovCharacterError(ch, offset)
 
+    # Each document's lattice, built once over vocab's ids: a removal drops
+    # its token's edges, and each step refreshes units, indexed by those ids.
+    ids = vocab._ids
+    lattices = [_lattice(doc, vocab._prefixes) for doc in docs]
+    units = list(vocab._units)
     current = vocab
     while len(current) > target_size:
         # Every character is a token, so every document is reachable.
-        lattices = [_lattice(doc, current._prefixes) for doc in docs]
-        bases = [_forward(doc, lattice) for doc, lattice in zip(docs, lattices)]
+        bases = [_forward(doc, lattice, units) for doc, lattice in zip(docs, lattices)]
         segs = [_path(doc, back, len(doc)) for doc, (_, _, back) in zip(docs, bases)]
         total_counts: Counter = Counter()
         users: dict[str, list[int]] = defaultdict(list)  # token -> docs using it
@@ -744,7 +816,7 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
                 score, n_tokens, back = bases[d]
                 pad = len(doc) + 1 - j0
                 arrays = score[:j0] + [None] * pad, n_tokens[:j0] + [0] * pad, back[:j0] + [0] * pad
-                _forward(doc, lattices[d][j0 - 1 :], t, arrays, j0)
+                _forward(doc, lattices[d][j0 - 1 :], units, ids[t], arrays, j0)
                 _count_delta(doc, back, arrays[2], j0, delta)
             # unigram_log_likelihood of the new counts, bit for bit: fsum
             # rounds the same exact sum once, as each changed token's old
@@ -774,6 +846,15 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
         total_counts.update(best_delta)
         survivors = [t for t in current.tokens() if t != best_token]
         current = UnigramVocab.from_frequencies(total_counts, tokens=survivors)
+        for t, u in zip(survivors, current._units):
+            units[ids[t]] = u
+        # The winner's edges go, from the documents that contain it.
+        tid, size = ids[best_token], len(best_token)
+        for doc, rows in zip(docs, lattices):
+            i = doc.find(best_token)
+            while i >= 0:
+                rows[i + size - 1].remove((i, tid))
+                i = doc.find(best_token, i + 1)
     return current
 
 

@@ -1563,6 +1563,54 @@ class TestMalformedFiles:
         self.assert_one_line_error(capsys, rc, "'kind' is missing")
 
 
+class TestOutputDirectories:
+    """An output path whose directory is missing fails before any input is
+    read: these inputs do not exist either, and the one error line names the
+    output option and its directory."""
+
+    _TOKENIZER = "t=bpe:{src}/v.json:{src}/m.json"
+    _MODEL = ["--embeddings", "{src}/v0.mat", "--encoder", "toy:0:1:3"]
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["train", "--algorithm", "bpe", "--corpus", "{src}/c.txt", "--target-size", "5",
+              "--out-prefix", "{dst}/x"], "--out-prefix"),
+            (["compare", "--vocab", "a={src}/a.txt", "--vocab", "b={src}/b.txt", "--out", "{dst}/m.csv"], "--out"),
+            (["compare", "--vocab", "a={src}/a.txt", "--vocab", "b={src}/b.txt",
+              "--breakdown", "{dst}/b.tsv", "--out", "{here}/m.csv"], "--breakdown"),
+            (["premium", "--tokenizer", "u=ulm:{src}/p.json", "--pair", "hin:Deva:{src}/e.txt:{src}/h.txt",
+              "--out", "{dst}/p.csv"], "--out"),
+            (["premium", "--tokenizer", "u=ulm:{src}/p.json", "--pair", "hin:Deva:{src}/e.txt:{src}/h.txt",
+              "--json", "{dst}/p.json", "--out", "{here}/p.csv"], "--json"),
+            (["augment", "--tokenizer", _TOKENIZER, *_MODEL, "--strategy", "knn:1@1", "--corpus", "{src}/c.txt",
+              "--out", "{dst}/plan.json"], "--out"),
+            (["eval", "--plan", "{src}/plan.json", "--tokenizer", _TOKENIZER, *_MODEL, "--last-layer", "1",
+              "--corpus", "hin={src}/h.txt", "--out", "{dst}/s.csv"], "--out"),
+        ],
+        ids=["train", "compare", "compare-breakdown", "premium", "premium-json", "augment", "eval"],
+    )
+    def test_missing_directory_exits_one_before_any_read(self, tmp_path, capsys, argv, option):
+        paths = {"src": str(tmp_path / "absent"), "dst": str(tmp_path / "missing"), "here": str(tmp_path)}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {option}: {paths['dst']} is not an existing directory\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_a_file_is_no_directory(self, tmp_path, capsys):
+        corpus = write_text(tmp_path / "c.txt", "abab\n")
+        rc = main(["train", "--algorithm", "bpe", "--corpus", corpus, "--target-size", "3",
+                   "--out-prefix", os.path.join(corpus, "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --out-prefix: {corpus} is not an existing directory\n"
+
+    def test_a_bare_prefix_writes_to_the_working_directory(self, tmp_path, monkeypatch):
+        corpus = write_text(tmp_path / "c.txt", "abab\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--algorithm", "bpe", "--corpus", corpus, "--target-size", "3",
+                     "--out-prefix", "x"]) == 0
+        assert os.path.exists(tmp_path / "x.vocab.json")
+
+
 class TestOptionGrammar:
     """The parser states every option rule, so the usage line shows it."""
 

@@ -19,11 +19,14 @@ from tokenlens.training import (
     _char_documents,
     _count_delta,
     _forward,
+    _initial_segmentation,
     _lattice,
     _LazyArgmax,
     _log_prob_units,
     _merge_in_place,
+    _merge_windows,
     _path,
+    _xlogx,
     bpe_encode,
     bpe_train,
     count_adjacent_pairs,
@@ -156,6 +159,91 @@ def oracle_train(
             tokens.append(merged)
         rules.append(MergeRule(left, right, new_id))
         segmented = [oracle_merge_ids(seq, left, right, new_id) for seq in segmented]
+    return Vocabulary(tokens), MergeRuleList(rules)
+
+
+def oracle_train_by_recount(
+    corpus: list[str], target_vocab_size: int | None, min_pair_freq: int | None, scorer: str
+) -> tuple[Vocabulary, MergeRuleList]:
+    """training._train before it counted windows: the same incremental loop,
+    but each merge recounts every document it changed whole, before and
+    after. Fast enough for corpora and merge counts far beyond oracle_train."""
+    docs = _char_documents(corpus)
+    tokens, segmented = _initial_segmentation(docs)
+    counts = count_adjacent_pairs(segmented)
+    holding: dict[int, set[int]] = {}
+    for d, seq in enumerate(segmented):
+        for tid in set(seq):
+            holding.setdefault(tid, set()).add(d)
+    if scorer == "likelihood":
+        token_counts = Counter(tid for seq in segmented for tid in seq)
+        corpus_len = sum(len(seq) for seq in segmented)
+        having: dict[int, set[tuple[int, int]]] = {}
+        for pair in counts:
+            having.setdefault(pair[0], set()).add(pair)
+            having.setdefault(pair[1], set()).add(pair)
+
+        def key(pair):
+            return counts[pair], token_counts[pair[0]] * token_counts[pair[1]]
+
+        def score(cab, product):
+            return cab * math.log(cab / product) - _xlogx(corpus_len - cab)
+    else:
+
+        def key(pair):
+            return 0, -counts[pair]
+
+        def score(bucket, p):
+            return -p
+
+    argmax = _LazyArgmax(key, score)
+    for pair in counts:
+        argmax.push(tokens[pair[0]] + tokens[pair[1]], pair)
+    rules = []
+    while target_vocab_size is None or len(tokens) < target_vocab_size:
+        top = argmax.best()
+        if top is None:
+            break
+        best, merged_bytes, (left, right) = top
+        if min_pair_freq is not None and best < min_pair_freq:
+            break
+        new_id = len(tokens)
+        tokens.append(merged_bytes)
+        rules.append(MergeRule(left, right, new_id))
+        old, new = [], []
+        for d in holding[left] & holding[right]:
+            before = segmented[d]
+            after = oracle_merge_ids(before, left, right, new_id)
+            if len(after) < len(before):
+                segmented[d] = after
+                holding.setdefault(new_id, set()).add(d)
+                old.append(before)
+                new.append(after)
+        delta = count_adjacent_pairs(new)
+        delta.subtract(count_adjacent_pairs(old))
+        moved = set()
+        for pair, dc in delta.items():
+            if not dc:
+                continue
+            moved.add(pair)
+            prev = counts.get(pair, 0)
+            if prev + dc:
+                counts[pair] = prev + dc
+            else:
+                del counts[pair]
+            if scorer == "likelihood" and not prev:
+                having.setdefault(pair[0], set()).add(pair)
+                having.setdefault(pair[1], set()).add(pair)
+        if scorer == "likelihood":
+            merged = sum(map(len, old)) - sum(map(len, new))
+            token_counts[left] -= merged
+            token_counts[right] -= merged
+            token_counts[new_id] += merged
+            corpus_len -= merged
+            moved |= having.get(left, set()) | having.get(right, set())
+        for pair in moved:
+            if pair in counts:
+                argmax.push(tokens[pair[0]] + tokens[pair[1]], pair)
     return Vocabulary(tokens), MergeRuleList(rules)
 
 
@@ -301,17 +389,28 @@ def oracle_prune(vocab: UnigramVocab, corpus: list[str], target_size: int) -> Un
     return current
 
 
+def oracle_lattice(text: str, vocab: UnigramVocab) -> tuple[list[list[tuple[int, int]]], list]:
+    """The rows _forward reads, from every substring of text: row j - 1
+    holds (i, vocab's id of text[i:j]) for each token text[i:j], in
+    ascending i. Also the units list of vocab's ids that scores them."""
+    rows = [[(i, vocab.id_of(text[i:j])) for i in range(j) if text[i:j] in vocab] for j in range(1, len(text) + 1)]
+    return rows, [_log_prob_units(vocab.log_prob(t)) for t in vocab.tokens()]
+
+
 def oracle_prune_by_recount(vocab: UnigramVocab, corpus: list[str], target_size: int) -> UnigramVocab:
-    """ulm_prune before it scored candidates by their count deltas: each
-    candidate copies the step's token counts, swaps each of its users' old
-    segmentation for the new one, rebuilt whole from the restarted DP, and
-    scores the result with unigram_log_likelihood. Fast enough for larger
-    corpora than oracle_prune."""
+    """ulm_prune before it scored candidates by their count deltas or kept
+    its lattices: each step builds every lattice afresh over the surviving
+    tokens, and each candidate copies the step's token counts, swaps each of
+    its users' old segmentation for the new one, rebuilt whole from the
+    restarted DP, and scores the result with unigram_log_likelihood. Fast
+    enough for larger corpora than oracle_prune."""
     docs = _char_documents(corpus)
     current = vocab
     while len(current) > target_size:
-        lattices = [_lattice(doc, current._prefixes) for doc in docs]
-        bases = [_forward(doc, lattice) for doc, lattice in zip(docs, lattices)]
+        built = [oracle_lattice(doc, current) for doc in docs]
+        lattices = [rows for rows, _ in built]
+        units = built[0][1]
+        bases = [_forward(doc, lattice, units) for doc, lattice in zip(docs, lattices)]
         segs = [_path(doc, back, len(doc)) for doc, (_, _, back) in zip(docs, bases)]
         total_counts: Counter = Counter()
         users: dict[str, list[int]] = {}
@@ -330,7 +429,7 @@ def oracle_prune_by_recount(vocab: UnigramVocab, corpus: list[str], target_size:
                 score, n_tokens, back = bases[d]
                 pad = len(doc) + 1 - j0
                 arrays = score[:j0] + [None] * pad, n_tokens[:j0] + [0] * pad, back[:j0] + [0] * pad
-                _forward(doc, lattices[d][j0 - 1 :], t, arrays, j0)
+                _forward(doc, lattices[d][j0 - 1 :], units, current.id_of(t), arrays, j0)
                 new_counts.subtract(segs[d])
                 new_counts.update(_path(doc, arrays[2], len(doc)))
             new_counts = +new_counts  # drop zero entries
@@ -638,6 +737,19 @@ def merge_passes(draw):
     return seq, left, right
 
 
+def oracle_merge_sites(seq: list[int], left: int, right: int) -> list[int]:
+    """Where oracle_merge_ids merges: the positions of the merged lefts."""
+    sites = []
+    i = 0
+    while i < len(seq) - 1:
+        if seq[i] == left and seq[i + 1] == right:
+            sites.append(i)
+            i += 2
+        else:
+            i += 1
+    return sites
+
+
 # Each of these mutants of _merge_in_place, tried on a copy of the code,
 # fails this class: the jump resuming at i + 1 after a merge (so "a a a" merges
 # twice); the scan stopping at len(seq) - 2 (a pair at the end is missed);
@@ -647,24 +759,87 @@ class TestMergeInPlace:
     def test_matches_the_scan(self, case):
         seq, left, right = case
         before = list(seq)
-        got = _merge_in_place(seq, left, right, 9)
+        got, sites = _merge_in_place(seq, left, right, 9)
         assert got == oracle_merge_ids(before, left, right, 9)
+        assert sites == oracle_merge_sites(before, left, right)
         assert seq == before  # the input list is never changed
-        # A merge shortens the list; with none, the input itself comes back.
-        assert (got is seq) == (len(got) == len(seq))
+        # Each site shortens the list by one; with none, the input itself comes back.
+        assert len(got) == len(seq) - len(sites)
+        assert (got is seq) == (not sites)
 
     @pytest.mark.parametrize(
         "seq, left, right, expected",
         [
-            ([0, 0, 0], 0, 0, [9, 0]),  # no overlap: "a a a" becomes "aa a"
-            ([0, 0, 0, 0], 0, 0, [9, 9]),
-            ([0, 1, 0, 1], 0, 1, [9, 9]),
-            ([0, 0, 1], 0, 1, [0, 9]),
-            ([2, 0, 1], 0, 1, [2, 9]),
+            ([0, 0, 0], 0, 0, ([9, 0], [0])),  # no overlap: "a a a" becomes "aa a"
+            ([0, 0, 0, 0], 0, 0, ([9, 9], [0, 2])),
+            ([0, 1, 0, 1], 0, 1, ([9, 9], [0, 2])),
+            ([0, 0, 1], 0, 1, ([0, 9], [1])),
+            ([2, 0, 1], 0, 1, ([2, 9], [1])),
         ],
     )
     def test_hand_cases(self, seq, left, right, expected):
         assert _merge_in_place(seq, left, right, 9) == expected
+
+
+@st.composite
+def merge_sites(draw):
+    """A sequence over 1 to 3 symbols and a pair (left, right) of them.
+    left == right is common. The sequence is glued from runs of one symbol
+    and from "l r" repeated, whose sites form runs of the new token, and
+    often starts or ends with "l r", so that sites stand at both ends."""
+    k = draw(st.integers(1, 3))
+    left, right = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    run = st.tuples(st.integers(0, k - 1), st.integers(1, 6)).map(lambda r: [r[0]] * r[1])
+    repeated = st.integers(1, 4).map(lambda m: [left, right] * m)
+    seq = sum(draw(st.lists(run | repeated, max_size=8)), [])
+    if draw(st.booleans()):
+        seq = [left, right] + seq
+    if draw(st.booleans()):
+        seq += [left, right]
+    return seq, left, right
+
+
+# Each of these mutants of _merge_windows, tried on a copy of the code, fails
+# this class (see CHANGES.md for the counts): windows joined only when the
+# later site's left token lies inside the earlier window, not when the run
+# before it reaches back into it; scans back that ignore the earlier window,
+# so that windows overlap; a window that stops at the right token's run,
+# without the token past it; one that ends with the right token, not its run;
+# one that starts at the left token's run, not at the run before it; a new
+# window not shortened by its sites; and one not shifted by the sites before
+# it.
+class TestMergeWindows:
+    """The pair counts of the windows against those of whole sequences."""
+
+    @given(merge_sites())
+    def test_window_delta_is_the_whole_delta(self, case):
+        before, left, right = case
+        after, sites = _merge_in_place(before, left, right, 9)
+        old, new = _merge_windows(before, after, sites, left, right)
+        delta = count_adjacent_pairs(new)
+        delta.subtract(count_adjacent_pairs(old))
+        whole = count_adjacent_pairs([after])
+        whole.subtract(count_adjacent_pairs([before]))
+        assert {p: c for p, c in delta.items() if c} == {p: c for p, c in whole.items() if c}
+        # So wordpiece's token counts move by the sites: one per merge.
+        assert sum(map(len, old)) - sum(map(len, new)) == len(sites)
+        # Each new window is its old window merged.
+        assert [oracle_merge_ids(w, left, right, 9) for w in old] == new
+
+    @pytest.mark.parametrize(
+        "before, left, right, old",
+        [
+            ([1, 0, 1, 2], 0, 1, [[1, 0, 1, 2]]),  # the run before, one token past
+            ([0, 1, 2, 4, 3, 3, 0, 1], 0, 1, [[0, 1, 2], [3, 3, 0, 1]]),
+            # the run before the second site reaches back into the first window
+            ([0, 1, 2, 2, 2, 0, 1], 0, 1, [[0, 1, 2, 2, 2, 0, 1]]),
+            ([0, 1, 2, 0, 1], 0, 1, [[0, 1, 2, 0, 1]]),  # touching windows join
+            ([2, 0, 0, 0, 0, 1], 0, 0, [[2, 0, 0, 0, 0, 1]]),  # one run of sites
+        ],
+    )
+    def test_hand_cases(self, before, left, right, old):
+        after, sites = _merge_in_place(before, left, right, 9)
+        assert _merge_windows(before, after, sites, left, right)[0] == old
 
 
 # Each of these trainer mutants, tried in a scratch copy, fails at least one
@@ -727,6 +902,41 @@ class TestMergeTrainersMatchFullRecount:
         docs = [" ".join(rng.choice(words) for _ in range(rng.randrange(1, 12))) for _ in range(60)]
         for scorer, train in (("count", bpe_train), ("likelihood", wordpiece_train)):
             assert_same_training(train(docs, target_vocab_size=150), oracle_train(docs, 150, None, scorer))
+
+
+def tie_heavy_corpus() -> list[str]:
+    """Documents that mix long runs of one character ("aaaa..."),
+    alternations ("abab...", "aabaab...") and ordinary words, each twice,
+    so that many pairs tie at the top count and merges land side by side."""
+    rng = random.Random(31)
+    words = ["".join(rng.choice("abcdefgh") for _ in range(rng.randrange(1, 7))) for _ in range(30)]
+
+    def doc() -> str:
+        parts = []
+        for _ in range(rng.randrange(1, 8)):
+            kind = rng.randrange(4)
+            if kind == 0:
+                parts.append(rng.choice("ab") * rng.randrange(2, 40))
+            elif kind == 1:
+                parts.append(rng.choice(["ab", "ba", "aab"]) * rng.randrange(2, 20))
+            else:
+                parts.append(" ".join(rng.choice(words) for _ in range(rng.randrange(1, 6))))
+        return " ".join(parts)
+
+    return [doc() for _ in range(150)] * 2 + ["a" * 200, "ab" * 100]
+
+
+class TestMergeTrainersMatchRecount:
+    """The windowed pair-count deltas against whole-document recounts, over
+    a few hundred merges of a tie-heavy corpus."""
+
+    @pytest.mark.parametrize("scorer, train", [("count", bpe_train), ("likelihood", wordpiece_train)])
+    def test_tie_heavy_corpus(self, scorer, train):
+        docs = tie_heavy_corpus()
+        target = len(set("".join(docs))) + 300
+        got = train(docs, target_vocab_size=target)
+        assert len(got[1]) == 300
+        assert_same_training(got, oracle_train_by_recount(docs, target, None, scorer))
 
 
 class _EagerCompaction(_LazyArgmax):
@@ -1068,6 +1278,15 @@ class TestUlmMatchesOracles:
         assert outcome(ulm_viterbi_segment, text, uv) == outcome(oracle_viterbi_segment, text, uv)
 
     @given(unigram_tables(), st.data())
+    def test_lattice(self, case, data):
+        alphabet, table = case
+        text = data.draw(st.text(alphabet=alphabet + "x", max_size=12))
+        uv = UnigramVocab(table, check=False)
+        rows, units = oracle_lattice(text, uv)
+        assert _lattice(text, uv._prefixes) == rows
+        assert uv._units == units
+
+    @given(unigram_tables(), st.data())
     def test_viterbi_against_enumeration(self, case, data):
         """Tables may leave out single characters: the result is the best of
         every segmentation or, when there is none, an OovCharacterError at
@@ -1154,10 +1373,10 @@ class TestUlmPruneMatchesRecount:
     @given(prune_corpora())
     def test_count_delta_is_the_difference_of_whole_paths(self, case):
         table, docs = case
-        prefixes = UnigramVocab(table, check=False)._prefixes
+        uv = UnigramVocab(table, check=False)
         for doc in docs:
-            lattice = _lattice(doc, prefixes)
-            score, n_tokens, back = _forward(doc, lattice)
+            lattice, units = oracle_lattice(doc, uv)
+            score, n_tokens, back = _forward(doc, lattice, units)
             old = Counter(_path(doc, back, len(doc)))
             for t in sorted(old):
                 if len(t) == 1:
@@ -1165,12 +1384,34 @@ class TestUlmPruneMatchesRecount:
                 j0 = doc.find(t) + len(t)
                 pad = len(doc) + 1 - j0
                 arrays = score[:j0] + [None] * pad, n_tokens[:j0] + [0] * pad, back[:j0] + [0] * pad
-                _forward(doc, lattice[j0 - 1 :], t, arrays, j0)
+                _forward(doc, lattice[j0 - 1 :], units, uv.id_of(t), arrays, j0)
                 delta: dict[str, int] = {}
                 _count_delta(doc, back, arrays[2], j0, delta)
                 expected = Counter(_path(doc, arrays[2], len(doc)))
                 expected.subtract(old)
                 assert {k: v for k, v in delta.items() if v} == {k: v for k, v in expected.items() if v}
+
+    def test_mirrored_slice_with_ties_and_tokens_falling_to_zero(self, monkeypatch):
+        # Every document has an image over "xyz", so each candidate ties
+        # exactly with its image while both are left; some tokens' counts
+        # fall to zero on the way, and their log-probs to -inf.
+        rng = random.Random(1)
+        words = ["".join(rng.choice("abc") for _ in range(rng.randrange(2, 6))) for _ in range(8)]
+        docs = [" ".join(rng.choice(words) for _ in range(rng.randrange(1, 5))) for _ in range(12)]
+        docs += [doc.translate(str.maketrans("abc", "xyz")) for doc in docs]
+        seed = ulm_seed(docs, max_token_len=4, seed_size=80)
+        built = []  # each document's lattice is built once for the whole prune
+
+        def lattice(text, prefixes):
+            built.append(text)
+            return _lattice(text, prefixes)
+
+        monkeypatch.setattr(sys.modules["tokenlens.training"], "_lattice", lattice)
+        got = ulm_prune(seed, docs, 17)
+        assert built == docs
+        expected = oracle_prune_by_recount(seed, docs, 17)
+        assert [(t, got.log_prob(t)) for t in got] == [(t, expected.log_prob(t)) for t in expected]
+        assert float("-inf") in [got.log_prob(t) for t in got]
 
     def test_tied_candidates_go_to_the_smaller_bytes(self):
         # "ab" and its image "cd" tie exactly; "xy" has no users.
