@@ -33,11 +33,9 @@ from .premium import (
 from .text import (
     UNICODE_VERSION,
     ParallelCorpus,
-    char_byte_len,
     load_corpus,
     load_parallel_corpus,
     recover_utf8_chars,
-    unicode_block,
 )
 from .training import (
     UnigramVocab,
@@ -50,7 +48,6 @@ from .training import (
     ulm_seed,
     ulm_viterbi_segment,
     unigram_log_likelihood,
-    wordpiece_merge_score,
     wordpiece_train,
 )
 from .vocab import (

@@ -129,12 +129,14 @@ def _parse_spec(spec: str, what: str, kinds: tuple[str, ...]) -> tuple[str, list
     return kind, _split(spec, f"{kind} spec", (kind, *_KINDS[kind]))[1:]
 
 
-def _load_tokenizer(name: str, kind: str, paths: list[str]) -> TokenizerHandle:
-    """The tokenizer of a parsed spec, read from its files (every field is a path)."""
+def _load_tokenizer(name: str, kind: str, paths: list[str]) -> tuple[TokenizerHandle, int]:
+    """The tokenizer of a parsed spec, read from its files (every field is a
+    path), and its vocabulary size."""
     if kind == "ulm":
-        return ulm_tokenizer(name, training.load_probs(paths[0]))
+        probs = training.load_probs(paths[0])
+        return ulm_tokenizer(name, probs), len(probs)
     v = vocab_mod.load_vocab(paths[0])
-    return bpe_tokenizer(name, v, vocab_mod.load_merges(paths[1], v), byte_input=(kind == "bpe-bytes"))
+    return bpe_tokenizer(name, v, vocab_mod.load_merges(paths[1], v), byte_input=(kind == "bpe-bytes")), len(v)
 
 
 def _parse_encoder(spec: str) -> tuple[dict, list[str], Callable[[np.ndarray], embedding.LayerEncoder]]:
@@ -189,7 +191,8 @@ def _load_model(
 ) -> tuple[TokenizerHandle, np.ndarray, embedding.LayerEncoder, dict, list[str]]:
     """Augment's and eval's tokenizer, V0 and encoder, with the encoder's
     manifest flags and the paths of every file they were read from. Both
-    specs are checked before any file is read, and V0 must be finite.
+    specs are checked before any file is read. V0 must be finite and have a
+    row for every token id; more rows are allowed, since models pad V0.
 
     With float64_v0, V0 is widened before the encoder is built, so the
     encoder holds the float64 array too and the float32 one is freed: V0 is
@@ -201,8 +204,11 @@ def _load_model(
     name, spec = _parse_named(args.tokenizer, "tokenizer")
     kind, tok_paths = _parse_spec(spec, "tokenizer", _TOKENIZER_KINDS)
     enc_flags, enc_paths, build_encoder = _parse_encoder(args.encoder)
-    tok = _load_tokenizer(name, kind, tok_paths)
+    tok, n_tokens = _load_tokenizer(name, kind, tok_paths)
     v0 = embedding.read_matrix(args.embeddings)
+    if len(v0) < n_tokens:
+        with reading(args.embeddings):
+            raise ToolkitError(f"{len(v0)} rows, fewer than the {n_tokens} tokens of tokenizer {name}")
     if not embedding.all_finite(v0):
         raise ToolkitError("v0 contains non-finite values")
     if float64_v0:
@@ -223,7 +229,7 @@ def _parse_strategy(text: str) -> embedding.DerivationStrategy:
     except ValueError:
         raise ToolkitError(f"strategy layer must be an integer, got {layer_s!r}") from None
     bits = head.split(":")
-    kind = {"local": "local_linreg"}.get(bits[0], bits[0])
+    kind = {short: kind for kind, (short, _) in embedding.STRATEGY_KINDS.items()}.get(bits[0], bits[0])
     k = None
     if len(bits) == 2:
         try:
@@ -236,8 +242,10 @@ def _parse_strategy(text: str) -> embedding.DerivationStrategy:
 
 
 def _strategy_file_tag(strat: embedding.DerivationStrategy) -> str:
+    from . import embedding
+
     k = "" if strat.k is None else str(strat.k)
-    return f"{strat.kind.replace('_linreg', '')}{k}-l{strat.layer}"
+    return f"{embedding.STRATEGY_KINDS[strat.kind][0]}{k}-l{strat.layer}"
 
 
 def _normalization_dict(rules: analysis.NormalizationRules) -> dict:
@@ -350,7 +358,7 @@ def cmd_premium(args: argparse.Namespace) -> int:
     specs = [_parse_spec(spec, "tokenizer", _TOKENIZER_KINDS) for _, spec in named]
     pairs = [_split(p, "--pair", ("LANG", "SCRIPT", "ENGPATH", "TGTPATH")) for p in args.pair]
     _distinct([f"{lang}:{script}" for lang, script, _, _ in pairs], "pair language")
-    toks = [_load_tokenizer(name, *spec) for (name, _), spec in zip(named, specs)]
+    toks = [_load_tokenizer(name, *spec)[0] for (name, _), spec in zip(named, specs)]
     corpora = [load_parallel_corpus(eng, tgt, lang, script) for lang, script, eng, tgt in pairs]
     inputs = [p for _, paths in specs for p in paths] + [p for _, _, eng, tgt in pairs for p in (eng, tgt)]
     flags = {

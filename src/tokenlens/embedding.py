@@ -64,6 +64,10 @@ __all__ = [
 
 RIDGE_EPS = 1e-8
 
+# Each strategy kind -> its short name (the CLI's spelling and a grid plan
+# file's tag) and its smallest k; linreg takes no k.
+STRATEGY_KINDS = {"knn": ("knn", 1), "linreg": ("linreg", None), "local_linreg": ("local", 2)}
+
 _HEADER = struct.Struct("<II")
 
 
@@ -262,7 +266,7 @@ def build_reference(enc: LayerEncoder, v0: np.ndarray, layer: int) -> np.ndarray
     per token. Layer 0 copies v0. The rows go into one (n_tokens, dim + 1)
     buffer of the encoder's output dtype whose last column is 1.0, and the
     (n_tokens, dim) view of its first columns is returned; the view's .base
-    is that buffer, which augment passes to _fit_affine as linreg's design
+    is that buffer, which _with_bias gives derive_linreg's fit as its design
     matrix, bias column included."""
     arr = np.asarray(v0)
     if arr.ndim != 2:
@@ -288,36 +292,35 @@ def all_finite(matrix: np.ndarray) -> bool:
     return all(np.isfinite(matrix[start : start + _ROW_BLOCK]).all() for start in range(0, len(matrix), _ROW_BLOCK))
 
 
-def _distances(h: np.ndarray, vl: np.ndarray, metric: str) -> np.ndarray:
-    """The distance from h to every row of vl: euclidean for the rows _screen
-    keeps, cosine for every row of a float64 reference."""
-    if metric == "euclidean":
-        # np.linalg.norm(vl - h, axis=1)'s operations on each row (subtract
-        # in float64, square, add.reduce, sqrt), run in place in one block
-        # buffer, so a float32 vl is converted a block at a time. Each row's
-        # distance is the same operations whatever block it falls in, so the
-        # result is bitwise that one pass over all rows.
-        out = np.empty(len(vl))
-        buf = np.empty((min(len(vl), _ROW_BLOCK), vl.shape[1]))
-        for start in range(0, len(vl), _ROW_BLOCK):
-            block = vl[start : start + _ROW_BLOCK]
-            diff = buf[: len(block)]
-            np.subtract(block, h, out=diff, dtype=np.float64)
-            np.multiply(diff, diff, out=diff)
-            np.add.reduce(diff, axis=1, out=out[start : start + len(block)])
-        return np.sqrt(out, out=out)
-    if metric == "cosine":
-        vl = np.asarray(vl, dtype=np.float64)
-        norms = np.linalg.norm(vl, axis=1) * np.linalg.norm(h)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(norms > 0, (vl @ h) / norms, 0.0)
-        return 1.0 - sims
-    raise ToolkitError(f"unknown distance metric {metric!r}")
+def _euclidean(h: np.ndarray, vl: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The euclidean distance from h to each of vl's rows, rows: the
+    operations np.linalg.norm(vl[rows] - h, axis=1) takes on each row
+    (subtract in float64, square, add.reduce, sqrt), run in place in one
+    block buffer, _ROW_BLOCK rows at a time, so a float32 vl is converted a
+    block at a time. Each row's distance is the same operations whatever
+    block it falls in, so the result is bitwise that one pass over all rows."""
+    out = np.empty(len(rows))
+    buf = np.empty((min(len(rows), _ROW_BLOCK), vl.shape[1]))
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = vl[rows[start : start + _ROW_BLOCK]]
+        diff = buf[: len(block)]
+        np.subtract(block, h, out=diff, dtype=np.float64)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=out[start : start + len(block)])
+    return np.sqrt(out, out=out)
+
+
+def _cosine(h: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The cosine distance from h to every row of a float64 reference."""
+    norms = np.linalg.norm(ref, axis=1) * np.linalg.norm(h)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = np.where(norms > 0, (ref @ h) / norms, 0.0)
+    return 1.0 - sims
 
 
 # The euclidean screen. For a reference row r and a query h of dimension n,
 # let a = |r|^2, b = |h|^2, q = r.h and D^2 = a - 2q + b = |r - h|^2, all
-# exact; let s be the sum _distances takes the square root of, and
+# exact; let s be the sum _euclidean takes the square root of, and
 # d = fl(sqrt(s)) the distance it returns; u = 2^-53. The screen computes
 # w = fl(a' + b') and e = fl(w - 2q'), where a', b' and q' are dot products
 # summed in whatever order, blocking and kernel (SIMD, FMA or not) the
@@ -412,17 +415,11 @@ def _nearest(h: np.ndarray, vl: np.ndarray, k: int, metric: str) -> tuple[np.nda
     queries = hv.reshape(-1, hv.shape[-1])
     if metric == "euclidean":
         kept = _screen(queries, vl, k) if len(queries) else []
-        measured = (
-            (rows, np.concatenate([
-                _distances(query, vl[rows[start : start + _ROW_BLOCK]], metric)
-                for start in range(0, len(rows), _ROW_BLOCK)
-            ]))
-            for query, rows in zip(queries, kept)
-        )
+        measured = ((rows, _euclidean(query, vl, rows)) for query, rows in zip(queries, kept))
     elif metric == "cosine":
         ref = np.asarray(vl, dtype=np.float64)
         every = np.arange(len(ref))
-        measured = ((every, _distances(query, ref, metric)) for query in queries)
+        measured = ((every, _cosine(query, ref)) for query in queries)
     else:
         raise ToolkitError(f"unknown distance metric {metric!r}")
     idx = np.empty((len(queries), k), dtype=np.intp)
@@ -441,15 +438,21 @@ def _nearest(h: np.ndarray, vl: np.ndarray, k: int, metric: str) -> tuple[np.nda
     return (idx, dists) if hv.ndim == 2 else (idx[0], dists[0])
 
 
-def _each_query(fn, hv: np.ndarray, idx: np.ndarray, dists: np.ndarray, dim: int) -> np.ndarray:
-    """fn(query, its idx, its dists) for one query, or, for a stack, one
-    float64 (m, dim) array of its results."""
+def _each_query(fn, hv: np.ndarray, dim: int, *per_query: np.ndarray) -> np.ndarray:
+    """fn(query, its row of each per_query array) for one query, or, for a
+    stack, one float64 (m, dim) array of its results."""
     if hv.ndim == 1:
-        return fn(hv, idx, dists)
+        return fn(hv, *per_query)
     out = np.empty((len(hv), dim))
     for i in range(len(hv)):
-        out[i] = fn(hv[i], idx[i], dists[i])
+        out[i] = fn(hv[i], *(arr[i] for arr in per_query))
     return out
+
+
+def _check_k(kind: str, k: int, n: int) -> None:
+    low = STRATEGY_KINDS[kind][1]
+    if not low <= k <= n:
+        raise ToolkitError(f"k must be in {low}..{n}, got {k}")
 
 
 def derive_knn(
@@ -463,12 +466,10 @@ def derive_knn(
     makes 1/d undefined, so exact hits short-circuit: the result is the
     unweighted mean of the zero-distance rows' embeddings (bitwise the
     embedding itself when there is exactly one)."""
-    n = len(vl)
-    if not 1 <= k <= n:
-        raise ToolkitError(f"k must be in 1..{n}, got {k}")
+    _check_k("knn", k, len(vl))
     hv = _finite_query(h)
     idx, dists = _nearest(hv, vl, k, metric)
-    return _each_query(lambda _, i, d: _inverse_distance_mean(v0, i, d), hv, idx, dists, np.shape(v0)[1])
+    return _each_query(lambda _, i, d: _inverse_distance_mean(v0, i, d), hv, np.shape(v0)[1], idx, dists)
 
 
 def _inverse_distance_mean(v0: np.ndarray, idx: np.ndarray, dists: np.ndarray) -> np.ndarray:
@@ -486,8 +487,22 @@ def _inverse_distance_mean(v0: np.ndarray, idx: np.ndarray, dists: np.ndarray) -
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
-    """x with a bias column of ones, as one fresh float64 matrix."""
+    """x with a bias column of ones. When x is a build_reference result, the
+    C-contiguous buffer behind it (x's rows plus one column, with x's strides
+    and data pointer) whose last column is all 1.0, that buffer is returned
+    as it is, in its own dtype; otherwise x is written into one fresh
+    float64 matrix."""
     x = np.asarray(x)
+    buf = x.base
+    if (
+        isinstance(buf, np.ndarray)
+        and buf.flags.c_contiguous
+        and buf.shape == (len(x), x.shape[1] + 1)
+        and buf.strides == x.strides
+        and buf.ctypes.data == x.ctypes.data
+        and (buf[:, -1] == 1.0).all()
+    ):
+        return buf
     design = np.empty((len(x), x.shape[1] + 1))
     design[:, :-1] = x
     design[:, -1] = 1.0
@@ -501,8 +516,8 @@ def _fit_affine(
     column is the bias.
 
     X is taken as float64: a float64 design (a float64 build_reference
-    buffer, or _with_bias's result) is used as it is, and any other dtype is
-    converted in one copy."""
+    buffer, or _with_bias's fresh matrix) is used as it is, and any other
+    dtype (a float32 build_reference buffer) is converted in one copy."""
     design = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if sample_weights is None:
@@ -524,15 +539,24 @@ def _finite_query(h: np.ndarray) -> np.ndarray:
 
 
 def _apply_affine(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return np.append(_finite_query(h), 1.0) @ theta
+    return np.append(h, 1.0) @ theta
 
 
 def derive_linreg(
     h: np.ndarray, v0: np.ndarray, vl: np.ndarray, ridge: float = RIDGE_EPS
 ) -> np.ndarray:
-    """Global affine map from vl rows to v0 rows, fitted on every call,
-    applied to h."""
-    return _apply_affine(h, _fit_affine(_with_bias(vl), v0, None, ridge))
+    """Global affine map from vl rows to v0 rows, fitted once per call,
+    applied to h.
+
+    h is one pooled vector, (dim,), or a stack of them, (m, dim), which
+    gives one float64 row per vector, bitwise that vector's own result. The
+    fit's products run over all rows at once (summed over row blocks, they
+    would add in another order). Its design matrix is _with_bias(vl): for a
+    build_reference result that is the reference's own buffer, so a float64
+    reference is fitted on as it is and a float32 one is converted once."""
+    hv = _finite_query(h)
+    theta = _fit_affine(_with_bias(vl), v0, None, ridge)
+    return _each_query(lambda q: _apply_affine(q, theta), hv, theta.shape[1])
 
 
 def derive_local_linreg(
@@ -550,12 +574,10 @@ def derive_local_linreg(
     gives one float64 row per vector, bitwise that vector's own result, and
     finds every vector's neighbours in one call to _nearest; each vector
     still gets its own fit."""
-    n = len(vl)
-    if not 2 <= k <= n:
-        raise ToolkitError(f"k must be in 2..{n}, got {k}")
+    _check_k("local_linreg", k, len(vl))
     hv = _finite_query(h)
     idx, dists = _nearest(hv, vl, k, metric)
-    return _each_query(lambda q, i, d: _local_fit(q, i, d, v0, vl, ridge), hv, idx, dists, np.shape(v0)[1])
+    return _each_query(lambda q, i, d: _local_fit(q, i, d, v0, vl, ridge), hv, np.shape(v0)[1], idx, dists)
 
 
 def _local_fit(
@@ -575,7 +597,7 @@ def _local_fit(
 
 @dataclass(frozen=True)
 class DerivationStrategy:
-    """kind is one of knn / linreg / local_linreg; neighbor-based kinds carry
+    """kind is a key of STRATEGY_KINDS; a kind with a smallest k carries a
     k; layer selects where hidden states are pooled and referenced."""
 
     kind: str
@@ -583,14 +605,13 @@ class DerivationStrategy:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("knn", "linreg", "local_linreg"):
+        if self.kind not in STRATEGY_KINDS:
             raise ToolkitError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "knn" and (self.k is None or self.k < 1):
-            raise ToolkitError("knn needs k >= 1")
-        if self.kind == "local_linreg" and (self.k is None or self.k < 2):
-            raise ToolkitError("local_linreg needs k >= 2")
-        if self.kind == "linreg" and self.k is not None:
-            raise ToolkitError("linreg takes no k")
+        low = STRATEGY_KINDS[self.kind][1]
+        if low is None and self.k is not None:
+            raise ToolkitError(f"{self.kind} takes no k")
+        if low is not None and (self.k is None or self.k < low):
+            raise ToolkitError(f"{self.kind} needs k >= {low}")
         if self.layer < 0:
             raise ToolkitError("layer must be >= 0")
 
@@ -635,11 +656,11 @@ def select_oov_chars(corpus: Sequence[str], tok: TokenizerHandle) -> set[str]:
 def check_strategies(enc: LayerEncoder, strategies: Sequence[DerivationStrategy], n_tokens: int) -> None:
     """Fail, naming the first such strategy, if a strategy's layer is above
     enc.depth or its k is outside the range a reference of n_tokens rows
-    allows (1..n_tokens for knn, 2..n_tokens for local_linreg)."""
+    allows (its kind's smallest k in STRATEGY_KINDS to n_tokens)."""
     for strat in strategies:
         if strat.layer > enc.depth:
             raise ToolkitError(f"strategy {strat.label()}: layer {strat.layer} outside 0..{enc.depth}")
-        low = {"knn": 1, "local_linreg": 2}.get(strat.kind)
+        low = STRATEGY_KINDS[strat.kind][1]
         if low is not None and not low <= strat.k <= n_tokens:
             raise ToolkitError(f"strategy {strat.label()}: k {strat.k} outside {low}..{n_tokens}")
 
@@ -679,14 +700,14 @@ def derive_plans(
     build_reference(enc, v0, l) is built (it must be finite), each
     character's constituent embeddings are pooled at that layer once, and
     every strategy at that layer maps the stack of pooled vectors back to
-    input space. Only one reference is held at a time. linreg fits once per
-    strategy on the reference's buffer, whose last column is the bias: a
-    float64 reference is its own design matrix, and a float32 one is
-    converted once; a float64 v0 is the fit's targets as it is. knn and
-    local_linreg are one call each per strategy, derive_knn or
-    derive_local_linreg over the whole stack, which finds every character's
-    neighbours in one screened pass (euclidean) or converts a float32
-    reference to float64 once (cosine).
+    input space. Only one reference is held at a time. Every strategy is one
+    call of its derive function over the whole stack: derive_linreg fits
+    once on the reference's buffer, whose last column is the bias (a float64
+    reference is its own design matrix, a float32 one is converted once, and
+    a float64 v0 is the fit's targets as it is); derive_knn and
+    derive_local_linreg find every character's neighbours in one screened
+    pass (euclidean) or convert a float32 reference to float64 once
+    (cosine).
 
     Every computation on v0's values is in float64, so a float32 v0 and its
     float64 widening give the same plans, bit for bit."""
@@ -700,8 +721,7 @@ def derive_plans(
             if strat.layer != layer:
                 continue
             if strat.kind == "linreg":
-                theta = _fit_affine(vl.base, v0, None, RIDGE_EPS)
-                vectors[i] = np.array([_apply_affine(h, theta) for h in pooled], dtype=np.float64)
+                vectors[i] = derive_linreg(pooled, v0, vl)
             elif strat.kind == "knn":
                 vectors[i] = derive_knn(pooled, v0, vl, strat.k, metric)
             else:

@@ -1,4 +1,4 @@
-"""Corpus loading, table writing and character-level Unicode utilities.
+"""Corpus loading, table writing and UTF-8 character recovery.
 
 Corpora are plain text, one document per line, UTF-8 only. There is no
 whitespace pre-tokenization anywhere in this package: spaces, underscores and
@@ -13,12 +13,11 @@ line and the CSV dialect are decided here once.
 
 from __future__ import annotations
 
-import bisect
 import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ._blocks import _NAMES, _STARTS, UNICODE_VERSION
+from ._blocks import UNICODE_VERSION
 from .errors import ToolkitError, reading
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "load_corpus",
     "load_parallel_corpus",
     "write_table",
-    "unicode_block",
-    "char_byte_len",
     "recover_utf8_chars",
 ]
 
@@ -92,20 +89,6 @@ def write_table(path: str, rows: Iterable[Sequence], manifest_digest: str = "", 
         if manifest_digest:
             f.write(f"# manifest: {manifest_digest}\n")
         csv.writer(f, delimiter=delimiter, lineterminator="\n").writerows(rows)
-
-
-def unicode_block(char: str) -> str:
-    """Name of the Unicode block containing char ("No_Block" for unassigned gaps)."""
-    if len(char) != 1:
-        raise ValueError("unicode_block expects a single character")
-    return _NAMES[bisect.bisect_right(_STARTS, ord(char)) - 1]
-
-
-def char_byte_len(char: str) -> int:
-    """UTF-8 encoded length of one character, 1 through 4."""
-    if len(char) != 1:
-        raise ValueError("char_byte_len expects a single character")
-    return len(char.encode("utf-8"))
 
 
 def recover_utf8_chars(data: bytes) -> set[str]:

@@ -30,7 +30,6 @@ __all__ = [
     "bpe_train",
     "bpe_encode",
     "unigram_log_likelihood",
-    "wordpiece_merge_score",
     "wordpiece_train",
     "UnigramVocab",
     "ulm_viterbi_segment",
@@ -296,7 +295,7 @@ def _train(
             return counts[pair], token_counts[pair[0]] * token_counts[pair[1]]
 
         def score(cab: int, product: int) -> float:
-            # wordpiece_merge_score's operations in its order: bit-identical
+            # The likelihood gain that wordpiece_train's docstring states.
             return cab * math.log(cab / product) - _xlogx(corpus_len - cab)
     else:
 
@@ -387,7 +386,10 @@ def wordpiece_train(
     corpus: Iterable[str], target_vocab_size: int
 ) -> tuple[Vocabulary, MergeRuleList]:
     """Like bpe_train, but each step merges the pair maximizing the
-    likelihood-gain score wordpiece_merge_score instead of the raw count.
+    likelihood gain of merging it instead of the raw count:
+    #ab * ln(#ab / (#a * #b)) - (|C| - #ab) * ln(|C| - #ab), with
+    x*ln(x) = 0 at x = 0, for pair count #ab, token counts #a and #b and
+    corpus length |C| in tokens.
 
     The argmax keeps one heap per pair count #ab, ordered by the product
     #a * #b, and scores only the top of each. It relies on the score, as
@@ -494,26 +496,6 @@ def unigram_log_likelihood(token_counts: Mapping[object, int]) -> float:
     # fsum is correctly rounded, so the result cannot depend on count order
     terms = math.fsum(c * math.log(c) for c in token_counts.values())
     return terms - total * math.log(total)
-
-
-def wordpiece_merge_score(
-    count_a: int, count_b: int, count_ab: int, corpus_len: int
-) -> float:
-    """Likelihood gain of merging adjacent pair (a, b) into one token:
-
-        #ab * ln(#ab / (#a * #b)) - (|C| - #ab) * ln(|C| - #ab)
-
-    with the x*ln(x) = 0 convention at x = 0.
-    """
-    if count_ab < 1:
-        raise ToolkitError("count_ab must be >= 1")
-    if count_ab > min(count_a, count_b):
-        raise ToolkitError("count_ab cannot exceed count_a or count_b")
-    if count_ab > corpus_len:
-        raise ToolkitError("count_ab cannot exceed corpus_len")
-    return count_ab * math.log(count_ab / (count_a * count_b)) - _xlogx(
-        corpus_len - count_ab
-    )
 
 
 _NEG_INF = float("-inf")
@@ -739,7 +721,9 @@ def ulm_prune(vocab: UnigramVocab, corpus: Iterable[str], target_size: int) -> U
     Each step removes the multi-character token whose removal least decreases
     the corpus log-likelihood, where the likelihood of a candidate vocabulary
     is obtained by re-segmenting the corpus (current log-probs, survivors
-    only) and scoring the resulting counts with unigram_log_likelihood.
+    only) and scoring the resulting counts: the c*ln(c) terms
+    unigram_log_likelihood sums, summed with one math.fsum, minus
+    total*ln(total).
     After each removal the probabilities are re-estimated from the winning
     segmentation's relative frequencies. Single-character tokens are never
     removed; ties remove the lexicographically smallest token. A character

@@ -1,5 +1,6 @@
 """Vocabulary normalization, overlap metrics, breakdowns, report files."""
 
+import bisect
 import csv
 
 import pytest
@@ -20,11 +21,27 @@ from tokenlens.analysis import (
 )
 from tokenlens._blocks import _NAMES, _STARTS
 from tokenlens.errors import ToolkitError
-from tokenlens.text import char_byte_len, recover_utf8_chars, unicode_block
+from tokenlens.text import recover_utf8_chars
 from tokenlens.vocab import Vocabulary
 
 GDOT = "Ġ".encode("utf-8")
 LOWLINE = "▁".encode("utf-8")
+
+
+def unicode_block(char: str) -> str:
+    """Name of the Unicode block containing char ("No_Block" for unassigned
+    gaps), one character at a time; tests/test_text.py pins it."""
+    if len(char) != 1:
+        raise ValueError("unicode_block expects a single character")
+    return _NAMES[bisect.bisect_right(_STARTS, ord(char)) - 1]
+
+
+def char_byte_len(char: str) -> int:
+    """UTF-8 encoded length of one character, 1 through 4; tests/test_text.py
+    pins it."""
+    if len(char) != 1:
+        raise ValueError("char_byte_len expects a single character")
+    return len(char.encode("utf-8"))
 
 
 def oracle_apply(rules: NormalizationRules, token: bytes) -> bytes:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import ast
 import base64
 import csv
 import importlib.util
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import tokenlens
 from tokenlens.cli import _KINDS, _parse_spec, _split, main
-from tokenlens.embedding import AugmentationPlan, DerivationStrategy, read_matrix, save_plan, write_matrix
+from tokenlens.embedding import AugmentationPlan, DerivationStrategy, load_plan, read_matrix, save_plan, write_matrix
 from tokenlens.errors import ToolkitError
 from tokenlens.training import bpe_train
 from tokenlens.vocab import MergeRuleList, Vocabulary, save_merges, save_vocab
@@ -939,6 +940,36 @@ class TestAugmentCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: strategy knn:1@9: layer 9 outside 0..1\n"
 
+    @pytest.mark.parametrize("rows", [0, 4])
+    def test_fewer_v0_rows_than_tokens_exits_one_before_the_corpus_is_read(
+        self, tmp_path, capsys, byte_level_files, monkeypatch, rows
+    ):
+        from tokenlens import cli
+
+        def unreachable(*args):
+            raise AssertionError("read the corpus before checking V0's rows")
+
+        monkeypatch.setattr(cli, "load_corpus", unreachable)
+        bf = byte_level_files
+        short = str(tmp_path / "short.mat")
+        write_matrix(short, read_matrix(bf["embeddings"])[:rows])
+        rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", short, "--encoder", "toy:0:1:3",
+                   "--grid", "knn:1@1,linreg@1", "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {short}: {rows} rows, fewer than the 5 tokens of tokenizer bytes\n"
+        assert not [n for n in os.listdir(tmp_path) if n.startswith("plan")]
+
+    def test_more_v0_rows_than_tokens_is_allowed(self, tmp_path, byte_level_files):
+        # Models pad V0 past the tokenizer's vocabulary.
+        bf = byte_level_files
+        padded = str(tmp_path / "padded.mat")
+        v0 = read_matrix(bf["embeddings"])
+        write_matrix(padded, np.concatenate([v0, np.random.default_rng(3).normal(size=(3, 3))]))
+        out = str(tmp_path / "plan.json")
+        assert main(["augment", "--tokenizer", bf["tok"], "--embeddings", padded, "--encoder", "toy:0:1:3",
+                     "--strategy", "knn:1@1", "--corpus", bf["corpus"], "--out", out]) == 0
+        assert load_plan(out).tokens == ("è", "é")
+
     def test_single_token_char_reported_before_a_non_finite_reference(self, tmp_path, capsys, byte_level_files):
         bf = byte_level_files
         m4 = np.random.default_rng(5).normal(size=read_matrix(bf["embeddings"]).shape)
@@ -1342,6 +1373,24 @@ class TestEvalCommand:
                    "--corpus", bf["corpus"], "--out", str(tmp_path / "p.json")])
         assert rc == 1
         assert capsys.readouterr().err == "error: v0 contains non-finite values\n"
+
+    def test_fewer_v0_rows_than_tokens_exits_one_before_the_corpus_is_read(self, tmp_path, capsys, planned, monkeypatch):
+        from tokenlens import cli
+
+        def unreachable(*args):
+            raise AssertionError("read the corpus before checking V0's rows")
+
+        monkeypatch.setattr(cli, "load_corpus", unreachable)
+        bf, plan = planned
+        short = str(tmp_path / "short.mat")
+        write_matrix(short, read_matrix(bf["embeddings"])[:3])
+        out = str(tmp_path / "sim.csv")
+        rc = main(["eval", "--plan", plan, "--tokenizer", bf["tok"], "--embeddings", short,
+                   "--encoder", "toy:2:1:3:linear", "--last-layer", "1",
+                   "--corpus", f"c={bf['corpus']}", "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {short}: 3 rows, fewer than the 5 tokens of tokenizer bytes\n"
+        assert not os.path.exists(out)
 
     def test_non_finite_plan_vector_names_the_plan(self, tmp_path, capsys, planned):
         bf, plan = planned
@@ -1889,6 +1938,38 @@ class TestStartup:
         assert [span for span in tracer.spans if span[5] and "count_error" in span[5]] == []
         counted = {name for _, _, name, counts in spans.PLAIN_WRAPS if counts is not None}
         assert counted - {span[2] for span in tracer.spans} == set()
+
+    def test_traced_augment_spans_each_grid_cell_once(self, tmp_path, byte_level_files):
+        # The benchmark's embedding.derive_calls counts derive_knn,
+        # derive_linreg and derive_local_linreg spans, so every cell, linreg
+        # included, must run through its public derive function, once.
+        spans = load_perfbench_spans()
+        bf = byte_level_files
+        tracer = spans.Tracer(run_id="test")
+        undo = spans.install(tracer)
+        try:
+            rc = main(["augment", "--tokenizer", bf["tok"], "--embeddings", bf["embeddings"],
+                       "--encoder", "toy:0:1:3", "--grid", "knn:1@1,linreg@1,local:3@1",
+                       "--corpus", bf["corpus"], "--out", str(tmp_path / "plan.json")])
+        finally:
+            for module, attr, original in reversed(undo):
+                setattr(module, attr, original)
+        assert rc == 0
+        assert [span[2] for span in tracer.spans].count("embedding.derive") == 3
+
+    def test_setup_child_names_exist(self):
+        # perfbench/setup_child.py loads every workload file through
+        # tokenlens.NAME, and a name that is gone fails each setup_s run.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "perfbench", "setup_child.py"), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        names = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "tl"
+        }
+        assert "read_matrix" in names and "toy_encoder" in names
+        assert sorted(name for name in names if not hasattr(tokenlens, name)) == []
 
     def test_traced_eval_counts_each_sentence_and_plan(self, tmp_path, byte_level_files):
         # The benchmark reads embedding.eval_sentences as eval_similarity's

@@ -40,7 +40,7 @@ from tokenlens.embedding import (
     write_matrix,
 )
 from tokenlens import embedding
-from tokenlens.embedding import _distances, _fit_affine, _nearest, _with_bias
+from tokenlens.embedding import _euclidean, _fit_affine, _nearest, _with_bias
 from tokenlens.errors import OovCharacterError, ToolkitError
 from tokenlens.premium import TokenizerHandle, bpe_tokenizer
 from tokenlens.vocab import MergeRule, MergeRuleList, Vocabulary
@@ -695,12 +695,13 @@ class TestDistances:
         h = rng.normal(size=dim)
         if special:  # overflow, NaN and infinite rows
             vl[rng.integers(0, rows, size=3)] = rng.choice([np.nan, np.inf, -np.inf, 1e300], size=(3, dim))
+        rows = rng.permutation(len(vl))  # any order of rows, blocked as given
         with np.errstate(all="ignore"):
-            assert_bitwise(_distances(h, vl, "euclidean"), oracle_euclidean(h, vl))
+            assert_bitwise(_euclidean(h, vl, rows), oracle_euclidean(h, vl[rows]))
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ToolkitError, match="unknown distance metric 'manhattan'"):
-            _distances(np.zeros(2), np.zeros((3, 2)), "manhattan")
+            _nearest(np.zeros(2), np.zeros((3, 2)), 1, "manhattan")
 
 
 @st.composite
@@ -816,6 +817,9 @@ class TestScreen:
             stacked = derive(queries, v0, vl, k, metric=metric)
             alone = [derive(h, v0, vl, k, metric=metric) for h in queries]
             assert_bitwise(stacked, np.array(alone, dtype=np.float64))
+        # linreg fits once per call, on every row, whatever the metric.
+        alone = [derive_linreg(h, v0, vl) for h in queries]
+        assert_bitwise(derive_linreg(queries, v0, vl), np.array(alone, dtype=np.float64))
         if metric == "euclidean":  # an exact hit alone keeps V0's dtype; a stack widens it
             assert derive_knn(queries[-1], v0, vl, 8).dtype == np.float32
 
@@ -889,6 +893,18 @@ class TestFitAffine:
         assert ref.base.dtype == np.float64 and ref.base.shape == (1500, 5)
         w = rng.uniform(0.1, 2.0, size=len(v0)) if weighted else None
         assert_bitwise(_fit_affine(ref.base, v0, w, 1e-8), oracle_fit_affine(ref, v0, w, 1e-8))
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_reference_buffer_is_used_as_it_is(self, layer):
+        # A float64 reference and a float32 one (a matrices: one) alike:
+        # _with_bias hands the fit the very buffer, in its own dtype.
+        rng = np.random.default_rng(6)
+        v0 = rng.normal(size=(40, 3))
+        ref = build_reference(toy_encoder(6, 1, 3), v0, layer)
+        f32 = build_reference(LookupEncoder(v0, {1: ref.astype(np.float32)}), v0, 1)
+        for vl, dtype in ((ref, np.float64), (f32, np.float32)):
+            assert vl.base.dtype == dtype
+            assert _with_bias(vl) is vl.base
 
     @pytest.mark.parametrize("bias", [0.0, -1.0, 2.0, np.nan, 1.0 + 2**-52])
     def test_changed_bias_column_is_not_used(self, bias):
@@ -1093,7 +1109,8 @@ class TestDeriveLocalLinreg:
         def no_pass(*args):
             raise AssertionError("distance pass ran on a non-finite query")
 
-        monkeypatch.setattr(embedding, "_distances", no_pass)
+        monkeypatch.setattr(embedding, "_euclidean", no_pass)
+        monkeypatch.setattr(embedding, "_cosine", no_pass)
         v0 = np.random.default_rng(2).normal(size=(5, 2))
         with pytest.raises(ToolkitError, match="query vector contains non-finite values"):
             derive_local_linreg(np.array([np.nan, 0.0]), v0, v0, 3, metric=metric)
@@ -1341,13 +1358,13 @@ class TestAugment:
         m1 = np.random.default_rng(9).normal(size=v0.shape).astype(np.float32)
         enc = LookupEncoder(v0.astype(np.float32), {1: m1})
         seen = []
-        distances = embedding._distances
+        cosine = embedding._cosine
 
-        def recording(h, vl, metric):
-            seen.append(vl)
-            return distances(h, vl, metric)
+        def recording(h, ref):
+            seen.append(ref)
+            return cosine(h, ref)
 
-        monkeypatch.setattr(embedding, "_distances", recording)
+        monkeypatch.setattr(embedding, "_cosine", recording)
         strategies = [DerivationStrategy("knn", 1, 2), DerivationStrategy("local_linreg", 1, 3)]
         augment(tok, v0.astype(np.float32), enc, {"é", "è"}, strategies, "cosine")
         # Two characters per strategy: one float64 array each, shared by

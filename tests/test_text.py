@@ -1,19 +1,17 @@
-"""Corpus loading, table writing and Unicode character utilities."""
+"""Corpus loading, table writing and Unicode character utilities.
+
+unicode_block and char_byte_len are the per-character oracles of
+vocab_breakdown's bisected tables, defined in test_analysis.py; they are
+pinned here."""
 
 import random
 import re
 
 import pytest
 
+from test_analysis import char_byte_len, unicode_block
 from tokenlens.errors import ToolkitError
-from tokenlens.text import (
-    char_byte_len,
-    load_corpus,
-    load_parallel_corpus,
-    recover_utf8_chars,
-    unicode_block,
-    write_table,
-)
+from tokenlens.text import load_corpus, load_parallel_corpus, recover_utf8_chars, write_table
 
 
 class TestLoadCorpus:

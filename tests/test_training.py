@@ -36,7 +36,6 @@ from tokenlens.training import (
     ulm_seed,
     ulm_viterbi_segment,
     unigram_log_likelihood,
-    wordpiece_merge_score,
     wordpiece_train,
 )
 from tokenlens.vocab import MergeRule, MergeRuleList, Vocabulary
@@ -48,6 +47,22 @@ def decode(vocab: Vocabulary, ids: list[int]) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # independent oracles (deliberately separate implementations)
+
+
+def wordpiece_merge_score(count_a: int, count_b: int, count_ab: int, corpus_len: int) -> float:
+    """Likelihood gain of merging adjacent pair (a, b) into one token:
+
+        #ab * ln(#ab / (#a * #b)) - (|C| - #ab) * ln(|C| - #ab)
+
+    with the x*ln(x) = 0 convention at x = 0; wordpiece_train's score makes
+    the same operations in the same order."""
+    if count_ab < 1:
+        raise ToolkitError("count_ab must be >= 1")
+    if count_ab > min(count_a, count_b):
+        raise ToolkitError("count_ab cannot exceed count_a or count_b")
+    if count_ab > corpus_len:
+        raise ToolkitError("count_ab cannot exceed corpus_len")
+    return count_ab * math.log(count_ab / (count_a * count_b)) - _xlogx(corpus_len - count_ab)
 
 
 def oracle_sequential_counts(sequences: list[list[int]]) -> Counter:
